@@ -337,20 +337,34 @@ def cmd_prove(args) -> int:
     return 0 if all(rows_ok) else 1
 
 
+def _int_rows(data: dict, key: str, K: int, width: int, what: str, ok) -> tuple[tuple[int, ...], ...]:
+    """data[key] as K rows of `width` JSON integers e with ok(e)."""
+    rows = data[key]
+    if not isinstance(rows, list) or len(rows) != K:
+        raise ValueError(f"{key} must be a list of K={K} rows")
+    for i, row in enumerate(rows, 1):
+        if not (
+            isinstance(row, list)
+            and len(row) == width
+            and all(type(e) is int and ok(e) for e in row)
+        ):
+            raise ValueError(f"{key} row {i} must be {width} {what}, got {json.dumps(row)}")
+    return tuple(tuple(row) for row in rows)
+
+
 def _load_factorization(path: str) -> prover.FactorizationSystem:
     with open(path) as fh:
         data = json.load(fh)
-    p = multisum.profile_from_json(data["profile"])
-    S = int(data["S"])
-    betas = tuple(tuple(int(b) for b in row) for row in data["betas"])
+    p, S, betas = prover.system_spec_from_json(data)
     if "U" in data and "V" in data:
-        U = tuple(tuple(int(e) for e in row) for row in data["U"])
-        V = tuple((int(m), int(n)) for m, n in data["V"])
+        K = len(betas)
+        U = _int_rows(data, "U", K, K, "entries in {0, 1}", lambda e: e in (0, 1))
+        V = _int_rows(data, "V", K, 2, "nonnegative integers", lambda e: e >= 0)
         certs = {}
         for entry in data.get("certs", []):
             certs[tuple(int(b) for b in entry["root"])] = prover.tree_from_json(entry["tree"])
-        return prover.FactorizationSystem(profile=p, S=S, betas=betas, U=U, V=V, certs=certs)
-    return prover.assemble_system(p, S, list(betas))
+        return prover.FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)
+    return prover.assemble_system(p, S, betas)
 
 
 def cmd_verify(args) -> int:

@@ -131,9 +131,6 @@ def associated_graph(ideal: SpanOneIdeal) -> ModifiedDigraph:
     )
 
 
-def adjacency(g: ModifiedDigraph) -> tuple[tuple[int, ...], ...]:
-    return g.adjacency
-
 def weight_diag(g: ModifiedDigraph) -> tuple[tuple[int, int], ...]:
     """Exponent pairs (m, n) of the vertex monomials x^m q^n, vertex order."""
     return tuple(zip(g.lengths, g.sizes))

@@ -19,6 +19,16 @@ coordinate r, the two-term relation
 with alpha_r the r-th row of alpha; these relations are the edges of the
 certificate trees built in the prover.  Substituting x -> x q^S simply
 shifts beta by S gamma.
+
+eval_H truncates H to x^x_max q^q_max by walking n one coordinate at a
+time and pruning on energy: the cross terms alpha_ij n_i n_j are never
+negative, so a prefix whose energy plus the smallest energy each remaining
+coordinate can add on its own exceeds q_max has no live completion.  That
+bound uses no sign of beta, so it is exact for any integer beta, and since a
+pruned summand has E(n) > q_max >= 0, a summand with negative E(n) is still
+met, in the same order, and still raises ValueError.  Reciprocal
+Pochhammers are kept as dense q-rows of ints, each step of n_r one in-place
+division by (1 - q^(A_r n_r)).
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
-from .series import Series, geom_inverse, monomial
+from .series import Series, _check_orders, monomial
 
 Beta = tuple[int, ...]
 
@@ -110,42 +120,65 @@ def eval_H(
 
     beta may be any integer vector, but a summand whose q-exponent E(n)
     would be negative cannot live in a power series and raises ValueError.
+
+    The walk fixes n_1, n_2, ... in turn and carries the energy of the
+    prefix.  Cross terms alpha_sr n_s n_r are >= 0, so every completion of a
+    prefix has energy >= prefix energy + the sum over the remaining r of
+    lb_r = min over 0 <= k <= x_max // gamma_r of alpha_rr k(k-1)/2 + beta_r k.
+    That bound holds for any integer beta; a k whose bound exceeds q_max is
+    skipped, and the k-loop stops once its energy increment is >= 0 as well,
+    since the energy is convex in k.  Every pruned summand has
+    E(n) > q_max >= 0, so the first negative summand in traversal order, and
+    the error it raises, is the same as for the full enumeration.
     """
     _check_beta(p, beta)
     if x_max is None:
         x_max = q_max
+    _check_orders(x_max, q_max)
     R = p.R
-    # cumulative reciprocal Pochhammers per coordinate: inv[r][k] = 1/(q^A_r; q^A_r)_k
-    bound = [x_max // g for g in p.gamma]
-    inv: list[list[Series]] = []
-    for r in range(R):
-        col = [Series.one(0, q_max)]
-        for k in range(1, bound[r] + 1):
-            col.append(col[-1] * geom_inverse(p.A[r] * k, 0, q_max))
-        inv.append(col)
+    alpha, gamma, A = p.alpha, p.gamma, p.A
+    # tail[r]: lower bound on the energy that coordinates r.. can add
+    tail = [0] * (R + 1)
+    for r in range(R - 1, -1, -1):
+        a, b = alpha[r][r], beta[r]
+        tail[r] = tail[r + 1] + min(
+            a * k * (k - 1) // 2 + b * k for k in range(x_max // gamma[r] + 1)
+        )
+    # rows[m][d]: coefficient of x^m q^d
+    rows = [[0] * (q_max + 1) for _ in range(x_max + 1)]
 
-    acc = Series.zero(x_max, q_max)
-
-    def walk(r: int, n: tuple[int, ...], xdeg: int, part: Series) -> None:
-        nonlocal acc
+    def walk(r: int, n: tuple[int, ...], xdeg: int, e: int, part: list[int]) -> None:
+        # part: dense q-row of prod_{s < r} 1/(q^A_s; q^A_s)_{n_s}
         if r == R:
-            e = energy(p, beta, n)
             if e < 0:
                 raise ValueError(
                     f"summand n={n} of H(beta={beta}) has negative q-exponent {e}"
                 )
-            if e <= q_max:
-                term: dict[tuple[int, int], int] = {}
-                for (_, d), c in part.terms():
-                    if e + d <= q_max:
-                        term[(xdeg, e + d)] = c
-                acc = acc + Series(term, x_max, q_max)
+            row = rows[xdeg]
+            for d in range(q_max + 1 - e):
+                row[e + d] += part[d]
             return
-        for k in range(0, (x_max - xdeg) // p.gamma[r] + 1):
-            walk(r + 1, n + (k,), xdeg + k * p.gamma[r], part * inv[r][k])
+        a, b, g, mod = alpha[r][r], beta[r], gamma[r], A[r]
+        slope = b + sum(alpha[s][r] * n[s] for s in range(r))
+        rest = tail[r + 1]
+        c = part[:]
+        for k in range((x_max - xdeg) // g + 1):
+            if k:
+                # divide by (1 - q^(A_r k)) in place
+                step = mod * k
+                for i in range(step, q_max + 1):
+                    c[i] += c[i - step]
+                e += a * (k - 1) + slope
+            if e + rest > q_max:
+                if a * k + slope >= 0:
+                    break
+                continue
+            walk(r + 1, n + (k,), xdeg + k * g, e, c)
 
-    walk(0, (), 0, Series.one(0, q_max))
-    return acc
+    walk(0, (), 0, 0, [1] + [0] * q_max)
+    return Series(
+        {(m, d): c for m, row in enumerate(rows) for d, c in enumerate(row) if c}, x_max, q_max
+    )
 
 
 def rec_children(

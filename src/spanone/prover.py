@@ -397,19 +397,8 @@ def system_result_to_json(fs: FactorizationSystem) -> dict:
     }
 
 
-def prove_system_from_json(data: dict, max_expansions: int = 64) -> FactorizationSystem:
-    try:
-        p = profile_from_json(data["profile"])
-        S = int(data["S"])
-        betas = [tuple(int(b) for b in row) for row in data["betas"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed system description: {exc}") from exc
-    return assemble_system(p, S, betas, max_expansions)
-
-
-def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]]:
-    with open(path) as fh:
-        data = json.load(fh)
+def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]:
+    """The profile, S and betas keys shared by system specs and proved systems."""
     try:
         p = profile_from_json(data["profile"])
         S = int(data["S"])
@@ -417,3 +406,8 @@ def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system description: {exc}") from exc
     return p, S, betas
+
+
+def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]]:
+    with open(path) as fh:
+        return system_spec_from_json(json.load(fh))

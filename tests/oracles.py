@@ -3,8 +3,9 @@
 Each oracle recomputes something the library also computes, by a different
 route: dense-array convolution instead of sparse scatter products, explicit
 walk enumeration instead of matrix products, a bijective partition counter
-instead of filtering, and a memoless certificate search instead of the
-memoized one.  Agreement between the routes is the point.
+instead of filtering, a full-box multi-sum enumeration instead of the pruned
+walk, and a memoless certificate search instead of the memoized one.
+Agreement between the routes is the point.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from spanone.multisum import MultisumProfile, rec_children
+from spanone.multisum import Beta, MultisumProfile, rec_children
 from spanone.series import Series
 
 
@@ -29,6 +30,42 @@ def naive_mul(a: Series, b: Series) -> Series:
                     c += a.coeff(m1, n1) * b.coeff(m - m1, n - n1)
             if c:
                 coeffs[(m, n)] = c
+    return Series(coeffs, x_max, q_max)
+
+
+def naive_eval_H(
+    p: MultisumProfile, beta: Beta, x_max: int | None = None, q_max: int = 30
+) -> Series:
+    """H(beta) summed over the whole box gamma . n <= x_max, with no pruning.
+
+    Each E(n) is computed from the definition and each reciprocal
+    Pochhammer is multiplied out factor by factor with naive_mul.  The box
+    is walked in lexicographic order, so the first summand with a negative
+    q-exponent raises the same error as eval_H.
+    """
+    if x_max is None:
+        x_max = q_max
+    R = p.R
+    coeffs: dict[tuple[int, int], int] = {}
+    for n in product(*(range(x_max // g + 1) for g in p.gamma)):
+        xdeg = sum(g * k for g, k in zip(p.gamma, n))
+        if xdeg > x_max:
+            continue
+        e = sum(
+            p.alpha[r][s] * n[r] * n[s] for r in range(R) for s in range(r + 1, R)
+        ) + sum(p.alpha[r][r] * n[r] * (n[r] - 1) // 2 + beta[r] * n[r] for r in range(R))
+        if e < 0:
+            raise ValueError(f"summand n={n} of H(beta={beta}) has negative q-exponent {e}")
+        if e > q_max:
+            continue
+        poch = Series({(0, 0): 1}, 0, q_max)
+        for r in range(R):
+            for j in range(1, n[r] + 1):
+                step = p.A[r] * j
+                geom = Series({(0, d): 1 for d in range(0, q_max + 1, step)}, 0, q_max)
+                poch = naive_mul(poch, geom)
+        for d in range(q_max - e + 1):
+            coeffs[(xdeg, e + d)] = coeffs.get((xdeg, e + d), 0) + poch.coeff(0, d)
     return Series(coeffs, x_max, q_max)
 
 

@@ -156,6 +156,47 @@ def test_verify_detects_broken_matrix(run_cli, tmp_path):
     assert "MISMATCH" in out
 
 
+def _verify_edited(tmp_path, capsys, edit) -> tuple[int, str]:
+    """Prove kr, apply edit to the written system, verify it; (exit code, stderr)."""
+    outdir = tmp_path / "kr"
+    main(["prove", fx("kr_system.json"), "--qmax", "8", "--out", str(outdir)])
+    sysfile = outdir / "system.json"
+    data = json.loads(sysfile.read_text())
+    edit(data)
+    sysfile.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", str(sysfile), "--qmax", "12"])
+    return code, capsys.readouterr().err
+
+
+def test_verify_rejects_non_binary_u_entry(tmp_path, capsys):
+    # read by truthiness, a 2 in place of a 1 used to pass
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d["U"][1].__setitem__(0, 2))
+    assert code == 2
+    assert "U row 2" in err
+
+
+def test_verify_rejects_misshapen_u(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d["U"].pop())
+    assert code == 2
+    assert "U must be a list of K=7 rows" in err
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d["U"][2].pop())
+    assert code == 2
+    assert "U row 3" in err
+
+
+def test_verify_rejects_negative_v_exponent(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d["V"].__setitem__(2, [1, -1]))
+    assert code == 2
+    assert "V row 3" in err
+
+
+def test_verify_rejects_malformed_spec_field(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d.__setitem__("S", [2]))
+    assert code == 2
+    assert "malformed system description" in err
+
+
 def test_verify_from_system_spec(run_cli):
     code, _, payload = run_cli(["verify", fx("kr_system.json"), "--qmax", "14"])
     assert code == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spanone.multisum import (
     MultisumProfile,
@@ -21,6 +21,8 @@ from spanone.multisum import (
 )
 from spanone.partitions import kr_i1_predicate, oracle_genfun, satisfies_gap
 from spanone.series import monomial
+
+from oracles import naive_eval_H
 
 
 def test_profile_validation():
@@ -130,6 +132,45 @@ def test_eval_h_q_order_dominates_x_degree(kr_profile, ex3_profile):
 def test_eval_h_rejects_negative_energy(ex1_profile):
     with pytest.raises(ValueError, match="negative q-exponent"):
         eval_H(ex1_profile, (-5,), 8, 8)
+
+
+@st.composite
+def _eval_cases(draw):
+    R = draw(st.integers(1, 3))
+    alpha = [[0] * R for _ in range(R)]
+    for r in range(R):
+        for s in range(r, R):
+            alpha[r][s] = alpha[s][r] = draw(st.integers(0, 3))
+    gamma = tuple(draw(st.integers(1, 2)) for _ in range(R))
+    A = tuple(draw(st.integers(1, 3)) for _ in range(R))
+    p = MultisumProfile(tuple(map(tuple, alpha)), gamma, A)
+    beta = tuple(draw(st.integers(-2, 4)) for _ in range(R))
+    q_max = draw(st.integers(0, 10))
+    x_max = draw(st.one_of(st.none(), st.integers(0, 10)))
+    return p, beta, x_max, q_max
+
+
+ZERO_DIAGONAL = MultisumProfile(alpha=((0, 1), (1, 0)), gamma=(1, 1), A=(1, 2))
+RANK_THREE = MultisumProfile(
+    alpha=((2, 1, 0), (1, 0, 2), (0, 2, 3)), gamma=(1, 2, 1), A=(1, 2, 3)
+)
+
+
+@given(_eval_cases())
+@example((ZERO_DIAGONAL, (1, 1), None, 8))
+@example((RANK_THREE, (-1, 0, 2), 6, 9))  # negative beta reaches a negative summand
+@example((RANK_THREE, (2, -1, 1), 1, 9))  # negative beta on a coordinate x_max rules out
+@example((RANK_THREE, (1, 2, 1), 4, 0))
+def test_eval_h_matches_naive_enumeration(case):
+    p, beta, x_max, q_max = case
+
+    def outcome(f):
+        try:
+            return f(p, beta, x_max, q_max)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(eval_H) == outcome(naive_eval_H)
 
 
 def test_rec_children_examples(ex1_profile, kr_profile, ex3_profile):

@@ -215,6 +215,12 @@ def test_verify_numeric_passes(ex1_system, kr_system):
         assert all(verify_numeric(fs, 16, 16))
 
 
+def test_factorizations_verify_at_q60(ex1_system, kr_system, ex3_system):
+    for spec in (ex1_system, kr_system, ex3_system):
+        fs = assemble_system(*spec)
+        assert verify_numeric(fs, 60, 60) == [True] * fs.K
+
+
 def test_verify_numeric_detects_tampering(kr_system):
     fs = assemble_system(*kr_system)
     U = [list(r) for r in fs.U]
