@@ -19,7 +19,6 @@ from .partitions import (
 )
 from .ideals import (
     IdealError,
-    ModifiedDigraph,
     SpanOneIdeal,
     associated_graph,
     contains,
@@ -29,9 +28,8 @@ from .ideals import (
     load_ideal,
     validate,
     walk_genfun_matrix,
-    weight_diag,
 )
-from .qdiff import QDiffSystem, check_system, f_from_g, load_system, solve
+from .qdiff import QDiffSystem, check_system, f_from_g, solve
 from .multisum import (
     MultisumProfile,
     check_additional,
@@ -49,13 +47,13 @@ from .prover import (
     Leaf,
     SearchExhausted,
     assemble_system,
+    check_certs,
     derive_row,
     equivalent_systems,
     expansions,
     leaf_combination,
     load_cert,
     load_system_spec,
-    to_qdiff,
     tree_to_dot,
     validate_tree,
     verify_numeric,

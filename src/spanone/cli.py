@@ -5,8 +5,9 @@ Subcommands mirror the library: ``oracle`` (brute-force partition counts),
 ``qdiff`` (solve and check the attached q-difference system), ``multisum``
 (evaluate H, apply a relation, shift, run side-condition checks), ``prove``
 (derive certificate trees and assemble the factorization), ``verify``
-(numeric re-check of a proved factorization) and ``export`` (certificate
-trees to DOT or JSON).
+(numeric re-check of a proved factorization, plus an exact check of the
+certificate trees it carries) and ``export`` (certificate trees to DOT or
+JSON).
 
 Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
@@ -150,7 +151,7 @@ def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, ideals.SpanOneIdeal
         data = json.load(fh)
     if "pi" in data:
         ideal = ideals.ideal_from_json(data)
-        return qdiff.QDiffSystem.from_ideal(ideal), ideal
+        return ideals.associated_graph(ideal), ideal
     return qdiff.system_from_json(data), None
 
 
@@ -290,10 +291,9 @@ def cmd_prove(args) -> int:
     x_max, q_max = _orders(args)
     p, S, betas = prover.load_system_spec(args.file)
     fs = prover.assemble_system(p, S, betas, args.max_expansions)
-    groups = prover._group_indices(p, S, fs.betas)
-    for root, tree in fs.certs.items():
-        prover.validate_tree(p, tree, frozenset(groups))
+    bad_certs = prover.check_certs(fs)
     rows_ok = prover.verify_numeric(fs, x_max, q_max)
+    rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
 
     lines = [f"system {args.file}  K={fs.K} S={S}  max expansions={args.max_expansions}"]
     for root, tree in sorted(fs.certs.items()):
@@ -352,41 +352,64 @@ def _int_rows(data: dict, key: str, K: int, width: int, what: str, ok) -> tuple[
     return tuple(tuple(row) for row in rows)
 
 
+def _load_certs(data: dict, betas: list) -> dict:
+    """data["certs"] as {root: tree}, each root one of betas."""
+    entries = data.get("certs", [])
+    if not isinstance(entries, list):
+        raise ValueError("certs must be a list of {root, tree} objects")
+    certs = {}
+    for i, entry in enumerate(entries, 1):
+        if not isinstance(entry, dict):
+            raise ValueError(f"certs entry {i} must be a {{root, tree}} object")
+        for key in ("root", "tree"):
+            if key not in entry:
+                raise ValueError(f"certs entry {i} has no {key}")
+        root = entry["root"]
+        if not (isinstance(root, list) and all(type(b) is int for b in root) and tuple(root) in betas):
+            raise ValueError(f"certs entry {i} has root {json.dumps(root)}, not one of betas")
+        if tuple(root) in certs:
+            raise ValueError(f"certs entry {i} repeats root {json.dumps(root)}")
+        try:
+            certs[tuple(root)] = prover.tree_from_json(entry["tree"])
+        except ValueError as exc:
+            raise ValueError(f"certs entry {i}: {exc}") from None
+    return certs
+
+
 def _load_factorization(path: str) -> prover.FactorizationSystem:
     with open(path) as fh:
         data = json.load(fh)
     p, S, betas = prover.system_spec_from_json(data)
-    if "U" in data and "V" in data:
-        K = len(betas)
-        U = _int_rows(data, "U", K, K, "entries in {0, 1}", lambda e: e in (0, 1))
-        V = _int_rows(data, "V", K, 2, "nonnegative integers", lambda e: e >= 0)
-        certs = {}
-        for entry in data.get("certs", []):
-            certs[tuple(int(b) for b in entry["root"])] = prover.tree_from_json(entry["tree"])
-        return prover.FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)
-    return prover.assemble_system(p, S, betas)
+    if "U" not in data and "V" not in data:
+        return prover.assemble_system(p, S, betas)
+    for key in ("U", "V"):
+        if key not in data:
+            raise ValueError(f"{key} is missing: a proved system needs both U and V")
+    K = len(betas)
+    U = _int_rows(data, "U", K, K, "entries in {0, 1}", lambda e: e in (0, 1))
+    V = _int_rows(data, "V", K, 2, "nonnegative integers", lambda e: e >= 0)
+    certs = _load_certs(data, betas)
+    return prover.FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)
 
 
 def cmd_verify(args) -> int:
     x_max, q_max = _orders(args)
     fs = _load_factorization(args.file)
+    bad_certs = prover.check_certs(fs)
     rows_ok = prover.verify_numeric(fs, x_max, q_max)
+    rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
     lines = [f"system {args.file}  K={fs.K} S={fs.S}  qmax={q_max} xmax={x_max}"]
     for k, ok in enumerate(rows_ok):
         beta = ",".join(map(str, fs.betas[k]))
         lines.append(f"row {k + 1}: H({beta}) == selected combination: {'ok' if ok else 'MISMATCH'}")
+    for root, why in sorted(bad_certs.items()):
+        lines.append(f"certificate for H({','.join(map(str, root))}) rejected: {why}")
     good = all(rows_ok)
     lines.append(f"result: {'PASS' if good else 'FAIL'}")
-    _emit(
-        lines,
-        {
-            "command": "verify",
-            "qmax": q_max,
-            "xmax": x_max,
-            "rows": rows_ok,
-            "ok": good,
-        },
-    )
+    payload = {"command": "verify", "qmax": q_max, "xmax": x_max, "rows": rows_ok, "ok": good}
+    if bad_certs:
+        payload["certs_rejected"] = {",".join(map(str, r)): why for r, why in bad_certs.items()}
+    _emit(lines, payload)
     return 0 if good else 1
 
 

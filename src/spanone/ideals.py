@@ -20,6 +20,9 @@ the infinite product  W(x) A W(xq^S) A W(xq^(2S)) ...  acting on the first
 coordinate, where A is the adjacency matrix and W the diagonal of vertex
 monomials.  A finite number of factors suffices at any truncation order,
 since every extra factor only contributes parts larger than q_max.
+
+associated_graph returns this data as a qdiff.QDiffSystem, the package's
+one system type, and the walk products run qdiff's A W(x q^(mS)) step.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from math import ceil
 from pathlib import Path
 
 from .partitions import EMPTY, Partition, format_partition, oplus, parse_partition, phi
-from .series import Series, monomial, series_sum
+from .qdiff import QDiffSystem, _weigh_sum
+from .series import Series
 
 
 class IdealError(ValueError):
@@ -82,114 +86,44 @@ def validate(ideal: SpanOneIdeal) -> None:
         raise IdealError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class ModifiedDigraph:
-    """Vertex-weighted digraph with a distinguished weightless start vertex.
-
-    Vertex k has a pair of weights (lengths[k-1], sizes[k-1]) giving the
-    exponents of its monomial x^length q^size.  Vertex 1 must be weightless
-    and every vertex must have an edge to vertex 1 (adjacency column 1 all
-    ones), so that walks can always terminate.
-    """
-
-    adjacency: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        K = len(self.adjacency)
-        if len(self.lengths) != K or len(self.sizes) != K:
-            raise IdealError("adjacency and weight vectors must have equal length")
-        for row in self.adjacency:
-            if len(row) != K:
-                raise IdealError("adjacency matrix must be square")
-            if any(e not in (0, 1) for e in row):
-                raise IdealError("adjacency entries must be 0 or 1")
-            if row[0] != 1:
-                raise IdealError("every vertex needs an edge to vertex 1")
-        if K and (self.lengths[0] != 0 or self.sizes[0] != 0):
-            raise IdealError("vertex 1 must carry the weight x^0 q^0")
-        for k in range(1, K):
-            if self.lengths[k] < 1 or self.sizes[k] < 1:
-                raise IdealError(f"vertex {k + 1} must carry positive weights")
-
-    @property
-    def K(self) -> int:
-        return len(self.adjacency)
-
-
-def associated_graph(ideal: SpanOneIdeal) -> ModifiedDigraph:
-    """Digraph with an edge j -> i exactly when pi_i may follow pi_j."""
+def associated_graph(ideal: SpanOneIdeal) -> QDiffSystem:
+    """The ideal's q-difference system: an edge j -> i exactly when pi_i may
+    follow pi_j, vertex j weighted by x^len(pi_j) q^|pi_j|, shift S."""
     K = ideal.K
-    adjacency = tuple(
-        tuple(1 if i in ideal.linking[j] else 0 for i in range(1, K + 1)) for j in range(K)
-    )
-    return ModifiedDigraph(
-        adjacency=adjacency,
-        lengths=tuple(len(p) for p in ideal.pi),
-        sizes=tuple(p.size for p in ideal.pi),
-    )
+    A = tuple(tuple(1 if i in ideal.linking[j] else 0 for i in range(1, K + 1)) for j in range(K))
+    return QDiffSystem(A=A, weights=tuple((len(p), p.size) for p in ideal.pi), S=ideal.S)
 
 
-def weight_diag(g: ModifiedDigraph) -> tuple[tuple[int, int], ...]:
-    """Exponent pairs (m, n) of the vertex monomials x^m q^n, vertex order."""
-    return tuple(zip(g.lengths, g.sizes))
-
-
-def _apply_weights(
-    vec: list[Series], g: ModifiedDigraph, shift: int, x_max: int, q_max: int
+def _walk_product(
+    A, weights, start: int, M: int, S: int, x_max: int, q_max: int
 ) -> list[Series]:
-    # multiply entry k by its vertex monomial evaluated at x -> x q^shift
-    out = []
-    for k, s in enumerate(vec):
-        m, n = g.lengths[k], g.sizes[k]
-        out.append(s * monomial(1, m, n + m * shift, x_max, q_max))
-    return out
-
-
-def _apply_adjacency(vec: list[Series], g: ModifiedDigraph, x_max: int, q_max: int) -> list[Series]:
-    return [
-        series_sum((vec[j] for j in range(g.K) if row[j]), x_max, q_max)
-        for row in g.adjacency
-    ]
+    # right-to-left through W(x) A W(xq^S) A W(xq^2S) ... A W(xq^MS) e_start
+    K = len(A)
+    vec = [Series.one(x_max, q_max) if k == start else Series.zero(x_max, q_max) for k in range(K)]
+    for m in range(M, 0, -1):
+        vec = _weigh_sum(A, weights, vec, m * S)
+    eye = [[int(i == j) for j in range(K)] for i in range(K)]
+    return _weigh_sum(eye, weights, vec)
 
 
 def walk_genfun_matrix(
-    g: ModifiedDigraph, M: int, S: int, x_max: int, q_max: int
+    A, weights, M: int, S: int, x_max: int, q_max: int
 ) -> list[list[Series]]:
     """Entry (i, j): sum over M-step walks i -> j of the product of vertex
     monomials, the vertex at position m taken at x -> x q^(mS).
 
-    Column convention: result[i][j] sums walks starting at vertex i+1 and
-    ending at vertex j+1.  With every monomial set to 1 this collapses to
-    the M-th power of the adjacency matrix.
+    A is a square 0/1 adjacency matrix and weights[j] = (m_j, s_j) the
+    exponents of vertex j's monomial x^(m_j) q^(s_j); neither needs to meet
+    the QDiffSystem rules.  Column convention: result[i][j] sums walks
+    starting at vertex i+1 and ending at vertex j+1.  With every monomial
+    set to 1 this collapses to the M-th power of the adjacency matrix.
     """
     if M < 0:
         raise ValueError(f"step count must be >= 0, got {M}")
     if S < 0:
         raise ValueError(f"shift must be >= 0, got {S}")
-    K = g.K
-    # rows of the product, maintained as vectors of series
-    rows: list[list[Series]] = [
-        [
-            monomial(1, g.lengths[i], g.sizes[i], x_max, q_max) if j == i else Series.zero(x_max, q_max)
-            for j in range(K)
-        ]
-        for i in range(K)
-    ]
-    for m in range(1, M + 1):
-        for i in range(K):
-            row = rows[i]
-            # row <- row . A, then scale column j by W_j(x q^(mS))
-            stepped = [
-                series_sum((row[t] for t in range(K) if g.adjacency[t][j]), x_max, q_max)
-                for j in range(K)
-            ]
-            rows[i] = [
-                stepped[j] * monomial(1, g.lengths[j], g.sizes[j] + g.lengths[j] * m * S, x_max, q_max)
-                for j in range(K)
-            ]
-    return rows
+    cols = [_walk_product(A, weights, j, M, S, x_max, q_max) for j in range(len(A))]
+    return [[col[i] for col in cols] for i in range(len(A))]
 
 
 def default_levels(S: int, q_max: int) -> int:
@@ -206,15 +140,9 @@ def ideal_genfun_vec(
     empty partition.
     """
     validate(ideal)
-    g = associated_graph(ideal)
+    system = associated_graph(ideal)
     M = default_levels(ideal.S, q_max) if levels is None else levels
-    K = g.K
-    # right-to-left through W(x) A W(xq^S) A W(xq^2S) ... A W(xq^MS) e_1
-    vec = [Series.one(x_max, q_max) if k == 0 else Series.zero(x_max, q_max) for k in range(K)]
-    for m in range(M, 0, -1):
-        vec = _apply_weights(vec, g, m * ideal.S, x_max, q_max)
-        vec = _apply_adjacency(vec, g, x_max, q_max)
-    return _apply_weights(vec, g, 0, x_max, q_max)
+    return _walk_product(system.A, system.weights, 0, M, ideal.S, x_max, q_max)
 
 
 def contains(ideal: SpanOneIdeal, lam: Partition) -> tuple[Partition, ...] | None:

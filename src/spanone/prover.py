@@ -34,8 +34,7 @@ from pathlib import Path
 from typing import Union
 
 from .multisum import Beta, MultisumProfile, eval_H, profile_from_json, profile_to_json, rec_children, shift_beta
-from .qdiff import QDiffSystem
-from .series import Series, monomial
+from .qdiff import _weigh_sum
 
 
 class SearchExhausted(RuntimeError):
@@ -257,18 +256,37 @@ def verify_numeric(
     """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma)."""
     if x_max is None:
         x_max = q_max
-    p = fs.profile
-    lhs = {b: eval_H(p, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
+    lhs = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
     shifted = {b: lhs[b].shift_x(fs.S) for b in lhs}
-    results = []
-    for k in range(fs.K):
-        acc = Series.zero(x_max, q_max)
-        for j in range(fs.K):
-            if fs.U[k][j]:
-                xe, qe = fs.V[j]
-                acc = acc + monomial(1, xe, qe, x_max, q_max) * shifted[fs.betas[j]]
-        results.append(lhs[fs.betas[k]].eq_upto(acc))
-    return results
+    rhs = _weigh_sum(fs.U, fs.V, [shifted[b] for b in fs.betas])
+    return [lhs[b].eq_upto(r) for b, r in zip(fs.betas, rhs)]
+
+
+def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:
+    """Exact check of the certificate trees in fs.certs: root -> why it fails.
+
+    The tree for root must start at root, pass validate_tree against the
+    shifted betas, and have as leaves exactly {(beta_j + S gamma, V_j) :
+    U_kj = 1} for every row k with betas[k] == root.  A passing tree proves
+    those rows as identities of formal series, with no truncation.
+    """
+    p = fs.profile
+    shifted = [shift_beta(p, b, fs.S) for b in fs.betas]
+    failures: dict[Beta, str] = {}
+    for root, tree in fs.certs.items():
+        try:
+            if tree.beta != root:
+                raise AssemblyError(f"tree starts at {tree.beta}")
+            validate_tree(p, tree, frozenset(shifted))
+            leaves = leaf_combination(p, tree)
+        except ValueError as exc:
+            failures[root] = str(exc)
+            continue
+        for k in (k for k, b in enumerate(fs.betas) if b == root):
+            if leaves != sorted((shifted[j], fs.V[j]) for j in range(fs.K) if fs.U[k][j]):
+                failures[root] = f"its leaves are not row {k + 1} of U and V"
+                break
+    return failures
 
 
 def equivalent_systems(
@@ -288,12 +306,6 @@ def equivalent_systems(
         return {b: sorted(cols) for b, cols in groups.items()}
 
     return column_multisets(U1, V1) == column_multisets(U2, V2)
-
-
-def to_qdiff(fs: FactorizationSystem) -> QDiffSystem:
-    """Reinterpret U and V as adjacency and vertex weights of a q-difference
-    system; solving it must reproduce the eval_H vector."""
-    return QDiffSystem(A=fs.U, weights=fs.V, S=fs.S)
 
 
 # -- serialization -------------------------------------------------------
@@ -405,6 +417,8 @@ def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]
         betas = [tuple(int(b) for b in row) for row in data["betas"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system description: {exc}") from exc
+    if not betas:
+        raise ValueError("malformed system description: betas is empty")
     return p, S, betas
 
 

@@ -17,16 +17,22 @@ only f_1(n) is implicit; its own equation has the shape
 makes the solution with integer coefficients unique, and also explains why
 the coefficient of x^n always sits in q-order >= n: each x picked up along
 a walk beyond the start is accompanied by at least one q.
+
+QDiffSystem is the package's one system type: ideals.associated_graph
+builds it from an ideal, and a proved factorization F(x) = U V F(xq^S) is
+the same data with A = U and weights = V.  The step "weigh entry j by
+x^(m_j) q^(s_j + m_j shift), then sum along the rows of A" is _weigh_sum;
+the walk products of ideals, check_system, f_from_g and the factorization
+verifier all run it on plain (A, weights) data, so it also serves matrices
+that QDiffSystem rejects (random digraphs, mutated factorizations).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Sequence
 
-from .ideals import ModifiedDigraph, SpanOneIdeal, associated_graph, weight_diag
-from .series import Series, geom_inverse, monomial
+from .series import Series, geom_inverse, monomial, series_sum
 
 
 @dataclass(frozen=True)
@@ -64,14 +70,22 @@ class QDiffSystem:
     def K(self) -> int:
         return len(self.A)
 
-    @classmethod
-    def from_ideal(cls, ideal: SpanOneIdeal) -> "QDiffSystem":
-        g = associated_graph(ideal)
-        return cls(A=g.adjacency, weights=weight_diag(g), S=ideal.S)
 
-    @classmethod
-    def from_graph(cls, g: ModifiedDigraph, S: int) -> "QDiffSystem":
-        return cls(A=g.adjacency, weights=weight_diag(g), S=S)
+def _weigh_sum(
+    A: Sequence[Sequence[int]],
+    weights: Sequence[tuple[int, int]],
+    vec: Sequence[Series],
+    shift: int = 0,
+) -> list[Series]:
+    """A W(x q^shift) vec: entry j times x^(m_j) q^(s_j + m_j shift), then
+    summed along each row of A (entries read by truthiness, an empty row
+    gives zero).  The result lives on the smallest rectangle of vec."""
+    x_max = min(s.x_max for s in vec)
+    q_max = min(s.q_max for s in vec)
+    weighed = [
+        s * monomial(1, m, n + m * shift, s.x_max, s.q_max) for s, (m, n) in zip(vec, weights)
+    ]
+    return [series_sum((weighed[j] for j, e in enumerate(row) if e), x_max, q_max) for row in A]
 
 
 def solve(sys: QDiffSystem, x_max: int | None = None, q_max: int = 30) -> list[Series]:
@@ -124,32 +138,15 @@ def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:
     """F = A G: sum the walk generating functions along adjacency rows."""
     if len(G) != sys.K:
         raise ValueError(f"expected {sys.K} component series, got {len(G)}")
-    out = []
-    for row in sys.A:
-        acc = None
-        for j, e in enumerate(row):
-            if e:
-                acc = G[j] if acc is None else acc + G[j]
-        out.append(acc)
-    return out
+    return _weigh_sum(sys.A, ((0, 0),) * sys.K, G)
 
 
 def check_system(sys: QDiffSystem, F: list[Series]) -> bool:
     """Does F satisfy F(x) = A W(x) F(xq^S) on the shared truncation region?"""
     if len(F) != sys.K:
         raise ValueError(f"expected {sys.K} component series, got {len(F)}")
-    shifted = [s.shift_x(sys.S) for s in F]
-    for k in range(sys.K):
-        acc = None
-        for j in range(sys.K):
-            if not sys.A[k][j]:
-                continue
-            m_j, s_j = sys.weights[j]
-            term = shifted[j] * monomial(1, m_j, s_j, shifted[j].x_max, shifted[j].q_max)
-            acc = term if acc is None else acc + term
-        if not F[k].eq_upto(acc):
-            return False
-    return True
+    rhs = _weigh_sum(sys.A, sys.weights, [s.shift_x(sys.S) for s in F])
+    return all(f.eq_upto(r) for f, r in zip(F, rhs))
 
 
 # -- JSON interface ------------------------------------------------------
@@ -171,8 +168,3 @@ def system_to_json(sys: QDiffSystem) -> dict:
         "weights": [list(w) for w in sys.weights],
         "S": sys.S,
     }
-
-
-def load_system(path: str | Path) -> QDiffSystem:
-    with open(path) as fh:
-        return system_from_json(json.load(fh))

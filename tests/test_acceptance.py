@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from oracles import enumerate_walks
 
-from spanone.ideals import ModifiedDigraph, enumerate_members, ideal_genfun_vec, walk_genfun_matrix
+from spanone.ideals import associated_graph, enumerate_members, ideal_genfun_vec, walk_genfun_matrix
 from spanone.multisum import eval_H, shift_beta, verify_recurrence_numeric
 from spanone.partitions import kr_i1_predicate, oracle_genfun, satisfies_gap
 from spanone.prover import (
@@ -26,7 +26,7 @@ from spanone.prover import (
     validate_tree,
     verify_numeric,
 )
-from spanone.qdiff import QDiffSystem, f_from_g, solve
+from spanone.qdiff import f_from_g, solve
 from spanone.series import Series, monomial, series_sum
 
 
@@ -123,7 +123,7 @@ def test_4_qdiff_solution_matches_walk_product_route(rr_ideal, kr_ideal):
     with criterion(4, "q-difference solve vs walk-product route to q^25") as note:
         q_max = 25
         for ideal in (rr_ideal, kr_ideal):
-            system = QDiffSystem.from_ideal(ideal)
+            system = associated_graph(ideal)
             F = solve(system, q_max, q_max)
             F2 = f_from_g(system, ideal_genfun_vec(ideal, q_max, q_max))
             assert F == F2
@@ -195,14 +195,14 @@ def test_7_factorizations_verify_at_full_order(ex1_system, kr_system, ex3_system
         note["detail"] = f"all rows of all three systems hold to q^25 ({elapsed:.2f}s)"
 
 
-def _random_digraph(rng: random.Random, k_max: int) -> ModifiedDigraph:
+def _random_digraph(rng: random.Random, k_max: int) -> tuple[tuple, tuple, tuple]:
     K = rng.randint(1, k_max)
     adjacency = tuple(
         tuple(1 if j == 0 else rng.randint(0, 1) for j in range(K)) for _ in range(K)
     )
     lengths = (0,) + tuple(rng.randint(1, 3) for _ in range(K - 1))
     sizes = (0,) + tuple(rng.randint(1, 5) for _ in range(K - 1))
-    return ModifiedDigraph(adjacency, lengths, sizes)
+    return adjacency, lengths, sizes
 
 
 def _matpow(A: list[list[int]], M: int) -> list[list[int]]:
@@ -213,10 +213,10 @@ def _matpow(A: list[list[int]], M: int) -> list[list[int]]:
     return P
 
 
-def _walk_bounds(g: ModifiedDigraph, M: int, S: int) -> tuple[int, int]:
+def _walk_bounds(lengths: tuple, sizes: tuple, M: int, S: int) -> tuple[int, int]:
     """Window on which the walk matrix is a complete polynomial, not truncated."""
-    x_bound = (M + 1) * max(g.lengths)
-    q_bound = (M + 1) * max(g.sizes) + S * max(g.lengths) * M * (M + 1) // 2
+    x_bound = (M + 1) * max(lengths)
+    q_bound = (M + 1) * max(sizes) + S * max(lengths) * M * (M + 1) // 2
     return x_bound, q_bound
 
 
@@ -224,25 +224,25 @@ def test_8_walk_matrix_counts_and_symbolic_entries():
     with criterion(8, "walk matrices vs adjacency powers and enumeration") as note:
         rng = random.Random(8320)
         for _ in range(20):
-            g = _random_digraph(rng, k_max=6)
+            A, lengths, sizes = _random_digraph(rng, k_max=6)
             M = rng.randint(0, 5)
             S = rng.randint(1, 3)
-            x_bound, q_bound = _walk_bounds(g, M, S)
-            W = walk_genfun_matrix(g, M, S, x_bound, q_bound)
-            P = _matpow([list(row) for row in g.adjacency], M)
-            for i in range(g.K):
-                for j in range(g.K):
+            x_bound, q_bound = _walk_bounds(lengths, sizes, M, S)
+            W = walk_genfun_matrix(A, tuple(zip(lengths, sizes)), M, S, x_bound, q_bound)
+            P = _matpow([list(row) for row in A], M)
+            for i in range(len(A)):
+                for j in range(len(A)):
                     assert sum(c for _, c in W[i][j].terms()) == P[i][j]
         for _ in range(8):
-            g = _random_digraph(rng, k_max=4)
+            A, lengths, sizes = _random_digraph(rng, k_max=4)
             M = rng.randint(0, 3)
             S = rng.randint(1, 3)
-            x_bound, q_bound = _walk_bounds(g, M, S)
-            W = walk_genfun_matrix(g, M, S, x_bound, q_bound)
+            x_bound, q_bound = _walk_bounds(lengths, sizes, M, S)
+            W = walk_genfun_matrix(A, tuple(zip(lengths, sizes)), M, S, x_bound, q_bound)
             expected = [
-                [Series.zero(x_bound, q_bound) for _ in range(g.K)] for _ in range(g.K)
+                [Series.zero(x_bound, q_bound) for _ in range(len(A))] for _ in range(len(A))
             ]
-            for start, end, xe, qe in enumerate_walks(g.adjacency, g.lengths, g.sizes, M, S):
+            for start, end, xe, qe in enumerate_walks(A, lengths, sizes, M, S):
                 expected[start][end] = expected[start][end] + monomial(
                     1, xe, qe, x_bound, q_bound
                 )

@@ -197,6 +197,77 @@ def test_verify_rejects_malformed_spec_field(tmp_path, capsys):
     assert "malformed system description" in err
 
 
+def test_verify_rejects_certs_not_a_list(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d.__setitem__("certs", 5))
+    assert code == 2
+    assert "certs must be a list" in err
+
+
+def test_verify_rejects_cert_entry_without_root(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d["certs"][1].pop("root"))
+    assert code == 2
+    assert "certs entry 2 has no root" in err
+
+
+def test_verify_rejects_cert_root_outside_betas(tmp_path, capsys):
+    code, err = _verify_edited(tmp_path, capsys, lambda d: d["certs"][0].__setitem__("root", [9, 9]))
+    assert code == 2
+    assert "certs entry 1 has root [9, 9], not one of betas" in err
+
+
+def test_verify_rejects_u_without_v(tmp_path, capsys):
+    # a lone U must not be set aside for a fresh proof from the spec
+    def edit(d):
+        d.pop("V")
+        d["U"][3][1] ^= 1
+
+    code, err = _verify_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert "V is missing" in err
+
+
+def test_verify_rejects_empty_betas(tmp_path, capsys):
+    def edit(d):
+        d["betas"], d["U"], d["V"], d["certs"] = [], [], [], []
+
+    code, err = _verify_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert "betas is empty" in err
+
+
+def _verify_cert_edited(tmp_path, run_cli, edit) -> tuple[int, str, dict]:
+    """Prove kr, apply edit to the written system, verify it; run_cli's triple."""
+    outdir = tmp_path / "kr"
+    run_cli(["prove", fx("kr_system.json"), "--qmax", "8", "--out", str(outdir)])
+    sysfile = outdir / "system.json"
+    data = json.loads(sysfile.read_text())
+    edit(data)
+    sysfile.write_text(json.dumps(data))
+    return run_cli(["verify", str(sysfile), "--qmax", "12"])
+
+
+def test_verify_rejects_tree_that_is_not_a_certificate(tmp_path, run_cli):
+    # the first tree, for root (1,3), becomes a lone leaf outside the targets
+    code, out, payload = _verify_cert_edited(
+        tmp_path, run_cli, lambda d: d["certs"][0].__setitem__("tree", {"beta": [9, 9]})
+    )
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["rows"][0] is False
+    assert "certificate for H(1,3) rejected" in out
+
+
+def test_verify_rejects_tree_with_swapped_children(tmp_path, run_cli):
+    def swap(d):
+        tree = d["certs"][0]["tree"]
+        tree["left"], tree["right"] = tree["right"], tree["left"]
+
+    code, out, payload = _verify_cert_edited(tmp_path, run_cli, swap)
+    assert code == 1
+    assert payload["rows"][0] is False
+    assert "certificate for H(1,3) rejected" in out
+
+
 def test_verify_from_system_spec(run_cli):
     code, _, payload = run_cli(["verify", fx("kr_system.json"), "--qmax", "14"])
     assert code == 0

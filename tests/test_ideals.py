@@ -10,7 +10,6 @@ import spanone
 from oracles import enumerate_walks
 from spanone.ideals import (
     IdealError,
-    ModifiedDigraph,
     SpanOneIdeal,
     associated_graph,
     contains,
@@ -21,7 +20,6 @@ from spanone.ideals import (
     ideal_to_json,
     validate,
     walk_genfun_matrix,
-    weight_diag,
 )
 from spanone.partitions import (
     EMPTY,
@@ -31,23 +29,24 @@ from spanone.partitions import (
     partitions_of,
     satisfies_gap,
 )
+from spanone.qdiff import QDiffSystem
 from spanone.series import Series
 
 
 def test_rr_fixture_shape(rr_ideal):
     validate(rr_ideal)
     g = associated_graph(rr_ideal)
-    assert g.adjacency == ((1, 1, 1), (1, 1, 1), (1, 0, 1))
-    assert weight_diag(g) == ((0, 0), (1, 1), (1, 2))
+    assert g.A == ((1, 1, 1), (1, 1, 1), (1, 0, 1))
+    assert g.weights == ((0, 0), (1, 1), (1, 2))
     assert rr_ideal.S == 2
 
 
 def test_kr_fixture_shape(kr_ideal):
     validate(kr_ideal)
     g = associated_graph(kr_ideal)
-    assert weight_diag(g) == ((0, 0), (1, 1), (2, 3), (2, 4), (1, 2), (1, 3), (2, 6))
+    assert g.weights == ((0, 0), (1, 1), (2, 3), (2, 4), (1, 2), (1, 3), (2, 6))
     ones = (1,) * 7
-    assert g.adjacency == (
+    assert g.A == (
         ones,
         ones,
         ones,
@@ -99,7 +98,7 @@ def test_trivial_ideal_of_empty_partition():
     ideal = SpanOneIdeal(pi=(EMPTY,), linking=(frozenset({1}),), S=1)
     validate(ideal)
     g = associated_graph(ideal)
-    assert g.adjacency == ((1,),)
+    assert g.A == ((1,),)
     vec = ideal_genfun_vec(ideal, 6, 6)
     assert str(vec[0]) == "1"
     genfun, members = enumerate_members(ideal, 6)
@@ -108,18 +107,18 @@ def test_trivial_ideal_of_empty_partition():
 
 
 def test_digraph_requires_edges_to_start():
-    with pytest.raises(IdealError, match="edge to vertex 1"):
-        ModifiedDigraph(adjacency=((1, 1), (0, 1)), lengths=(0, 1), sizes=(0, 1))
+    with pytest.raises(ValueError, match="first adjacency column must be all ones"):
+        QDiffSystem(A=((1, 1), (0, 1)), weights=((0, 0), (1, 1)), S=1)
 
 
 def test_digraph_requires_weightless_start():
-    with pytest.raises(IdealError, match="vertex 1 must carry"):
-        ModifiedDigraph(adjacency=((1,),), lengths=(1,), sizes=(1,))
+    with pytest.raises(ValueError, match="vertex 1 must be weightless"):
+        QDiffSystem(A=((1,),), weights=((1, 1),), S=1)
 
 
 def test_walk_matrix_zero_steps_is_weight_diagonal(rr_ideal):
     g = associated_graph(rr_ideal)
-    mat = walk_genfun_matrix(g, 0, rr_ideal.S, 8, 8)
+    mat = walk_genfun_matrix(g.A, g.weights, 0, rr_ideal.S, 8, 8)
     assert str(mat[0][0]) == "1"
     assert str(mat[1][1]) == "x*q"
     assert str(mat[2][2]) == "x*q^2"
@@ -128,7 +127,7 @@ def test_walk_matrix_zero_steps_is_weight_diagonal(rr_ideal):
 
 def test_walk_matrix_one_step_row_sum(rr_ideal):
     g = associated_graph(rr_ideal)
-    mat = walk_genfun_matrix(g, 1, rr_ideal.S, 10, 10)
+    mat = walk_genfun_matrix(g.A, g.weights, 1, rr_ideal.S, 10, 10)
     total = mat[0][0] + mat[0][1] + mat[0][2]
     assert str(total) == "1 + x*q^3 + x*q^4"
 
@@ -147,31 +146,44 @@ def _matpow(A, M):
 def test_walk_matrix_counts_walks_at_one(rr_ideal, kr_ideal):
     for ideal, M in ((rr_ideal, 2), (kr_ideal, 3)):
         g = associated_graph(ideal)
+        lengths, sizes = zip(*g.weights)
         # every M-step walk weight is a polynomial; large enough orders keep all of it
-        q_bound = (M + 1) * max(g.sizes) + ideal.S * max(g.lengths) * M * (M + 1) // 2
-        x_bound = (M + 1) * max(g.lengths)
-        mat = walk_genfun_matrix(g, M, ideal.S, x_bound, q_bound)
-        power = _matpow(g.adjacency, M)
+        q_bound = (M + 1) * max(sizes) + ideal.S * max(lengths) * M * (M + 1) // 2
+        x_bound = (M + 1) * max(lengths)
+        mat = walk_genfun_matrix(g.A, g.weights, M, ideal.S, x_bound, q_bound)
+        power = _matpow(g.A, M)
         for i in range(g.K):
             for j in range(g.K):
                 count = sum(c for _, c in mat[i][j].terms())
                 assert count == power[i][j]
     # spot value: two 2-step walks from vertex 3 to vertex 1
-    assert _matpow(associated_graph(rr_ideal).adjacency, 2)[2][0] == 2
+    assert _matpow(associated_graph(rr_ideal).A, 2)[2][0] == 2
 
 
 def test_walk_matrix_matches_walk_enumeration(rr_ideal, kr_ideal):
     for ideal, M in ((rr_ideal, 3), (kr_ideal, 2)):
         g = associated_graph(ideal)
-        q_bound = (M + 1) * max(g.sizes) + ideal.S * max(g.lengths) * M * (M + 1) // 2
-        x_bound = (M + 1) * max(g.lengths)
-        mat = walk_genfun_matrix(g, M, ideal.S, x_bound, q_bound)
+        lengths, sizes = zip(*g.weights)
+        q_bound = (M + 1) * max(sizes) + ideal.S * max(lengths) * M * (M + 1) // 2
+        x_bound = (M + 1) * max(lengths)
+        mat = walk_genfun_matrix(g.A, g.weights, M, ideal.S, x_bound, q_bound)
         expect = [[dict() for _ in range(g.K)] for _ in range(g.K)]
-        for i, j, xe, qe in enumerate_walks(g.adjacency, g.lengths, g.sizes, M, ideal.S):
+        for i, j, xe, qe in enumerate_walks(g.A, lengths, sizes, M, ideal.S):
             expect[i][j][(xe, qe)] = expect[i][j].get((xe, qe), 0) + 1
         for i in range(g.K):
             for j in range(g.K):
                 assert mat[i][j] == Series(expect[i][j], x_bound, q_bound)
+
+
+def test_genfun_vec_is_first_column_of_walk_matrix(rr_ideal, kr_ideal):
+    # both run W(x) A W(xq^S) ... A W(xq^MS), from e_1 and from every e_j
+    q = 16
+    for ideal in (rr_ideal, kr_ideal):
+        g = associated_graph(ideal)
+        vec = ideal_genfun_vec(ideal, q, q)
+        mat = walk_genfun_matrix(g.A, g.weights, default_levels(ideal.S, q), ideal.S, q, q)
+        for k in range(g.K):
+            assert vec[k] == mat[k][0]
 
 
 def test_rr_triple_agreement_moderate(rr_ideal):

@@ -20,14 +20,13 @@ from spanone.prover import (
     equivalent_systems,
     expansions,
     leaf_combination,
-    to_qdiff,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
     validate_tree,
     verify_numeric,
 )
-from spanone.qdiff import solve
+from spanone.qdiff import QDiffSystem, solve
 from spanone.series import Series, monomial
 
 KR_TARGETS = frozenset({(4, 9), (5, 12), (6, 12)})
@@ -233,7 +232,7 @@ def test_factorization_solves_back_to_components(ex1_system, kr_system):
     # U and V double as a q-difference system; its solution is the H vector
     for spec, q_max in ((ex1_system, 16), (kr_system, 14)):
         fs = assemble_system(*spec)
-        F = solve(to_qdiff(fs), q_max, q_max)
+        F = solve(QDiffSystem(A=fs.U, weights=fs.V, S=fs.S), q_max, q_max)
         for k, beta in enumerate(fs.betas):
             assert F[k].eq_upto(eval_H(fs.profile, beta, q_max, q_max))
 

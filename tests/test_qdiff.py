@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from spanone.ideals import ideal_genfun_vec
+from spanone.ideals import associated_graph, ideal_genfun_vec
 from spanone.qdiff import QDiffSystem, check_system, f_from_g, solve, system_from_json, system_to_json
 from spanone.series import Series, monomial
 
 
 def test_from_ideal_rr(rr_ideal):
-    sys = QDiffSystem.from_ideal(rr_ideal)
+    sys = associated_graph(rr_ideal)
     assert sys.A == ((1, 1, 1), (1, 1, 1), (1, 0, 1))
     assert sys.weights == ((0, 0), (1, 1), (1, 2))
     assert sys.S == 2
@@ -36,7 +36,7 @@ def test_solve_single_vertex_is_constant_one():
 
 
 def test_solve_rr_known_coefficients(rr_ideal):
-    F = solve(QDiffSystem.from_ideal(rr_ideal), 12, 12)
+    F = solve(associated_graph(rr_ideal), 12, 12)
     # first components of the classical pair: x-degree 1 rows are geometric
     assert F[0].coeff(0, 0) == 1
     assert [F[0].coeff(1, n) for n in range(5)] == [0, 1, 1, 1, 1]
@@ -46,7 +46,7 @@ def test_solve_rr_known_coefficients(rr_ideal):
 
 def test_solve_equals_adjacency_times_walk_product(rr_ideal, kr_ideal):
     for ideal, q_max in ((rr_ideal, 18), (kr_ideal, 16)):
-        sys = QDiffSystem.from_ideal(ideal)
+        sys = associated_graph(ideal)
         F = solve(sys, q_max, q_max)
         G = ideal_genfun_vec(ideal, q_max, q_max)
         F2 = f_from_g(sys, G)
@@ -55,7 +55,7 @@ def test_solve_equals_adjacency_times_walk_product(rr_ideal, kr_ideal):
 
 
 def test_f_from_g_unit_vector(rr_ideal):
-    sys = QDiffSystem.from_ideal(rr_ideal)
+    sys = associated_graph(rr_ideal)
     G = [Series.one(6, 6), Series.zero(6, 6), Series.zero(6, 6)]
     F = f_from_g(sys, G)
     for f in F:
@@ -63,20 +63,20 @@ def test_f_from_g_unit_vector(rr_ideal):
 
 
 def test_f_from_g_requires_matching_length(rr_ideal):
-    sys = QDiffSystem.from_ideal(rr_ideal)
+    sys = associated_graph(rr_ideal)
     with pytest.raises(ValueError):
         f_from_g(sys, [Series.one(4, 4)])
 
 
 def test_check_system_accepts_solution(rr_ideal, kr_ideal):
     for ideal in (rr_ideal, kr_ideal):
-        sys = QDiffSystem.from_ideal(ideal)
+        sys = associated_graph(ideal)
         F = solve(sys, 14, 14)
         assert check_system(sys, F)
 
 
 def test_check_system_rejects_perturbation(rr_ideal):
-    sys = QDiffSystem.from_ideal(rr_ideal)
+    sys = associated_graph(rr_ideal)
     F = solve(sys, 10, 10)
     F[1] = F[1] + monomial(1, 2, 7, 10, 10)
     assert not check_system(sys, F)
@@ -85,19 +85,19 @@ def test_check_system_rejects_perturbation(rr_ideal):
 def test_solution_coefficient_orders(rr_ideal, kr_ideal):
     # the x^n coefficient of any component starts at q-order >= n
     for ideal in (rr_ideal, kr_ideal):
-        F = solve(QDiffSystem.from_ideal(ideal), 12, 12)
+        F = solve(associated_graph(ideal), 12, 12)
         for f in F:
             assert all(n >= m for m, n in f.support())
 
 
 def test_solution_constant_terms_are_one(kr_ideal):
-    for f in solve(QDiffSystem.from_ideal(kr_ideal), 10, 10):
+    for f in solve(associated_graph(kr_ideal), 10, 10):
         assert f.coeff(0, 0) == 1
         assert all(m == 0 or n > 0 for m, n in f.support())
 
 
 def test_json_round_trip(kr_ideal):
-    sys = QDiffSystem.from_ideal(kr_ideal)
+    sys = associated_graph(kr_ideal)
     assert system_from_json(system_to_json(sys)) == sys
 
 
