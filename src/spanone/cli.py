@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import ideals, multisum, partitions, prover, qdiff
-from .series import Series
+from .series import Series, series_sum
 
 CLI_Q_MAX = 25
 
@@ -85,9 +85,7 @@ def cmd_ideal_genfun(args) -> int:
     x_max, q_max = _orders(args)
     ideal = ideals.load_ideal(args.file)
     vec = ideals.ideal_genfun_vec(ideal, x_max, q_max)
-    total = vec[0]
-    for s in vec[1:]:
-        total = total + s
+    total = series_sum(vec, x_max, q_max)
     lines = [f"ideal {args.file}  K={ideal.K} S={ideal.S}  qmax={q_max} xmax={x_max}"]
     lines += [f"G_{k + 1} = {s}" for k, s in enumerate(vec)]
     lines.append(f"total = {total}")
@@ -531,6 +529,10 @@ def main(argv=None) -> int:
     except prover.SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # json.load and the tree walks recurse once per level of nesting
+        print("error: input is nested too deeply for the recursion limit", file=sys.stderr)
+        return 2
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

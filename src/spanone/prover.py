@@ -123,7 +123,12 @@ def derive_row(
         memo[beta] = found
         return found
 
-    entry = best(root)
+    try:
+        entry = best(root)
+    except RecursionError:
+        raise SearchExhausted(
+            f"the search for {root} went deeper than the recursion limit"
+        ) from None
     if entry is None or entry[0] > max_expansions:
         raise SearchExhausted(
             f"no certificate for {root} within {max_expansions} expansions"
@@ -323,18 +328,25 @@ def tree_to_json(tree: Node) -> dict:
 
 
 def tree_from_json(data: dict) -> Node:
+    """Inverse of tree_to_json: beta must be a list of JSON integers and
+    coord an integer, so strings and floats are rejected, not converted."""
     try:
-        beta = tuple(int(b) for b in data["beta"])
-        if "coord" not in data:
-            return Leaf(beta)
-        return Expand(
-            beta,
-            int(data["coord"]),
-            tree_from_json(data["left"]),
-            tree_from_json(data["right"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        beta, leaf = data["beta"], "coord" not in data
+        if not leaf:
+            coord, left, right = data["coord"], data["left"], data["right"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate tree: {exc}") from exc
+    if not (isinstance(beta, list) and all(type(b) is int for b in beta)):
+        raise ValueError(
+            f"malformed certificate tree: beta must be a list of integers, got {json.dumps(beta)}"
+        )
+    if leaf:
+        return Leaf(tuple(beta))
+    if type(coord) is not int:
+        raise ValueError(
+            f"malformed certificate tree: coord must be an integer, got {json.dumps(coord)}"
+        )
+    return Expand(tuple(beta), coord, tree_from_json(left), tree_from_json(right))
 
 
 def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:

@@ -14,9 +14,11 @@ m_1 = s_1 = 0 and m_j >= 1 otherwise),
 The j >= 2 terms only involve strictly smaller x-degrees, so within each n
 only f_1(n) is implicit; its own equation has the shape
 (1 - q^(nS)) f_1(n) = known, and 1/(1 - q^(nS)) is a unit in Z[[q]].  That
-makes the solution with integer coefficients unique, and also explains why
-the coefficient of x^n always sits in q-order >= n: each x picked up along
-a walk beyond the start is accompanied by at least one q.
+makes the solution with integer coefficients unique.  When every weight has
+s_j >= m_j the coefficient of x^n sits at q-order >= n, since each x picked
+up along a walk comes with at least one q; that holds for the system of
+every ideal (a link pi has |pi| >= len(pi)), but a weight such as x^2 q
+breaks it, so solve works through every x-degree up to x_max.
 
 QDiffSystem is the package's one system type: ideals.associated_graph
 builds it from an ideal, and a proved factorization F(x) = U V F(xq^S) is
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .series import Series, geom_inverse, monomial, series_sum
+from .series import Series, _check_orders, monomial, series_sum
 
 
 @dataclass(frozen=True)
@@ -91,47 +93,45 @@ def _weigh_sum(
 def solve(sys: QDiffSystem, x_max: int | None = None, q_max: int = 30) -> list[Series]:
     """The unique solution of F(x) = A W(x) F(xq^S) with F_k(0) = 1.
 
-    Works x-degree by x-degree; all divisions are by units of Z[[q]].
+    Works x-degree by x-degree on dense q-rows: for each n the known j >= 2
+    terms are scattered into one row per component, row 1 is divided in
+    place by the unit 1 - q^(nS), and q^(nS) f_1(n) is added to the others.
+    Every x-degree up to x_max is solved: a weight with m_j > s_j puts x^n
+    below q-order n.
     """
     if x_max is None:
         x_max = q_max
+    _check_orders(x_max, q_max)
     K, S = sys.K, sys.S
-    # f[k][n]: coefficient of x^n in F_{k+1}, as a q-only series
-    one = Series.one(0, q_max)
-    zero = Series.zero(0, q_max)
-    f: list[list[Series]] = [[one] for _ in range(K)]
-
-    def known_part(k: int, n: int) -> Series:
-        acc = zero
-        for j in range(1, K):
-            if not sys.A[k][j]:
-                continue
-            m_j, s_j = sys.weights[j]
-            if n - m_j < 0:
-                continue
-            shift = s_j + (n - m_j) * S
-            acc = acc + f[j][n - m_j] * monomial(1, 0, shift, 0, q_max)
-        return acc
-
+    # f[k][n][d]: coefficient of x^n q^d in F_{k+1}
+    f = [[[1] + [0] * q_max] for _ in range(K)]
     for n in range(1, x_max + 1):
-        if n > q_max:
-            # q-order of the x^n coefficient is >= n, so nothing survives
+        rows = [[0] * (q_max + 1) for _ in range(K)]
+        for j in range(1, K):
+            m, s = sys.weights[j]
+            e = s + (n - m) * S
+            if n < m or e > q_max:
+                continue
+            src = f[j][n - m]
             for k in range(K):
-                f[k].append(zero)
-            continue
-        f1 = known_part(0, n) * geom_inverse(n * S, 0, q_max)
-        f[0].append(f1)
-        for k in range(1, K):
-            f[k].append(f1 * monomial(1, 0, n * S, 0, q_max) + known_part(k, n))
-
-    out = []
-    for k in range(K):
-        coeffs: dict[tuple[int, int], int] = {}
-        for n in range(x_max + 1):
-            for (_, d), c in f[k][n].terms():
-                coeffs[(n, d)] = c
-        out.append(Series(coeffs, x_max, q_max))
-    return out
+                if sys.A[k][j]:
+                    row = rows[k]
+                    for d in range(q_max + 1 - e):
+                        row[e + d] += src[d]
+        step = n * S
+        f1 = rows[0]
+        for i in range(step, q_max + 1):
+            f1[i] += f1[i - step]
+        for row in rows[1:]:
+            for i in range(step, q_max + 1):
+                row[i] += f1[i - step]
+        for fk, row in zip(f, rows):
+            fk.append(row)
+    return [
+        Series({(n, d): c for n, row in enumerate(fk) for d, c in enumerate(row) if c},
+               x_max, q_max)
+        for fk in f
+    ]
 
 
 def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:

@@ -233,8 +233,11 @@ def geom_inverse(j: int, x_max: int | None = None, q_max: int | None = None) -> 
 
 
 def series_sum(terms: Iterable[Series], x_max: int, q_max: int) -> Series:
-    """Sum a (possibly empty) collection of series on a fixed rectangle."""
-    acc = Series.zero(x_max, q_max)
+    """Sum a (possibly empty) collection of series in one pass.  The result
+    lives on the intersection of the given rectangle with every term's."""
+    out: dict[tuple[int, int], int] = {}
     for t in terms:
-        acc = acc + t
-    return acc
+        x_max, q_max = min(x_max, t.x_max), min(q_max, t.q_max)
+        for k, c in t._coeffs.items():
+            out[k] = out.get(k, 0) + c
+    return Series(out, x_max, q_max)

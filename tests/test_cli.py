@@ -74,6 +74,15 @@ def test_qdiff_solve_and_check(run_cli):
     assert payload["routes_agree"] is True
 
 
+def test_qdiff_check_system_with_more_x_than_q(run_cli, tmp_path):
+    # the weight x^2 q puts a term x^2 q inside the window, at an x-degree above qmax
+    spec = tmp_path / "system.json"
+    spec.write_text(json.dumps({"A": [[1, 1], [1, 1]], "weights": [[0, 0], [2, 1]], "S": 1}))
+    code, out, payload = run_cli(["qdiff", "check", str(spec), "--xmax", "3", "--qmax", "1"])
+    assert code == 0
+    assert payload["solve_satisfies_system"] is True
+
+
 def test_multisum_eval_matches_library(run_cli):
     code, _, payload = run_cli(
         ["multisum", "eval", fx("kr_profile.json"), "--beta", "1,3", "--qmax", "9"]
@@ -235,6 +244,40 @@ def test_verify_rejects_empty_betas(tmp_path, capsys):
     assert "betas is empty" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("beta", "13", 'beta must be a list of integers, got "13"'),
+        ("beta", [1.4, 3.4], "beta must be a list of integers, got [1.4, 3.4]"),
+        ("coord", 1.5, "coord must be an integer, got 1.5"),
+    ],
+    ids=["beta-string", "beta-floats", "coord-float"],
+)
+def test_verify_rejects_tree_numbers_that_are_not_integers(tmp_path, capsys, key, value, message):
+    # read with int(), "13" would become (1, 3) and floats would be truncated
+    code, err = _verify_edited(
+        tmp_path, capsys, lambda d: d["certs"][0]["tree"].__setitem__(key, value)
+    )
+    assert code == 2
+    assert "certs entry 1" in err and message in err
+
+
+def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
+    # json.dumps recurses too, so the nested tree is spliced in as text
+    outdir = tmp_path / "kr"
+    main(["prove", fx("kr_system.json"), "--qmax", "8", "--out", str(outdir)])
+    sysfile = outdir / "system.json"
+    data = json.loads(sysfile.read_text())
+    data["certs"][0]["tree"] = "@TREE@"
+    node = '{"beta": [1, 3], "coord": 1, "left": {"beta": [1, 3]}, "right": '
+    tree = node * 1300 + '{"beta": [1, 3]}' + "}" * 1300
+    sysfile.write_text(json.dumps(data).replace('"@TREE@"', tree))
+    capsys.readouterr()
+    code = main(["verify", str(sysfile), "--qmax", "12"])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def _verify_cert_edited(tmp_path, run_cli, edit) -> tuple[int, str, dict]:
     """Prove kr, apply edit to the written system, verify it; run_cli's triple."""
     outdir = tmp_path / "kr"
@@ -293,6 +336,17 @@ def test_export_dot_and_json(run_cli, tmp_path):
 def test_prove_exhaustion_exit_code(run_cli):
     code, _, _ = run_cli(["prove", fx("kr_system.json"), "--max-expansions", "2"])
     assert code == 3
+
+
+def test_prove_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
+    # with S = 3000 the targets lie thousands of relation steps from the roots
+    spec = json.loads(open(fx("ex1_system.json")).read())
+    spec["S"] = 3000
+    path = tmp_path / "ex1_s3000.json"
+    path.write_text(json.dumps(spec))
+    code = main(["prove", str(path)])
+    assert code == 3
+    assert "deeper than the recursion limit" in capsys.readouterr().err
 
 
 def test_malformed_input_exit_code(run_cli, tmp_path):

@@ -228,9 +228,9 @@ def test_verify_numeric_detects_tampering(kr_system):
     assert not all(verify_numeric(fs, 12, 12))
 
 
-def test_factorization_solves_back_to_components(ex1_system, kr_system):
+def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_system):
     # U and V double as a q-difference system; its solution is the H vector
-    for spec, q_max in ((ex1_system, 16), (kr_system, 14)):
+    for spec, q_max in ((ex1_system, 16), (kr_system, 14), (ex3_system, 40)):
         fs = assemble_system(*spec)
         F = solve(QDiffSystem(A=fs.U, weights=fs.V, S=fs.S), q_max, q_max)
         for k, beta in enumerate(fs.betas):

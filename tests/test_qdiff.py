@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from spanone.ideals import associated_graph, ideal_genfun_vec
+from spanone.ideals import associated_graph, default_levels, ideal_genfun_vec, walk_genfun_matrix
 from spanone.qdiff import QDiffSystem, check_system, f_from_g, solve, system_from_json, system_to_json
 from spanone.series import Series, monomial
 
@@ -52,6 +53,37 @@ def test_solve_equals_adjacency_times_walk_product(rr_ideal, kr_ideal):
         F2 = f_from_g(sys, G)
         for a, b in zip(F, F2):
             assert a.eq_upto(b)
+
+
+@st.composite
+def _systems(draw):
+    K = draw(st.integers(1, 4))
+    A = tuple(
+        (1,) + tuple(1 if k == 0 else draw(st.integers(0, 1)) for _ in range(K - 1))
+        for k in range(K)
+    )
+    weights = ((0, 0),) + tuple(
+        (draw(st.integers(1, 3)), draw(st.integers(1, 4))) for _ in range(K - 1)
+    )
+    return QDiffSystem(A=A, weights=weights, S=draw(st.integers(1, 3)))
+
+
+@given(_systems(), st.integers(0, 9), st.integers(0, 9))
+@example(QDiffSystem(A=((1, 1), (1, 1)), weights=((0, 0), (2, 1)), S=1), 3, 1)
+@example(QDiffSystem(A=((1, 1), (1, 0)), weights=((0, 0), (3, 1)), S=2), 9, 0)
+def test_solve_equals_walk_product_route(sys, x_max, q_max):
+    # weights with m_j > s_j put x^n below q-order n once x_max > q_max
+    M = default_levels(sys.S, q_max)
+    G = [row[0] for row in walk_genfun_matrix(sys.A, sys.weights, M, sys.S, x_max, q_max)]
+    assert solve(sys, x_max, q_max) == f_from_g(sys, G)
+
+
+def test_solve_rejects_negative_orders(rr_ideal):
+    sys = associated_graph(rr_ideal)
+    with pytest.raises(ValueError, match="truncation orders"):
+        solve(sys, -1, 5)
+    with pytest.raises(ValueError, match="truncation orders"):
+        solve(sys, 5, -1)
 
 
 def test_f_from_g_unit_vector(rr_ideal):

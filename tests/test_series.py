@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_mul
-from spanone.series import DEFAULT_Q_MAX, Series, TruncationRangeError, geom_inverse, monomial
+from spanone.series import DEFAULT_Q_MAX, Series, TruncationRangeError, geom_inverse, monomial, series_sum
 
 
 def series_strategy(max_order=7, max_terms=8):
@@ -65,6 +65,15 @@ def test_add_uses_min_orders():
     c = a + b
     assert (c.x_max, c.q_max) == (4, 6)
     assert c.coeff(0, 0) == 1 and c.coeff(1, 1) == 2
+
+
+def test_series_sum_lives_on_intersection_of_windows():
+    a = monomial(1, 0, 0, 8, 8) + monomial(3, 5, 2, 8, 8)
+    b = monomial(2, 1, 1, 4, 6) + monomial(1, 0, 0, 4, 6)
+    s = series_sum([a, b], 10, 10)
+    assert (s.x_max, s.q_max) == (4, 6)
+    assert s == monomial(2, 0, 0, 4, 6) + monomial(2, 1, 1, 4, 6)
+    assert series_sum([], 10, 10) == Series.zero(10, 10)
 
 
 def test_coeff_outside_region_raises():
