@@ -18,6 +18,7 @@ errors, 3 certificate search exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,10 +30,7 @@ CLI_Q_MAX = 25
 
 
 def _emit(lines: list[str], payload: dict) -> None:
-    for line in lines:
-        print(line)
-    print()
-    print(json.dumps(payload, sort_keys=True))
+    print("\n".join([*lines, "", json.dumps(payload, sort_keys=True)]))
 
 
 def _series_payload(s: Series) -> dict:
@@ -65,6 +63,8 @@ def cmd_oracle(args) -> int:
     if args.predicate == "gap":
         if args.d is None or args.k is None:
             raise ValueError("gap oracle needs --d and --k")
+        if args.k < 1:
+            raise ValueError(f"--k must be >= 1, got {args.k}")
         pred = lambda p: partitions.satisfies_gap(p, args.d, args.k)
         name = f"gap(d={args.d}, k={args.k})"
     else:
@@ -105,15 +105,16 @@ def cmd_ideal_genfun(args) -> int:
 def cmd_ideal_members(args) -> int:
     ideal = ideals.load_ideal(args.file)
     genfun, members = ideals.enumerate_members(ideal, args.qmax)
+    rendered = [partitions.format_partition(p) for p in members]
     lines = [f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}"]
-    lines += [f"  {partitions.format_partition(p)}" for p in members]
+    lines += [f"  {r}" for r in rendered]
     lines.append(f"genfun = {genfun}")
     _emit(
         lines,
         {
             "command": "ideal-members",
             "count": len(members),
-            "members": [partitions.format_partition(p) for p in members],
+            "members": rendered,
             "genfun": _series_payload(genfun),
         },
     )
@@ -436,7 +437,10 @@ def _add_orders(sp, qmax_default=CLI_Q_MAX):
     sp.add_argument("--xmax", type=int, default=None, help="x truncation order (default: qmax)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args starts every
+    call from a fresh namespace, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="spanone",
         description="generating functions and factorization certificates "

@@ -10,8 +10,10 @@ entry nonempty, chains of length 0 give the empty partition) via
     lambda_0  (+)  phi^S(lambda_1)  (+)  phi^(2S)(lambda_2)  (+)  ...
 
 so the k-th link occupies the window of parts in (kS, (k+1)S].  Because
-S bounds the largest seed part, the decomposition of a member back into
-links is unique: just slice by windows.
+S bounds the largest seed part, the windows are disjoint: each (+) is a
+plain concatenation of part lists (enumerate_members builds members that
+way, with no sorting), and the decomposition of a member back into links
+is unique: just slice by windows (contains).
 
 The same data is a vertex-weighted digraph: vertex j carries the monomial
 x^(number of parts of pi_j) q^(size of pi_j), and j -> i is an edge when
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
-from .partitions import EMPTY, Partition, format_partition, oplus, parse_partition, phi
+from .partitions import EMPTY, Partition, format_partition, parse_partition
 from .qdiff import QDiffSystem, _weigh_sum
-from .series import Series
+from .series import Series, _check_orders
 
 
 class IdealError(ValueError):
@@ -175,33 +177,48 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Par
     Returns the generating function (graded like ideal_genfun_vec's sum)
     together with the member list sorted by size, then part list.  This is
     structurally independent of the matrix-product route: it assembles
-    actual partitions with phi and oplus and weighs them afterwards.
+    actual part lists chain by chain and weighs them afterwards.
+
+    A link pi_i at level L contributes phi^(LS)(pi_i), whose parts lie in
+    (LS, (L+1)S] because S is at least the largest seed part, while every
+    part built so far is at most LS.  The windows are disjoint, so oplus is
+    a plain concatenation: the shifted link goes in front of the parts
+    already built and the result is weakly decreasing with no sort.  Part
+    lists are collected in one bucket per size, each bucket is sorted, and
+    only then is each member wrapped (and validated) as a Partition.
     """
     validate(ideal)
-    members: list[Partition] = [EMPTY]
+    _check_orders(q_max, q_max)
+    S = ideal.S
+    seeds = [(p.parts, p.size, len(p)) for p in ideal.pi]
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q_max + 1)]
+    buckets[0].append(())
+    coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
 
-    def extend(j: int, level: int, built: Partition) -> None:
-        if built.size + level * ideal.S + 1 > q_max:
+    def extend(j: int, level: int, parts: tuple[int, ...], size: int) -> None:
+        shift = level * S
+        if size + shift + 1 > q_max:
             return  # even the smallest nonempty link no longer fits
-        for i in sorted(ideal.linking[j - 1]):
-            link = ideal.pi[i - 1]
-            if link == EMPTY:
+        for i in ideal.linking[j - 1]:
+            link, link_size, n = seeds[i - 1]
+            if not n:
                 # a chain may pass through an empty window and resume higher up
-                extend(i, level + 1, built)
+                extend(i, level + 1, parts, size)
                 continue
-            size = link.size + level * ideal.S * len(link)
-            if built.size + size > q_max:
+            grown_size = size + link_size + shift * n
+            if grown_size > q_max:
                 continue
-            grown = oplus(built, phi(link, level * ideal.S))
-            members.append(grown)
-            extend(i, level + 1, grown)
+            grown = tuple([a + shift for a in link]) + parts
+            buckets[grown_size].append(grown)
+            key = (len(grown), grown_size)
+            coeffs[key] = coeffs.get(key, 0) + 1
+            extend(i, level + 1, grown, grown_size)
 
-    extend(1, 0, EMPTY)
-    members.sort(key=lambda p: (p.size, p.parts))
-    coeffs: dict[tuple[int, int], int] = {}
-    for p in members:
-        key = (len(p), p.size)
-        coeffs[key] = coeffs.get(key, 0) + 1
+    extend(1, 0, (), 0)
+    members: list[Partition] = []
+    for bucket in buckets:
+        bucket.sort()
+        members += map(Partition, bucket)
     return Series(coeffs, q_max, q_max), members
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .series import Series
+from .series import Series, _check_orders
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,25 @@ def oracle_genfun(
     pred: Callable[[Partition], bool], q_max: int, x_max: int | None = None
 ) -> Series:
     """Sum of x^(number of parts) q^(size) over all partitions of n <= q_max
-    that satisfy pred.  Exhaustive, hence slow but authoritative."""
+    that satisfy pred.  Exhaustive, hence slow but authoritative.
+
+    One depth-first walk visits every partition of size <= q_max with at
+    most x_max parts exactly once: each step appends a part no larger than
+    the last one and no larger than what is left of q_max.  Each visited
+    part list is wrapped in a validated Partition and passed to pred.
+    """
     if x_max is None:
         x_max = q_max
+    _check_orders(x_max, q_max)
     coeffs: dict[tuple[int, int], int] = {}
-    for n in range(q_max + 1):
-        for p in partitions_of(n):
-            if len(p) <= x_max and pred(p):
-                key = (len(p), n)
-                coeffs[key] = coeffs.get(key, 0) + 1
+
+    def walk(parts: tuple[int, ...], size: int, cap: int) -> None:
+        if pred(Partition(parts)):
+            key = (len(parts), size)
+            coeffs[key] = coeffs.get(key, 0) + 1
+        if len(parts) < x_max:
+            for a in range(1, min(cap, q_max - size) + 1):
+                walk(parts + (a,), size + a, a)
+
+    walk((), 0, q_max)
     return Series(coeffs, x_max, q_max)

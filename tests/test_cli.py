@@ -7,7 +7,7 @@ import json
 import pytest
 
 import spanone
-from spanone.cli import main
+from spanone.cli import build_parser, main
 from spanone.multisum import eval_H
 from spanone.partitions import kr_i1_predicate, oracle_genfun
 
@@ -35,6 +35,29 @@ def test_oracle_gap_requires_parameters(run_cli):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_oracle_gap_rejects_distance_below_one(k, capsys):
+    code = main(["oracle", "gap", "--d", "2", "--k", k, "--qmax", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--k must be >= 1" in captured.err
+
+
+def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
+    assert build_parser() is build_parser()
+    code, _, _ = run_cli(["oracle", "gap", "--d", "2", "--k", "1", "--qmax", "4"])
+    assert code == 0
+    code = main(["oracle", "gap", "--qmax", "4"])
+    assert code == 2
+    assert "gap oracle needs --d and --k" in capsys.readouterr().err
+    code, _, payload = run_cli(["ideal", "genfun", fx("rr.json"), "--qmax", "6", "--xmax", "3"])
+    assert code == 0 and payload["total"]["x_max"] == 3
+    code, out, payload = run_cli(["ideal", "genfun", fx("rr.json"), "--qmax", "6"])
+    assert code == 0 and payload["total"]["x_max"] == 6
+    assert "qmax=6 xmax=6" in out
+
+
 def test_ideal_genfun_report(run_cli):
     code, out, payload = run_cli(["ideal", "genfun", fx("rr.json"), "--qmax", "10"])
     assert code == 0
@@ -49,6 +72,14 @@ def test_ideal_members_report(run_cli):
     code, out, payload = run_cli(["ideal", "members", fx("kr_i1.json"), "--qmax", "3"])
     assert code == 0
     assert payload["members"] == ["empty", "1", "2", "2+1", "3"]
+
+
+def test_ideal_members_rejects_negative_qmax(capsys):
+    code = main(["ideal", "members", fx("rr.json"), "--qmax", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "truncation orders must be >= 0" in captured.err
 
 
 def test_ideal_contains_member_and_chain(run_cli):

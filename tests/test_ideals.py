@@ -250,6 +250,16 @@ def test_kr_members_small(kr_ideal):
     assert str(genfun) == "1 + x*q + x*q^2 + x*q^3 + x^2*q^3"
 
 
+def test_members_are_the_oracle_partitions_in_order(rr_ideal, kr_ideal):
+    # every partition of size <= 18 passing the class predicate, in the
+    # (size, parts) order that partitions_of yields them
+    for ideal, pred in ((rr_ideal, lambda p: satisfies_gap(p, 2, 1)), (kr_ideal, kr_i1_predicate)):
+        expected = [p for n in range(19) for p in partitions_of(n) if pred(p)]
+        for q_max in range(19):
+            _, members = enumerate_members(ideal, q_max)
+            assert members == [p for p in expected if p.size <= q_max], q_max
+
+
 def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):
     bound = 13
     for ideal in (rr_ideal, kr_ideal):

@@ -147,6 +147,27 @@ def test_oracle_genfun_respects_x_max():
     assert s.coeff(1, 6) == 1  # only the single-part partition survives
 
 
+@pytest.mark.parametrize("x_max", [None, 0, 3])
+def test_oracle_genfun_calls_pred_once_per_partition(x_max):
+    seen = []
+
+    def pred(p):
+        assert isinstance(p, Partition)
+        seen.append(p.parts)
+        return satisfies_gap(p, 2, 1)
+
+    s = oracle_genfun(pred, 12, x_max)
+    bound = 12 if x_max is None else x_max
+    every = [p for n in range(13) for p in partitions_of(n) if len(p) <= bound]
+    assert sorted(seen) == sorted(p.parts for p in every)
+    assert s.x_max == bound and s.q_max == 12
+    for m in range(bound + 1):
+        for n in range(13):
+            assert s.coeff(m, n) == sum(
+                1 for p in every if len(p) == m and p.size == n and satisfies_gap(p, 2, 1)
+            ), (m, n)
+
+
 def test_oracle_counts_match_bijective_recurrence():
     s = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), 18)
     for n in range(19):
