@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
-from . import ideals, multisum, partitions, prover, qdiff
+from . import ideals, jsonin, multisum, partitions, prover, qdiff
 from .series import Series, series_sum
 
 CLI_Q_MAX = 25
@@ -43,10 +44,9 @@ def _series_payload(s: Series) -> dict:
 
 
 def _parse_beta(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad beta {text!r}, expected comma-separated integers") from None
+    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+        raise ValueError(f"bad beta {text!r}, expected comma-separated integers")
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def _orders(args) -> tuple[int, int]:
@@ -146,8 +146,7 @@ def cmd_ideal_contains(args) -> int:
 
 
 def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, ideals.SpanOneIdeal | None]:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = jsonin.load(path)
     if "pi" in data:
         ideal = ideals.ideal_from_json(data)
         return ideals.associated_graph(ideal), ideal
@@ -221,11 +220,7 @@ def cmd_multisum_rec(args) -> int:
     beta = _parse_beta(args.beta)
     left, (xe, qe), right = multisum.rec_children(p, beta, args.coord)
     ok = multisum.verify_recurrence_numeric(p, beta, args.coord, x_max, q_max)
-
-    def lab(b):
-        return "H(" + ",".join(map(str, b)) + ")"
-
-    weight = prover._weight_label(xe, qe)
+    lab, weight = prover._beta_label, prover._weight_label(xe, qe)
     lines = [
         f"{lab(beta)} = {lab(left)} + {weight} * {lab(right)}   [coordinate {args.coord}]",
         f"verified to qmax={q_max} xmax={x_max}: {ok}",
@@ -282,10 +277,6 @@ def cmd_multisum_check(args) -> int:
 # -- prove / verify / export ----------------------------------------------
 
 
-def _root_slug(beta) -> str:
-    return "_".join(str(b) for b in beta)
-
-
 def cmd_prove(args) -> int:
     x_max, q_max = _orders(args)
     p, S, betas = prover.load_system_spec(args.file)
@@ -325,7 +316,7 @@ def cmd_prove(args) -> int:
         written = [str(sysfile)]
         for root, tree in sorted(fs.certs.items()):
             doc = prover.cert_to_json(p, S, tree)
-            base = outdir / f"cert_{_root_slug(root)}"
+            base = outdir / f"cert_{'_'.join(map(str, root))}"
             (base.with_suffix(".cert.json")).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
             (base.with_suffix(".dot")).write_text(prover.tree_to_dot(p, tree))
             written += [str(base.with_suffix(".cert.json")), str(base.with_suffix(".dot"))]
@@ -336,21 +327,6 @@ def cmd_prove(args) -> int:
     return 0 if all(rows_ok) else 1
 
 
-def _int_rows(data: dict, key: str, K: int, width: int, what: str, ok) -> tuple[tuple[int, ...], ...]:
-    """data[key] as K rows of `width` JSON integers e with ok(e)."""
-    rows = data[key]
-    if not isinstance(rows, list) or len(rows) != K:
-        raise ValueError(f"{key} must be a list of K={K} rows")
-    for i, row in enumerate(rows, 1):
-        if not (
-            isinstance(row, list)
-            and len(row) == width
-            and all(type(e) is int and ok(e) for e in row)
-        ):
-            raise ValueError(f"{key} row {i} must be {width} {what}, got {json.dumps(row)}")
-    return tuple(tuple(row) for row in rows)
-
-
 def _load_certs(data: dict, betas: list) -> dict:
     """data["certs"] as {root: tree}, each root one of betas."""
     entries = data.get("certs", [])
@@ -358,35 +334,29 @@ def _load_certs(data: dict, betas: list) -> dict:
         raise ValueError("certs must be a list of {root, tree} objects")
     certs = {}
     for i, entry in enumerate(entries, 1):
-        if not isinstance(entry, dict):
-            raise ValueError(f"certs entry {i} must be a {{root, tree}} object")
         for key in ("root", "tree"):
-            if key not in entry:
+            if type(entry) is not dict or key not in entry:
                 raise ValueError(f"certs entry {i} has no {key}")
-        root = entry["root"]
-        if not (isinstance(root, list) and all(type(b) is int for b in root) and tuple(root) in betas):
-            raise ValueError(f"certs entry {i} has root {json.dumps(root)}, not one of betas")
-        if tuple(root) in certs:
-            raise ValueError(f"certs entry {i} repeats root {json.dumps(root)}")
-        try:
-            certs[tuple(root)] = prover.tree_from_json(entry["tree"])
-        except ValueError as exc:
-            raise ValueError(f"certs entry {i}: {exc}") from None
+        root = jsonin.integers(entry["root"], f"certs entry {i} root")
+        if root not in betas:
+            raise ValueError(f"certs entry {i} has root {list(root)}, not one of betas")
+        if root in certs:
+            raise ValueError(f"certs entry {i} repeats root {list(root)}")
+        certs[root] = prover.tree_from_json(entry["tree"], f"certs entry {i} tree: ")
     return certs
 
 
 def _load_factorization(path: str) -> prover.FactorizationSystem:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = jsonin.load(path)
     p, S, betas = prover.system_spec_from_json(data)
     if "U" not in data and "V" not in data:
         return prover.assemble_system(p, S, betas)
-    for key in ("U", "V"):
-        if key not in data:
-            raise ValueError(f"{key} is missing: a proved system needs both U and V")
     K = len(betas)
-    U = _int_rows(data, "U", K, K, "entries in {0, 1}", lambda e: e in (0, 1))
-    V = _int_rows(data, "V", K, 2, "nonnegative integers", lambda e: e >= 0)
+    U, V = (jsonin.field(data, key, "a proved system needs both U and V, but ") for key in "UV")
+    for key, rows in (("U", U), ("V", V)):
+        if type(rows) is not list or len(rows) != K:
+            raise ValueError(f"{key} must be a list of K={K} rows")
+    U, V = jsonin.rows(U, "U", K, 0, 1), jsonin.rows(V, "V", 2, 0)
     certs = _load_certs(data, betas)
     return prover.FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)
 
@@ -534,7 +504,7 @@ def main(argv=None) -> int:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # json.load and the tree walks recurse once per level of nesting
+        # jsonin.load, its error messages and the tree walks recurse once per level of nesting
         print("error: input is nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     except (ValueError, LookupError, OSError) as exc:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
+from . import jsonin
 from .partitions import EMPTY, Partition, format_partition, parse_partition
 from .qdiff import QDiffSystem, _weigh_sum
 from .series import Series, _check_orders
@@ -54,10 +55,6 @@ class SpanOneIdeal:
     @property
     def K(self) -> int:
         return len(self.pi)
-
-    def linked(self, j: int) -> frozenset[int]:
-        """Indices allowed to follow pi_j (arguments and results are 1-based)."""
-        return self.linking[j - 1]
 
 
 def validate(ideal: SpanOneIdeal) -> None:
@@ -227,11 +224,14 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Par
 
 def ideal_from_json(data: dict) -> SpanOneIdeal:
     try:
-        S = int(data["S"])
-        pi = tuple(parse_partition(t) for t in data["pi"])
-        linking = tuple(frozenset(int(i) for i in row) for row in data["linking"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IdealError(f"malformed ideal description: {exc}") from exc
+        S = jsonin.integer(jsonin.field(data, "S"), "S")
+        pi = jsonin.field(data, "pi")
+        if type(pi) is not list or any(type(t) is not str for t in pi):
+            raise ValueError(f"pi must be a list of partition strings, got {json.dumps(pi)}")
+        pi = tuple(parse_partition(t) for t in pi)
+        linking = tuple(map(frozenset, jsonin.rows(jsonin.field(data, "linking"), "linking")))
+    except ValueError as exc:
+        raise IdealError(f"malformed ideal description: {exc}") from None
     ideal = SpanOneIdeal(pi=pi, linking=linking, S=S)
     validate(ideal)
     return ideal
@@ -246,5 +246,4 @@ def ideal_to_json(ideal: SpanOneIdeal) -> dict:
 
 
 def load_ideal(path: str | Path) -> SpanOneIdeal:
-    with open(path) as fh:
-        return ideal_from_json(json.load(fh))
+    return ideal_from_json(jsonin.load(path))

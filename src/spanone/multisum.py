@@ -33,11 +33,11 @@ division by (1 - q^(A_r n_r)).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
+from . import jsonin
 from .series import Series, _check_orders, monomial
 
 Beta = tuple[int, ...]
@@ -234,13 +234,11 @@ def verify_recurrence_numeric(
 # -- JSON interface ------------------------------------------------------
 
 
-def profile_from_json(data: dict) -> MultisumProfile:
-    try:
-        alpha = tuple(tuple(int(e) for e in row) for row in data["alpha"])
-        gamma = tuple(int(g) for g in data["gamma"])
-        A = tuple(int(a) for a in data["A"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed profile description: {exc}") from exc
+def profile_from_json(data: dict, where: str = "malformed profile description: ") -> MultisumProfile:
+    """The profile in data; where prefixes the names of its fields in errors."""
+    alpha = jsonin.rows(jsonin.field(data, "alpha", where), where + "alpha")
+    gamma = jsonin.integers(jsonin.field(data, "gamma", where), where + "gamma")
+    A = jsonin.integers(jsonin.field(data, "A", where), where + "A")
     return MultisumProfile(alpha=alpha, gamma=gamma, A=A)
 
 
@@ -249,5 +247,4 @@ def profile_to_json(p: MultisumProfile) -> dict:
 
 
 def load_profile(path: str | Path) -> MultisumProfile:
-    with open(path) as fh:
-        return profile_from_json(json.load(fh))
+    return profile_from_json(jsonin.load(path))

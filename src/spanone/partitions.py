@@ -14,6 +14,7 @@ structured constructions elsewhere in the package are checked against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -59,11 +60,9 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if text == "empty":
         return EMPTY
-    try:
-        parts = tuple(int(tok) for tok in text.split("+"))
-    except ValueError:
-        raise ValueError(f"bad partition literal {text!r}") from None
-    return Partition(parts)
+    if not re.fullmatch(r"[0-9]+(\+[0-9]+)*", text):
+        raise ValueError(f"bad partition literal {text!r}")
+    return Partition(tuple(int(tok) for tok in text.split("+")))
 
 
 def format_partition(p: Partition) -> str:
@@ -88,7 +87,9 @@ def s_tail(p: Partition, s: int) -> Partition:
 
 
 def satisfies_gap(p: Partition, d: int, k: int) -> bool:
-    """True when every pair of parts at distance k differs by at least d."""
+    """True when every pair of parts at distance k >= 1 differs by at least d."""
+    if k < 1:
+        raise ValueError(f"gap distance k must be >= 1, got {k}")
     parts = p.parts
     return all(parts[i] - parts[i + k] >= d for i in range(len(parts) - k))
 

@@ -27,12 +27,12 @@ certificate, and the search treats it as infeasible.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
+from . import jsonin
 from .multisum import Beta, MultisumProfile, eval_H, profile_from_json, profile_to_json, rec_children, shift_beta
 from .qdiff import _weigh_sum
 
@@ -327,26 +327,14 @@ def tree_to_json(tree: Node) -> dict:
     }
 
 
-def tree_from_json(data: dict) -> Node:
-    """Inverse of tree_to_json: beta must be a list of JSON integers and
-    coord an integer, so strings and floats are rejected, not converted."""
-    try:
-        beta, leaf = data["beta"], "coord" not in data
-        if not leaf:
-            coord, left, right = data["coord"], data["left"], data["right"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed certificate tree: {exc}") from exc
-    if not (isinstance(beta, list) and all(type(b) is int for b in beta)):
-        raise ValueError(
-            f"malformed certificate tree: beta must be a list of integers, got {json.dumps(beta)}"
-        )
-    if leaf:
-        return Leaf(tuple(beta))
-    if type(coord) is not int:
-        raise ValueError(
-            f"malformed certificate tree: coord must be an integer, got {json.dumps(coord)}"
-        )
-    return Expand(tuple(beta), coord, tree_from_json(left), tree_from_json(right))
+def tree_from_json(data: dict, where: str = "malformed certificate tree: ") -> Node:
+    """Inverse of tree_to_json; where prefixes every error about the tree."""
+    beta = jsonin.integers(jsonin.field(data, "beta", where), where + "beta")
+    if "coord" not in data:
+        return Leaf(beta)
+    coord = jsonin.integer(data["coord"], where + "coord")
+    left = tree_from_json(jsonin.field(data, "left", where), where)
+    return Expand(beta, coord, left, tree_from_json(jsonin.field(data, "right", where), where))
 
 
 def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:
@@ -359,18 +347,14 @@ def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:
 
 
 def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
-    try:
-        p = profile_from_json(data["profile"])
-        S = int(data["S"])
-        tree = tree_from_json(data["tree"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed certificate document: {exc}") from exc
-    return p, S, tree
+    where = "malformed certificate document: "
+    p = profile_from_json(jsonin.field(data, "profile", where), where + "profile.")
+    S = jsonin.integer(jsonin.field(data, "S", where), where + "S")
+    return p, S, tree_from_json(jsonin.field(data, "tree", where), where + "tree: ")
 
 
 def load_cert(path: str | Path) -> tuple[MultisumProfile, int, Node]:
-    with open(path) as fh:
-        return cert_from_json(json.load(fh))
+    return cert_from_json(jsonin.load(path))
 
 
 def _beta_label(beta: Beta) -> str:
@@ -423,17 +407,14 @@ def system_result_to_json(fs: FactorizationSystem) -> dict:
 
 def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]:
     """The profile, S and betas keys shared by system specs and proved systems."""
-    try:
-        p = profile_from_json(data["profile"])
-        S = int(data["S"])
-        betas = [tuple(int(b) for b in row) for row in data["betas"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed system description: {exc}") from exc
+    where = "malformed system description: "
+    p = profile_from_json(jsonin.field(data, "profile", where), where + "profile.")
+    S = jsonin.integer(jsonin.field(data, "S", where), where + "S")
+    betas = list(jsonin.rows(jsonin.field(data, "betas", where), where + "betas"))
     if not betas:
-        raise ValueError("malformed system description: betas is empty")
+        raise ValueError(where + "betas is empty")
     return p, S, betas
 
 
 def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]]:
-    with open(path) as fh:
-        return system_spec_from_json(json.load(fh))
+    return system_spec_from_json(jsonin.load(path))

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import jsonin
 from .series import Series, _check_orders, monomial, series_sum
 
 
@@ -153,13 +154,10 @@ def check_system(sys: QDiffSystem, F: list[Series]) -> bool:
 
 
 def system_from_json(data: dict) -> QDiffSystem:
-    try:
-        A = tuple(tuple(int(e) for e in row) for row in data["A"])
-        weights = tuple((int(m), int(n)) for m, n in data["weights"])
-        S = int(data["S"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed q-difference system description: {exc}") from exc
-    return QDiffSystem(A=A, weights=weights, S=S)
+    where = "malformed q-difference system description: "
+    A = jsonin.rows(jsonin.field(data, "A", where), where + "A")
+    weights = jsonin.rows(jsonin.field(data, "weights", where), where + "weights", 2)
+    return QDiffSystem(A, weights, jsonin.integer(jsonin.field(data, "S", where), where + "S"))
 
 
 def system_to_json(sys: QDiffSystem) -> dict:

@@ -293,6 +293,71 @@ def test_verify_rejects_tree_numbers_that_are_not_integers(tmp_path, capsys, key
     assert "certs entry 1" in err and message in err
 
 
+def _proved_kr(tmp_path, name: str, edit) -> str:
+    """A file written by prove kr --out, with edit applied to its JSON."""
+    outdir = tmp_path / "kr"
+    main(["prove", fx("kr_system.json"), "--qmax", "8", "--out", str(outdir)])
+    path = outdir / name
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _written(tmp_path, text: str) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _false_alpha_and_shift(d):
+    d["profile"]["alpha"] = [[2.9, "3"], [3, 6]]
+    d["S"] = 3.7
+
+
+@pytest.mark.parametrize(
+    "argv, make, field",
+    [
+        (["verify", "@", "--qmax", "12"],
+         lambda t: _proved_kr(t, "system.json", _false_alpha_and_shift),
+         'profile.alpha row 1 must be a list of integers, got [2.9, "3"]'),
+        (["multisum", "eval", "@", "--beta", "1", "--qmax", "4"],
+         lambda t: _written(t, '{"alpha": [[1e400]], "gamma": [1], "A": [1]}'),
+         "alpha row 1 must be a list of integers, got [Infinity]"),
+        (["verify", "@", "--qmax", "12"],
+         lambda t: _proved_kr(t, "system.json", lambda d: d.__setitem__("S", True)),
+         "S must be an integer, got true"),
+        (["ideal", "genfun", "@", "--qmax", "6"],
+         lambda t: _written(t, '{"S": 2, "pi": ["empty", 5, "2"], "linking": [[1, 2, 3], [1, 2, 3], [1, 3]]}'),
+         'pi must be a list of partition strings, got ["empty", 5, "2"]'),
+        (["ideal", "genfun", "@", "--qmax", "6"],
+         lambda t: _written(t, '{"S": 2.5, "pi": ["empty", "1", "2"], "linking": [[1, 2, 3], [1, 2, 3], [1, 3]]}'),
+         "S must be an integer, got 2.5"),
+        (["qdiff", "solve", "@", "--qmax", "6"],
+         lambda t: _written(t, '{"A": [[1, 1], [1.5, 1]], "weights": [[0, 0], [1, 1]], "S": 1}'),
+         "A row 2 must be a list of integers, got [1.5, 1]"),
+        (["qdiff", "solve", "@", "--qmax", "6"],
+         lambda t: _written(t, "5"),
+         "the top level must be a JSON object, got 5"),
+        (["export", "@", "--format", "json"],
+         lambda t: _proved_kr(t, "cert_1_3.cert.json", lambda d: d.__setitem__("S", 3.5)),
+         "S must be an integer, got 3.5"),
+    ],
+    ids=["verify-alpha-and-S", "profile-1e400", "verify-S-true", "ideal-pi-number",
+         "ideal-S-float", "qdiff-A-float", "qdiff-top-level", "export-S-float"],
+)
+def test_every_reader_rejects_what_is_not_a_json_integer(tmp_path, capsys, argv, make, field):
+    # read with int(), each of these used to pass, crash, or check another statement
+    path = make(tmp_path)
+    capsys.readouterr()
+    code = main([path if a == "@" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
     # json.dumps recurses too, so the nested tree is spliced in as text
     outdir = tmp_path / "kr"
@@ -385,10 +450,9 @@ def test_malformed_input_exit_code(run_cli, tmp_path):
     bad.write_text('{"S": 2, "pi": ["empty"]}')
     code, _, _ = run_cli(["ideal", "genfun", str(bad)])
     assert code == 2
-    code, _, _ = run_cli(
-        ["multisum", "eval", fx("kr_profile.json"), "--beta", "one,three"]
-    )
-    assert code == 2
+    for beta in ("one,three", "1_0", "+1,3", " 1,3"):
+        code, _, _ = run_cli(["multisum", "eval", fx("kr_profile.json"), "--beta", beta])
+        assert code == 2
 
 
 def test_missing_file_exit_code(run_cli):

@@ -32,8 +32,9 @@ def test_literal_round_trip():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_partition("3+x")
+    for text in ("3+x", "1_0", "1_0+2", "+3", "3 + 1", "٣"):
+        with pytest.raises(ValueError):
+            parse_partition(text)
     with pytest.raises(ValueError):
         parse_partition("1+2")  # increasing
     with pytest.raises(ValueError):
@@ -71,6 +72,12 @@ def test_s_tail_splits_partition():
     s = 4
     rest = Partition(tuple(a for a in p.parts if a > s))
     assert oplus(s_tail(p, s), rest) == p
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_satisfies_gap_rejects_distance_below_one(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        satisfies_gap(parse_partition("3+1"), 2, k)
 
 
 def test_satisfies_gap_examples():
