@@ -222,13 +222,20 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Par
 # -- JSON interface ------------------------------------------------------
 
 
+def _seed(i: int, text: str) -> Partition:
+    try:
+        return parse_partition(text)
+    except ValueError as exc:
+        raise ValueError(f"pi entry {i}: {exc}") from None
+
+
 def ideal_from_json(data: dict) -> SpanOneIdeal:
     try:
         S = jsonin.integer(jsonin.field(data, "S"), "S")
         pi = jsonin.field(data, "pi")
         if type(pi) is not list or any(type(t) is not str for t in pi):
             raise ValueError(f"pi must be a list of partition strings, got {json.dumps(pi)}")
-        pi = tuple(parse_partition(t) for t in pi)
+        pi = tuple(_seed(i, t) for i, t in enumerate(pi, 1))
         linking = tuple(map(frozenset, jsonin.rows(jsonin.field(data, "linking"), "linking")))
     except ValueError as exc:
         raise IdealError(f"malformed ideal description: {exc}") from None

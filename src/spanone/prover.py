@@ -258,13 +258,19 @@ def assemble_system(
 def verify_numeric(
     fs: FactorizationSystem, x_max: int | None = None, q_max: int = 30
 ) -> list[bool]:
-    """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma)."""
+    """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma).
+
+    Rows with the same beta and the same U row are the same statement, so
+    each distinct (beta_k, U row k) pair is compared once.
+    """
     if x_max is None:
         x_max = q_max
     lhs = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
     shifted = {b: lhs[b].shift_x(fs.S) for b in lhs}
     rhs = _weigh_sum(fs.U, fs.V, [shifted[b] for b in fs.betas])
-    return [lhs[b].eq_upto(r) for b, r in zip(fs.betas, rhs)]
+    rows = list(zip(fs.betas, map(tuple, fs.U)))
+    ok = {row: lhs[row[0]].eq_upto(r) for row, r in dict(zip(rows, rhs)).items()}
+    return [ok[row] for row in rows]
 
 
 def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:

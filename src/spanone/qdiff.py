@@ -27,6 +27,10 @@ x^(m_j) q^(s_j + m_j shift), then sum along the rows of A" is _weigh_sum;
 the walk products of ideals, check_system, f_from_g and the factorization
 verifier all run it on plain (A, weights) data, so it also serves matrices
 that QDiffSystem rejects (random digraphs, mutated factorizations).
+Weighing by a monomial is an exponent shift of every term, not a series
+product, and each distinct row of A is summed once: a factorization's rows
+repeat heavily, since rows whose betas agree have the same leaves (ex3 has
+23 rows but 4 distinct ones).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import jsonin
-from .series import Series, _check_orders, monomial, series_sum
+from .series import Series, _check_orders, series_sum
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,8 @@ class QDiffSystem:
 
     def __post_init__(self):
         K = len(self.A)
+        if K == 0:
+            raise ValueError("A is empty: the system needs at least one vertex")
         if len(self.weights) != K:
             raise ValueError("need one weight pair per vertex")
         for row in self.A:
@@ -82,13 +88,20 @@ def _weigh_sum(
 ) -> list[Series]:
     """A W(x q^shift) vec: entry j times x^(m_j) q^(s_j + m_j shift), then
     summed along each row of A (entries read by truthiness, an empty row
-    gives zero).  The result lives on the smallest rectangle of vec."""
+    gives zero).  The result lives on the smallest rectangle of vec.
+
+    Weighing by a monomial is an exponent shift, so each entry is re-keyed
+    in place of a series product.  Each distinct row of A is summed once,
+    and equal rows share the resulting (immutable) Series.
+    """
     x_max = min(s.x_max for s in vec)
     q_max = min(s.q_max for s in vec)
-    weighed = [
-        s * monomial(1, m, n + m * shift, s.x_max, s.q_max) for s, (m, n) in zip(vec, weights)
-    ]
-    return [series_sum((weighed[j] for j, e in enumerate(row) if e), x_max, q_max) for row in A]
+    weighed = [s.times_xq(m, n + m * shift) for s, (m, n) in zip(vec, weights)]
+    sums = {
+        row: series_sum((weighed[j] for j, e in enumerate(row) if e), x_max, q_max)
+        for row in dict.fromkeys(map(tuple, A))
+    }
+    return [sums[row] for row in map(tuple, A)]
 
 
 def solve(sys: QDiffSystem, x_max: int | None = None, q_max: int = 30) -> list[Series]:

@@ -148,6 +148,13 @@ class Series:
                 out[(m, n2)] = c
         return Series(out, self.x_max, self.q_max)
 
+    def times_xq(self, m: int, n: int) -> "Series":
+        """Multiply by x^m q^n: every term's exponents shift by (m, n), with
+        no series product.  Terms pushed off the rectangle fall off."""
+        if m < 0 or n < 0:
+            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
+        return Series({(a + m, b + n): c for (a, b), c in self._coeffs.items()}, self.x_max, self.q_max)
+
     # -- comparison ------------------------------------------------------
 
     def eq_upto(self, other: "Series") -> bool:

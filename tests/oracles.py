@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle recomputes something the library also computes, by a different
-route: dense-array convolution instead of sparse scatter products, explicit
-walk enumeration instead of matrix products, a bijective partition counter
-instead of filtering, a full-box multi-sum enumeration instead of the pruned
-walk, and a memoless certificate search instead of the memoized one.
+route: dense-array convolution instead of sparse scatter products, a product
+and a sum for every row instead of re-keyed entries and shared row sums,
+explicit walk enumeration instead of matrix products, a bijective partition
+counter instead of filtering, a full-box multi-sum enumeration instead of the
+pruned walk, and a memoless certificate search instead of the memoized one.
 Agreement between the routes is the point.
 """
 
@@ -31,6 +32,32 @@ def naive_mul(a: Series, b: Series) -> Series:
             if c:
                 coeffs[(m, n)] = c
     return Series(coeffs, x_max, q_max)
+
+
+@lru_cache(maxsize=1024)
+def _naive_weigh(s: Series, m: int, n: int) -> Series:
+    return naive_mul(s, Series({(m, n): 1}, s.x_max, s.q_max))
+
+
+def naive_weigh_sum(A, weights, vec, shift: int = 0) -> list[Series]:
+    """A W(x q^shift) vec with every row summed on its own.
+
+    Entry j is weighed by a naive_mul product with x^(m_j) q^(s_j + m_j shift)
+    and no row sum is shared, not even between equal rows.  The products are
+    cached by (series, monomial), so that checking many mutants of one
+    system stays quick.
+    """
+    x_max = min(s.x_max for s in vec)
+    q_max = min(s.q_max for s in vec)
+    out = []
+    for row in A:
+        total = Series({}, x_max, q_max)
+        for j, e in enumerate(row):
+            if e:
+                m, n = weights[j]
+                total = total + _naive_weigh(vec[j], m, n + m * shift)
+        out.append(total)
+    return out
 
 
 def naive_eval_H(

@@ -358,6 +358,16 @@ def test_every_reader_rejects_what_is_not_a_json_integer(tmp_path, capsys, argv,
     assert "Traceback" not in captured.err
 
 
+def test_qdiff_system_without_vertices_exits_two(tmp_path, capsys):
+    path = _written(tmp_path, '{"A": [], "weights": [], "S": 1}')
+    capsys.readouterr()
+    code = main(["qdiff", "solve", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: A is empty" in captured.err
+
+
 def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
     # json.dumps recurses too, so the nested tree is spliced in as text
     outdir = tmp_path / "kr"

@@ -297,6 +297,8 @@ def test_json_rejects_malformed():
         ideal_from_json({"S": 2, "pi": ["empty"]})
     with pytest.raises(IdealError):
         ideal_from_json({"S": 2, "pi": ["empty", "1"], "linking": [[1, 2], "nope"]})
+    with pytest.raises(IdealError, match=r"pi entry 2: bad partition literal '1_0'"):
+        ideal_from_json({"S": 2, "pi": ["empty", "1_0", "2"], "linking": [[1, 2, 3], [1, 2, 3], [1, 3]]})
 
 
 def test_fixture_files_parse():

@@ -6,11 +6,12 @@ import json
 
 import pytest
 
-from oracles import naive_min_expansions
+from oracles import naive_min_expansions, naive_weigh_sum
 from spanone.multisum import eval_H, shift_beta
 from spanone.prover import (
     AssemblyError,
     Expand,
+    FactorizationSystem,
     Leaf,
     SearchExhausted,
     assemble_system,
@@ -226,6 +227,50 @@ def test_verify_numeric_detects_tampering(kr_system):
     U[3][1] ^= 1
     fs.U = tuple(tuple(r) for r in U)
     assert not all(verify_numeric(fs, 12, 12))
+
+
+def _oracle_rows(fs, q_max: int) -> list[bool]:
+    """verify_numeric's row vector with every row weighed and summed on its own."""
+    H = {b: eval_H(fs.profile, b, q_max, q_max) for b in set(fs.betas)}
+    rhs = naive_weigh_sum(fs.U, fs.V, [H[b].shift_x(fs.S) for b in fs.betas])
+    return [H[b].eq_upto(r) for b, r in zip(fs.betas, rhs)]
+
+
+def _with(fs, U=None, V=None):
+    return FactorizationSystem(profile=fs.profile, S=fs.S, betas=fs.betas,
+                               U=fs.U if U is None else U, V=fs.V if V is None else V, certs={})
+
+
+def test_verify_numeric_rows_equal_oracle_on_every_kr_mutant(kr_system):
+    # the whole row vector, not only the mutated row: equal rows share one sum
+    fs = assemble_system(*kr_system)
+    mutants = []
+    for i in range(fs.K):
+        for j in range(fs.K):
+            U = [list(row) for row in fs.U]
+            U[i][j] ^= 1
+            mutants.append(_with(fs, U=tuple(map(tuple, U))))
+    for j, (m, n) in enumerate(fs.V):
+        for dm, dn in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            if m + dm >= 0 and n + dn >= 0:
+                V = list(fs.V)
+                V[j] = (m + dm, n + dn)
+                mutants.append(_with(fs, V=tuple(V)))
+    assert len(mutants) == 49 + 26
+    for mutant in mutants:
+        assert verify_numeric(mutant, 12, 12) == _oracle_rows(mutant, 12)
+
+
+def test_verify_numeric_tells_equal_u_rows_apart_by_beta(kr_system):
+    # row 4, for H(2,6), takes the U row of row 1, for H(1,3): a check keyed
+    # on the U row alone would pass it along with row 1
+    fs = assemble_system(*kr_system)
+    U = list(fs.U)
+    U[3] = U[0]
+    mutant = _with(fs, U=tuple(U))
+    rows = verify_numeric(mutant, 12, 12)
+    assert rows == [True, True, True, False, True, True, True]
+    assert rows == _oracle_rows(mutant, 12)
 
 
 def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_system):

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oracles import naive_weigh_sum
 from spanone.ideals import associated_graph, default_levels, ideal_genfun_vec, walk_genfun_matrix
-from spanone.qdiff import QDiffSystem, check_system, f_from_g, solve, system_from_json, system_to_json
+from spanone.qdiff import (
+    QDiffSystem,
+    _weigh_sum,
+    check_system,
+    f_from_g,
+    solve,
+    system_from_json,
+    system_to_json,
+)
 from spanone.series import Series, monomial
 
 
@@ -28,6 +39,8 @@ def test_invariant_violations_rejected():
         QDiffSystem(A=((1, 1), (1, 1)), weights=((0, 0), (0, 2)), S=2)
     with pytest.raises(ValueError, match="shift"):
         QDiffSystem(A=((1,),), weights=((0, 0),), S=0)
+    with pytest.raises(ValueError, match="A is empty"):
+        QDiffSystem(A=(), weights=(), S=1)
 
 
 def test_solve_single_vertex_is_constant_one():
@@ -76,6 +89,34 @@ def test_solve_equals_walk_product_route(sys, x_max, q_max):
     M = default_levels(sys.S, q_max)
     G = [row[0] for row in walk_genfun_matrix(sys.A, sys.weights, M, sys.S, x_max, q_max)]
     assert solve(sys, x_max, q_max) == f_from_g(sys, G)
+
+
+@st.composite
+def _weigh_cases(draw):
+    """K rows drawn from at most K - 1 distinct ones, so some row repeats;
+    rows come as lists or tuples, and every series has its own window."""
+    K = draw(st.integers(2, 5))
+    row = st.lists(st.integers(0, 1), min_size=K, max_size=K)
+    pool = draw(st.lists(row, min_size=1, max_size=K - 1))
+    A = [draw(st.sampled_from((list, tuple)))(draw(st.sampled_from(pool))) for _ in range(K)]
+    weights = [(draw(st.integers(0, 3)), draw(st.integers(0, 3))) for _ in range(K)]
+    vec = []
+    for _ in range(K):
+        x_max, q_max = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+        terms = draw(st.lists(st.tuples(st.integers(0, x_max), st.integers(0, q_max),
+                                        st.integers(-5, 5)), max_size=6))
+        vec.append(Series({(m, n): c for m, n, c in terms}, x_max, q_max))
+    return A, weights, vec, draw(st.integers(1, 3))
+
+
+@given(_weigh_cases())
+def test_weigh_sum_equals_per_row_oracle(case):
+    A, weights, vec, shift = case
+    out = _weigh_sum(A, weights, vec, shift)
+    assert out == naive_weigh_sum(A, weights, vec, shift)
+    for i, j in combinations(range(len(A)), 2):
+        if list(A[i]) == list(A[j]):
+            assert out[i] is out[j]
 
 
 def test_solve_rejects_negative_orders(rr_ideal):

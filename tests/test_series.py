@@ -134,6 +134,16 @@ def test_shift_x_rejects_negative():
         monomial(1, 1, 1).shift_x(-1)
 
 
+@given(series_strategy(), st.integers(0, 4), st.integers(0, 4))
+def test_times_xq_equals_product_with_monomial(s, m, n):
+    assert s.times_xq(m, n) == naive_mul(s, monomial(1, m, n, s.x_max, s.q_max))
+
+
+def test_times_xq_rejects_negative():
+    with pytest.raises(ValueError):
+        monomial(1, 1, 1).times_xq(0, -1)
+
+
 def test_eq_upto_compares_shared_region():
     a = Series({(0, 0): 1, (1, 5): 7}, 8, 8)
     b = Series({(0, 0): 1}, 8, 4)
