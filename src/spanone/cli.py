@@ -285,13 +285,16 @@ def cmd_prove(args) -> int:
     rows_ok = prover.verify_numeric(fs, x_max, q_max)
     rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
 
+    positivity = {b: multisum.check_positivity(p, b) for b in sorted(set(fs.betas))}
+    additional = multisum.check_additional(p, S)
+    result = prover.system_result_to_json(fs)
+
     lines = [f"system {args.file}  K={fs.K} S={S}  max expansions={args.max_expansions}"]
     for root, tree in sorted(fs.certs.items()):
         n = prover.expansions(tree)
         lines.append(f"certificate for H({','.join(map(str, root))}): {n} expansions, {n + 1} leaves")
-    for b in sorted(set(fs.betas)):
-        lines.append(f"positivity of beta {b}: {multisum.check_positivity(p, b)}")
-    lines.append(f"divisibility conditions at S={S}: {multisum.check_additional(p, S)}")
+    lines += [f"positivity of beta {b}: {ok}" for b, ok in positivity.items()]
+    lines.append(f"divisibility conditions at S={S}: {additional}")
     lines.append("U =")
     lines += ["  " + " ".join(str(e) for e in row) for row in fs.U]
     lines.append("V = " + ", ".join(prover._weight_label(xe, qe) for xe, qe in fs.V))
@@ -300,9 +303,9 @@ def cmd_prove(args) -> int:
 
     payload = {
         "command": "prove",
-        "result": prover.system_result_to_json(fs),
-        "positivity": {",".join(map(str, b)): multisum.check_positivity(p, b) for b in sorted(set(fs.betas))},
-        "additional": multisum.check_additional(p, S),
+        "result": result,
+        "positivity": {",".join(map(str, b)): ok for b, ok in positivity.items()},
+        "additional": additional,
         "rows_verified": rows_ok,
         "qmax": q_max,
         "xmax": x_max,
@@ -312,7 +315,7 @@ def cmd_prove(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         sysfile = outdir / "system.json"
-        sysfile.write_text(json.dumps(prover.system_result_to_json(fs), sort_keys=True, indent=1) + "\n")
+        sysfile.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         written = [str(sysfile)]
         for root, tree in sorted(fs.certs.items()):
             doc = prover.cert_to_json(p, S, tree)
@@ -327,43 +330,9 @@ def cmd_prove(args) -> int:
     return 0 if all(rows_ok) else 1
 
 
-def _load_certs(data: dict, betas: list) -> dict:
-    """data["certs"] as {root: tree}, each root one of betas."""
-    entries = data.get("certs", [])
-    if not isinstance(entries, list):
-        raise ValueError("certs must be a list of {root, tree} objects")
-    certs = {}
-    for i, entry in enumerate(entries, 1):
-        for key in ("root", "tree"):
-            if type(entry) is not dict or key not in entry:
-                raise ValueError(f"certs entry {i} has no {key}")
-        root = jsonin.integers(entry["root"], f"certs entry {i} root")
-        if root not in betas:
-            raise ValueError(f"certs entry {i} has root {list(root)}, not one of betas")
-        if root in certs:
-            raise ValueError(f"certs entry {i} repeats root {list(root)}")
-        certs[root] = prover.tree_from_json(entry["tree"], f"certs entry {i} tree: ")
-    return certs
-
-
-def _load_factorization(path: str) -> prover.FactorizationSystem:
-    data = jsonin.load(path)
-    p, S, betas = prover.system_spec_from_json(data)
-    if "U" not in data and "V" not in data:
-        return prover.assemble_system(p, S, betas)
-    K = len(betas)
-    U, V = (jsonin.field(data, key, "a proved system needs both U and V, but ") for key in "UV")
-    for key, rows in (("U", U), ("V", V)):
-        if type(rows) is not list or len(rows) != K:
-            raise ValueError(f"{key} must be a list of K={K} rows")
-    U, V = jsonin.rows(U, "U", K, 0, 1), jsonin.rows(V, "V", 2, 0)
-    certs = _load_certs(data, betas)
-    return prover.FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)
-
-
 def cmd_verify(args) -> int:
     x_max, q_max = _orders(args)
-    fs = _load_factorization(args.file)
+    fs = prover.load_factorization(args.file)
     bad_certs = prover.check_certs(fs)
     rows_ok = prover.verify_numeric(fs, x_max, q_max)
     rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]

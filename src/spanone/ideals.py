@@ -101,8 +101,7 @@ def _walk_product(
     vec = [Series.one(x_max, q_max) if k == start else Series.zero(x_max, q_max) for k in range(K)]
     for m in range(M, 0, -1):
         vec = _weigh_sum(A, weights, vec, m * S)
-    eye = [[int(i == j) for j in range(K)] for i in range(K)]
-    return _weigh_sum(eye, weights, vec)
+    return [s.times_xq(xe, qe) for s, (xe, qe) in zip(vec, weights)]
 
 
 def walk_genfun_matrix(
@@ -130,9 +129,7 @@ def default_levels(S: int, q_max: int) -> int:
     return ceil(q_max / S) + 1
 
 
-def ideal_genfun_vec(
-    ideal: SpanOneIdeal, x_max: int, q_max: int, levels: int | None = None
-) -> list[Series]:
+def ideal_genfun_vec(ideal: SpanOneIdeal, x_max: int, q_max: int) -> list[Series]:
     """Vector G with G_k = generating function of members whose first link is
     pi_k, graded by x^(number of parts) q^(size).  The full member count is
     the sum over k; G_1 alone counts members with no part <= S plus the
@@ -140,7 +137,7 @@ def ideal_genfun_vec(
     """
     validate(ideal)
     system = associated_graph(ideal)
-    M = default_levels(ideal.S, q_max) if levels is None else levels
+    M = default_levels(ideal.S, q_max)
     return _walk_product(system.A, system.weights, 0, M, ideal.S, x_max, q_max)
 
 

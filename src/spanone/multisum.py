@@ -38,7 +38,7 @@ from math import ceil
 from pathlib import Path
 
 from . import jsonin
-from .series import Series, _check_orders, monomial
+from .series import Series, _check_orders
 
 Beta = tuple[int, ...]
 
@@ -225,9 +225,7 @@ def verify_recurrence_numeric(
     if x_max is None:
         x_max = q_max
     lhs = eval_H(p, beta, x_max, q_max)
-    rhs = eval_H(p, left, x_max, q_max) + monomial(1, xe, qe, x_max, q_max) * eval_H(
-        p, right, x_max, q_max
-    )
+    rhs = eval_H(p, left, x_max, q_max) + eval_H(p, right, x_max, q_max).times_xq(xe, qe)
     return lhs.eq_upto(rhs)
 
 

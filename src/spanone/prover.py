@@ -172,14 +172,6 @@ class FactorizationSystem:
         return len(self.betas)
 
 
-def _group_indices(p: MultisumProfile, S: int, betas: tuple[Beta, ...]) -> dict[Beta, list[int]]:
-    """Column indices (0-based) grouped by shifted beta, insertion order."""
-    groups: dict[Beta, list[int]] = {}
-    for j, b in enumerate(betas):
-        groups.setdefault(shift_beta(p, b, S), []).append(j)
-    return groups
-
-
 def assemble_system(
     p: MultisumProfile,
     S: int,
@@ -188,71 +180,56 @@ def assemble_system(
 ) -> FactorizationSystem:
     """Derive certificates for every distinct root and pin down U and V.
 
-    The first row fixes V: within each column group sharing one shifted
-    beta, its leaf monomials are sorted by (x-degree, q-degree) and written
-    onto the group's columns in order.  Every further row then selects the
-    columns whose monomials its own leaves realize.  Failure to match
-    exactly is reported as AssemblyError naming the offending row.
+    Each root's tree is read once into its leaves, counted by (shifted beta,
+    weight).  Row 1 fixes V: each group of columns sharing one shifted beta
+    takes row 1's leaf weights on that target in sorted order.  Row k sets,
+    for a leaf it holds c times, the first c columns with that (shifted
+    beta_j, V_j); too few such columns is an AssemblyError naming the row.
+
+    No check is needed after that: row 1 selects every column, since V is
+    its own leaves, and every row selects column 1, since a right edge adds
+    x-degree gamma_r >= 1, so a tree's all-left leaf is its only leaf of
+    weight 1 and column 1 is the only column of weight 1.
     """
     betas = tuple(tuple(b) for b in betas)
     if not betas:
         raise ValueError("need at least one component")
-    K = len(betas)
-    groups = _group_indices(p, S, betas)
-    targets = frozenset(groups)
-    certs: dict[Beta, Node] = {}
-    for root in dict.fromkeys(betas):
-        certs[root] = derive_row(p, root, targets, max_expansions)
+    shifted = [shift_beta(p, b, S) for b in betas]
+    rank = {t: i for i, t in enumerate(dict.fromkeys(shifted))}  # targets in column order
+    certs = {root: derive_row(p, root, frozenset(rank), max_expansions) for root in dict.fromkeys(betas)}
+    leaves = {  # ((target, weight), count) by target in column order, then weight
+        root: sorted(Counter(leaf_combination(p, tree)).items(), key=lambda leaf: rank[leaf[0][0]])
+        for root, tree in certs.items()
+    }
 
-    # row 1 fixes the diagonal
-    V: list[tuple[int, int] | None] = [None] * K
-    first = Counter(leaf_combination(p, certs[betas[0]]))
-    for t, idxs in groups.items():
-        weights = sorted(w for (b, w), c in first.items() if b == t for _ in range(c))
-        if len(weights) != len(idxs):
+    weights = {t: [w for (b, w), c in leaves[betas[0]] if b == t for _ in range(c)] for t in rank}
+    for t, ws in weights.items():
+        if len(ws) != shifted.count(t):
             raise AssemblyError(
-                f"row 1 produces {len(weights)} leaves for target {t}, "
-                f"but {len(idxs)} components shift onto it"
+                f"row 1 produces {len(ws)} leaves for target {t}, "
+                f"but {shifted.count(t)} components shift onto it"
             )
-        for j, w in zip(idxs, weights):
-            V[j] = w
+    V = [weights[t].pop(0) for t in shifted]
     if V[0] != (0, 0):
         raise AssemblyError(f"leading diagonal entry must be 1, got exponents {V[0]}")
 
-    U: list[list[int]] = []
-    for k in range(K):
-        row = [0] * K
-        leaves = Counter(leaf_combination(p, certs[betas[k]]))
-        for t, idxs in groups.items():
-            used = [False] * len(idxs)
-            for (b, w), c in sorted(leaves.items()):
-                if b != t:
-                    continue
-                for _ in range(c):
-                    for pos, j in enumerate(idxs):
-                        if not used[pos] and V[j] == w:
-                            used[pos] = True
-                            row[j] = 1
-                            break
-                    else:
-                        raise AssemblyError(
-                            f"row {k + 1}: no unmatched column with weight "
-                            f"x^{w[0]} q^{w[1]} left for target {t}"
-                        )
-        U.append(row)
-
-    if any(e != 1 for e in U[0]):
-        raise AssemblyError("first row must select every column")
-    if any(row[0] != 1 for row in U):
-        raise AssemblyError("every row must select column 1 (weight-1 leaf missing)")
-    return FactorizationSystem(
-        profile=p,
-        S=S,
-        betas=betas,
-        U=tuple(tuple(r) for r in U),
-        V=tuple(V),  # type: ignore[arg-type]
-        certs=certs,
-    )
+    columns: dict[tuple[Beta, tuple[int, int]], list[int]] = {}
+    for j, key in enumerate(zip(shifted, V)):
+        columns.setdefault(key, []).append(j)
+    U = []
+    for k, root in enumerate(betas):
+        row = [0] * len(betas)
+        for (t, w), c in leaves[root]:
+            js = columns.get((t, w), [])
+            if len(js) < c:
+                raise AssemblyError(
+                    f"row {k + 1}: no unmatched column with weight "
+                    f"x^{w[0]} q^{w[1]} left for target {t}"
+                )
+            for j in js[:c]:
+                row[j] = 1
+        U.append(tuple(row))
+    return FactorizationSystem(profile=p, S=S, betas=betas, U=tuple(U), V=tuple(V), certs=certs)
 
 
 def verify_numeric(
@@ -424,3 +401,39 @@ def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]
 
 def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]]:
     return system_spec_from_json(jsonin.load(path))
+
+
+def _certs_from_json(data: dict, betas: list) -> dict:
+    """data["certs"] as {root: tree}, each root one of betas."""
+    entries = data.get("certs", [])
+    if not isinstance(entries, list):
+        raise ValueError("certs must be a list of {root, tree} objects")
+    certs = {}
+    for i, entry in enumerate(entries, 1):
+        for key in ("root", "tree"):
+            if type(entry) is not dict or key not in entry:
+                raise ValueError(f"certs entry {i} has no {key}")
+        root = jsonin.integers(entry["root"], f"certs entry {i} root")
+        if root not in betas:
+            raise ValueError(f"certs entry {i} has root {list(root)}, not one of betas")
+        if root in certs:
+            raise ValueError(f"certs entry {i} repeats root {list(root)}")
+        certs[root] = tree_from_json(entry["tree"], f"certs entry {i} tree: ")
+    return certs
+
+
+def load_factorization(path: str | Path) -> FactorizationSystem:
+    """A proved system (U, V and optional certs beside the spec), or a bare
+    spec, which is assembled here."""
+    data = jsonin.load(path)
+    p, S, betas = system_spec_from_json(data)
+    if "U" not in data and "V" not in data:
+        return assemble_system(p, S, betas)
+    K = len(betas)
+    U, V = (jsonin.field(data, key, "a proved system needs both U and V, but ") for key in "UV")
+    for key, rows in (("U", U), ("V", V)):
+        if type(rows) is not list or len(rows) != K:
+            raise ValueError(f"{key} must be a list of K={K} rows")
+    U, V = jsonin.rows(U, "U", K, 0, 1), jsonin.rows(V, "V", 2, 0)
+    certs = _certs_from_json(data, betas)
+    return FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)

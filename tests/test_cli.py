@@ -444,6 +444,18 @@ def test_prove_exhaustion_exit_code(run_cli):
     assert code == 3
 
 
+def test_prove_reports_a_leaf_no_column_can_take(tmp_path, capsys):
+    # row 4's root (4,) has its weight-1 leaf on target (5,), but only column 1 has weight 1
+    spec = json.loads(open(fx("ex1_system.json")).read())
+    spec["betas"] = [[1], [1], [3], [4]]
+    path = tmp_path / "ex1_bad_row.json"
+    path.write_text(json.dumps(spec))
+    assert main(["prove", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: row 4: no unmatched column with weight x^0 q^0 left for target (5,)\n"
+    )
+
+
 def test_prove_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
     # with S = 3000 the targets lie thousands of relation steps from the roots
     spec = json.loads(open(fx("ex1_system.json")).read())

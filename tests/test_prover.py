@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_min_expansions, naive_weigh_sum
 from spanone.multisum import eval_H, shift_beta
@@ -16,6 +18,7 @@ from spanone.prover import (
     SearchExhausted,
     assemble_system,
     cert_from_json,
+    check_certs,
     cert_to_json,
     derive_row,
     equivalent_systems,
@@ -207,6 +210,29 @@ def test_assemble_rejects_leaf_count_mismatch(ex1_profile):
 def test_assemble_rejects_missing_unit_diagonal(ex1_profile):
     with pytest.raises(AssemblyError, match="leading diagonal"):
         assemble_system(ex1_profile, 2, [(2,), (1,)])
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_assembled_systems_are_certified_and_select_column_one(ex1_system, kr_system, ex3_system, data):
+    # fixture beta lists with the columns after the first reordered, some repeated
+    # and some replaced by nearby vectors; many fail to assemble, and those that do
+    # must meet what assemble_system no longer checks at the end
+    p, S, betas = data.draw(st.sampled_from([ex1_system, kr_system, ex3_system]))
+    lo, hi = min(map(min, betas)), max(map(max, betas)) + 2
+    near = st.tuples(*[st.integers(lo, hi)] * p.R)
+    rest = data.draw(st.permutations(betas[1:]))
+    rest = [data.draw(st.sampled_from(betas) | near) if data.draw(st.integers(0, 4)) == 0 else b for b in rest]
+    rest += data.draw(st.lists(st.sampled_from(betas) | near, max_size=2))
+    try:
+        fs = assemble_system(p, S, [betas[0], *rest])
+    except (AssemblyError, SearchExhausted):
+        return
+    assert check_certs(fs) == {}
+    assert all(e == 1 for e in fs.U[0])
+    assert all(row[0] == 1 for row in fs.U)
+    for k, b in enumerate(fs.betas):
+        assert fs.U[k] == fs.U[fs.betas.index(b)]
 
 
 def test_verify_numeric_passes(ex1_system, kr_system):
