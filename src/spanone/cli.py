@@ -206,9 +206,8 @@ def cmd_multisum_eval(args) -> int:
     p = multisum.load_profile(args.file)
     beta = _parse_beta(args.beta)
     s = multisum.eval_H(p, beta, x_max, q_max)
-    label = "H(" + ",".join(map(str, beta)) + ")"
     _emit(
-        [f"profile {args.file}  qmax={q_max} xmax={x_max}", f"{label} = {s}"],
+        [f"profile {args.file}  qmax={q_max} xmax={x_max}", f"{prover._beta_label(beta)} = {s}"],
         {"command": "multisum-eval", "beta": list(beta), "series": _series_payload(s)},
     )
     return 0
@@ -292,7 +291,7 @@ def cmd_prove(args) -> int:
     lines = [f"system {args.file}  K={fs.K} S={S}  max expansions={args.max_expansions}"]
     for root, tree in sorted(fs.certs.items()):
         n = prover.expansions(tree)
-        lines.append(f"certificate for H({','.join(map(str, root))}): {n} expansions, {n + 1} leaves")
+        lines.append(f"certificate for {prover._beta_label(root)}: {n} expansions, {n + 1} leaves")
     lines += [f"positivity of beta {b}: {ok}" for b, ok in positivity.items()]
     lines.append(f"divisibility conditions at S={S}: {additional}")
     lines.append("U =")
@@ -338,10 +337,9 @@ def cmd_verify(args) -> int:
     rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
     lines = [f"system {args.file}  K={fs.K} S={fs.S}  qmax={q_max} xmax={x_max}"]
     for k, ok in enumerate(rows_ok):
-        beta = ",".join(map(str, fs.betas[k]))
-        lines.append(f"row {k + 1}: H({beta}) == selected combination: {'ok' if ok else 'MISMATCH'}")
+        lines.append(f"row {k + 1}: {prover._beta_label(fs.betas[k])} == selected combination: {'ok' if ok else 'MISMATCH'}")
     for root, why in sorted(bad_certs.items()):
-        lines.append(f"certificate for H({','.join(map(str, root))}) rejected: {why}")
+        lines.append(f"certificate for {prover._beta_label(root)} rejected: {why}")
     good = all(rows_ok)
     lines.append(f"result: {'PASS' if good else 'FAIL'}")
     payload = {"command": "verify", "qmax": q_max, "xmax": x_max, "rows": rows_ok, "ok": good}

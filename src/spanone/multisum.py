@@ -34,6 +34,7 @@ division by (1 - q^(A_r n_r)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import ceil
 from pathlib import Path
 
@@ -99,13 +100,7 @@ def check_positivity(p: MultisumProfile, beta: Beta) -> bool:
     if all(b >= 1 for b in beta):
         return True
     B = 2 + max(ceil(2 * abs(b) / max(p.alpha[r][r], 1)) for r, b in enumerate(beta))
-
-    def box(prefix: tuple[int, ...]) -> bool:
-        if len(prefix) == p.R:
-            return not any(prefix) or energy(p, beta, prefix) > 0
-        return all(box(prefix + (v,)) for v in range(B + 1))
-
-    if not box(()):
+    if not all(not any(n) or energy(p, beta, n) > 0 for n in product(range(B + 1), repeat=p.R)):
         return False
     for r in range(p.R):
         if p.alpha[r][r] == 0 and beta[r] <= 0:

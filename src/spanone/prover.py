@@ -12,17 +12,16 @@ certifies a row of the factorization when every leaf lies in the target set
 0/1 combination of monomial multiples of the H(beta_j + S gamma), i.e. of
 the components of F(xq^S).
 
-The search is memoized: each beta value expands through the same coordinate
-at every occurrence, so a certificate is really a choice function on beta
-vectors and the tree is its unfolding.  Among choice functions we pick one
-minimizing the number of expansions in the unfolded tree (ties broken by
-the smallest coordinate), computed by dynamic programming over the finite
-set of live beta vectors: a beta that exceeds every target in some
-coordinate can never reach a leaf and is discarded.  Because both moves are
-componentwise non-decreasing and a left move strictly increases one
-coordinate, the only possible cycle is a right move along an all-zero alpha
-row; under memoized semantics such a cycle cannot occur in a finite
-certificate, and the search treats it as infeasible.
+Each beta value expands through the same coordinate at every occurrence,
+so a certificate is a choice function on beta vectors and the tree is its
+unfolding.  We pick one minimizing the expansions of the unfolded tree (ties
+to the smallest coordinate) by dynamic programming over the betas collected
+from the root.  A beta is expanded only when some target lies a run of at
+most max_expansions left moves away: a tree's leftmost leaf is such a run,
+and a tree within the budget has no subtree over it.  Both moves are
+componentwise non-decreasing and a left move raises one coordinate, so
+descending coordinate sum solves every child before its parent, except for
+a right move along an all-zero alpha row: a self-loop, never counted.
 """
 
 from __future__ import annotations
@@ -90,50 +89,56 @@ def derive_row(
     """Expansion-minimal certificate tree from root into the target set.
 
     Raises SearchExhausted when no choice function yields a finite tree
-    within max_expansions relation applications.
+    within max_expansions relation applications, and ValueError for an
+    empty target set or a negative budget.
     """
     targets = frozenset(targets)
     if not targets:
         raise ValueError("target set must be nonempty")
-    R = p.R
-    in_progress = object()
-    memo: dict[Beta, tuple[int, Node] | None] = {}
+    if max_expansions < 0:
+        raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
+    children: dict[Beta, list[tuple[Beta, Beta]]] = {}
+    stack = [root]
+    while stack:
+        beta = stack.pop()
+        if beta in children or beta in targets:
+            continue
+        # a beta with no target in reach gets no options
+        reach = _reaches_target(p, beta, targets, max_expansions)
+        children[beta] = [rec_children(p, beta, r)[::2] for r in range(1, p.R + 1)] if reach else []
+        stack.extend(b for pair in children[beta] for b in pair)
 
-    def best(beta: Beta) -> tuple[int, Node] | None:
-        if beta in targets:
-            return 0, Leaf(beta)
-        if all(any(beta[i] > t[i] for i in range(R)) for t in targets):
-            return None  # beyond every target: no leaf reachable
-        if beta in memo:
-            entry = memo[beta]
-            return None if entry is in_progress else entry
-        memo[beta] = in_progress
-        found: tuple[int, Node] | None = None
-        for r in range(1, R + 1):
-            left, _, right = rec_children(p, beta, r)
-            lb = best(left)
-            if lb is None:
-                continue
-            rb = best(right)
-            if rb is None:
-                continue
-            cost = 1 + lb[0] + rb[0]
-            if found is None or cost < found[0]:
-                found = (cost, Expand(beta, r, lb[1], rb[1]))
-        memo[beta] = found
-        return found
-
-    try:
-        entry = best(root)
-    except RecursionError:
-        raise SearchExhausted(
-            f"the search for {root} went deeper than the recursion limit"
-        ) from None
-    if entry is None or entry[0] > max_expansions:
+    best: dict[Beta, tuple[int, Node]] = {t: (0, Leaf(t)) for t in targets}
+    for beta in sorted(children, key=sum, reverse=True):
+        # beta is not in best yet, so its self-loop (a right move along a
+        # zero alpha row) never counts; ties go to the smallest coordinate
+        options = [
+            (1 + best[left][0] + best[right][0], r, left, right)
+            for r, (left, right) in enumerate(children[beta], 1)
+            if left in best and right in best
+        ]
+        if options:
+            cost, r, left, right = min(options)
+            best[beta] = (cost, Expand(beta, r, best[left][1], best[right][1]))
+    if root not in best or best[root][0] > max_expansions:
         raise SearchExhausted(
             f"no certificate for {root} within {max_expansions} expansions"
         )
-    return entry[1]
+    return best[root][1]
+
+
+def _reaches_target(p: MultisumProfile, beta: Beta, targets: frozenset[Beta], max_expansions: int) -> bool:
+    """Does a run of at most max_expansions left moves take beta to a target?"""
+    for t in targets:
+        moves = 0
+        for b, c, a in zip(beta, t, p.A):
+            if b > c or (c - b) % a:
+                break
+            moves += (c - b) // a
+        else:
+            if moves <= max_expansions:
+                return True
+    return False
 
 
 def leaf_combination(p: MultisumProfile, tree: Node) -> list[tuple[Beta, tuple[int, int]]]:
@@ -341,7 +346,7 @@ def load_cert(path: str | Path) -> tuple[MultisumProfile, int, Node]:
 
 
 def _beta_label(beta: Beta) -> str:
-    return "H(" + ",".join(str(b) for b in beta) + ")"
+    return "H(" + ",".join(map(str, beta)) + ")"
 
 
 def _weight_label(xe: int, qe: int) -> str:

@@ -5,7 +5,8 @@ route: dense-array convolution instead of sparse scatter products, a product
 and a sum for every row instead of re-keyed entries and shared row sums,
 explicit walk enumeration instead of matrix products, a bijective partition
 counter instead of filtering, a full-box multi-sum enumeration instead of the
-pruned walk, and a memoless certificate search instead of the memoized one.
+pruned walk, a memoless certificate search instead of the memoized one, and
+a recursive memoized certificate search instead of the bottom-up one.
 Agreement between the routes is the point.
 """
 
@@ -15,6 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from spanone.multisum import Beta, MultisumProfile, rec_children
+from spanone.prover import Expand, Leaf, Node, SearchExhausted
 from spanone.series import Series
 
 
@@ -162,3 +164,60 @@ def naive_min_expansions(
         return found
 
     return best(tuple(root), depth_cap)
+
+
+def recursive_derive_row(
+    p: MultisumProfile,
+    root: Beta,
+    targets: frozenset[Beta] | set[Beta],
+    max_expansions: int = 64,
+) -> Node:
+    """Expansion-minimal certificate tree, by a recursive memoized search.
+
+    A beta on the call stack reads as infeasible, which breaks the only
+    cycle, a right move along an all-zero alpha row.  A beta beyond every
+    target in some coordinate is discarded, and the budget is compared only
+    once the whole reachable set is solved.
+    """
+    targets = frozenset(targets)
+    if not targets:
+        raise ValueError("target set must be nonempty")
+    R = p.R
+    in_progress = object()
+    memo: dict[Beta, tuple[int, Node] | None] = {}
+
+    def best(beta: Beta) -> tuple[int, Node] | None:
+        if beta in targets:
+            return 0, Leaf(beta)
+        if all(any(beta[i] > t[i] for i in range(R)) for t in targets):
+            return None  # beyond every target: no leaf reachable
+        if beta in memo:
+            entry = memo[beta]
+            return None if entry is in_progress else entry
+        memo[beta] = in_progress
+        found: tuple[int, Node] | None = None
+        for r in range(1, R + 1):
+            left, _, right = rec_children(p, beta, r)
+            lb = best(left)
+            if lb is None:
+                continue
+            rb = best(right)
+            if rb is None:
+                continue
+            cost = 1 + lb[0] + rb[0]
+            if found is None or cost < found[0]:
+                found = (cost, Expand(beta, r, lb[1], rb[1]))
+        memo[beta] = found
+        return found
+
+    try:
+        entry = best(root)
+    except RecursionError:
+        raise SearchExhausted(
+            f"the search for {root} went deeper than the recursion limit"
+        ) from None
+    if entry is None or entry[0] > max_expansions:
+        raise SearchExhausted(
+            f"no certificate for {root} within {max_expansions} expansions"
+        )
+    return entry[1]

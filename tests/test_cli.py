@@ -456,7 +456,12 @@ def test_prove_reports_a_leaf_no_column_can_take(tmp_path, capsys):
     )
 
 
-def test_prove_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
+def test_prove_rejects_negative_budget(capsys):
+    assert main(["prove", fx("kr_system.json"), "--max-expansions", "-1"]) == 2
+    assert capsys.readouterr().err == "error: max_expansions must be >= 0, got -1\n"
+
+
+def test_prove_search_exhausts_its_budget_exits_three(tmp_path, capsys):
     # with S = 3000 the targets lie thousands of relation steps from the roots
     spec = json.loads(open(fx("ex1_system.json")).read())
     spec["S"] = 3000
@@ -464,7 +469,7 @@ def test_prove_search_deeper_than_recursion_limit_exits_three(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     code = main(["prove", str(path)])
     assert code == 3
-    assert "deeper than the recursion limit" in capsys.readouterr().err
+    assert capsys.readouterr().err == "search exhausted: no certificate for (1,) within 64 expansions\n"
 
 
 def test_malformed_input_exit_code(run_cli, tmp_path):

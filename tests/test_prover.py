@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_min_expansions, naive_weigh_sum
-from spanone.multisum import eval_H, shift_beta
+from oracles import naive_min_expansions, naive_weigh_sum, recursive_derive_row
+from spanone import prover
+from spanone.multisum import MultisumProfile, eval_H, shift_beta
 from spanone.prover import (
     AssemblyError,
     Expand,
@@ -81,6 +82,64 @@ def test_derive_row_budget_exhaustion(kr_profile):
 def test_derive_row_unreachable_targets(ex1_profile):
     with pytest.raises(SearchExhausted):
         derive_row(ex1_profile, (5,), frozenset({(3,)}))
+
+
+@st.composite
+def _search_cases(draw):
+    R = draw(st.integers(1, 3))
+    alpha = [[0] * R for _ in range(R)]
+    for r in range(R):
+        for s in range(r, R):
+            alpha[r][s] = alpha[s][r] = draw(st.integers(0, 4))
+    zero = draw(st.one_of(st.none(), st.integers(0, R - 1)))
+    if zero is not None:  # a zero alpha row makes that coordinate's right move a self-loop
+        for s in range(R):
+            alpha[zero][s] = alpha[s][zero] = 0
+    gamma = tuple(draw(st.integers(1, 3)) for _ in range(R))
+    A = tuple(draw(st.integers(1, 3)) for _ in range(R))
+    p = MultisumProfile(tuple(map(tuple, alpha)), gamma, A)
+    beta = st.tuples(*[st.integers(-3, 4)] * R)
+    betas = draw(st.lists(beta, min_size=1, max_size=4))
+    root = draw(st.sampled_from(betas) | beta)
+    return p, betas, draw(st.integers(0, 5)), root, draw(st.integers(0, 64))
+
+
+ZERO_ROW = MultisumProfile(alpha=((0, 0), (0, 1)), gamma=(1, 1), A=(2, 1))
+
+
+@settings(max_examples=300)
+@given(_search_cases())
+@example((ZERO_ROW, [(2, 0), (1, 1)], 1, (2, 0), 64))  # a 3-expansion tree beside a self-loop
+@example((ZERO_ROW, [(2, 0), (1, 1)], 1, (2, 0), 2))
+@example((ZERO_ROW, [(2, 0), (1, 1)], 0, (0, 0), 64))  # S = 0: the targets are the betas
+@example((ZERO_ROW, [(2, 0), (1, 1)], 0, (2, 0), 0))  # budget 0: only a root target passes
+@example((ZERO_ROW, [(2, 0), (1, 1)], 1, (2, 0), 0))
+def test_derive_row_equals_recursive_search(case):
+    p, betas, S, root, budget = case
+    targets = frozenset(shift_beta(p, b, S) for b in betas)
+
+    def outcome(search):
+        try:
+            return search(p, root, targets, budget)
+        except SearchExhausted:
+            return "exhausted"
+
+    assert outcome(derive_row) == outcome(recursive_derive_row)
+
+
+def test_far_targets_are_refused_without_expanding(ex3_system, monkeypatch):
+    p, _, betas = ex3_system
+    calls = []
+    rec_children = prover.rec_children
+
+    def counted(*args):
+        calls.append(args)
+        return rec_children(*args)
+
+    monkeypatch.setattr(prover, "rec_children", counted)
+    with pytest.raises(SearchExhausted, match="within 64 expansions"):
+        derive_row(p, (1, 2, 4), frozenset(shift_beta(p, b, 30) for b in betas))
+    assert calls == []
 
 
 def test_memoized_search_is_cost_transparent(ex1_profile, kr_profile):
