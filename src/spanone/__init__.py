@@ -26,7 +26,6 @@ from .ideals import (
     ideal_from_json,
     ideal_genfun_vec,
     load_ideal,
-    validate,
     walk_genfun_matrix,
 )
 from .qdiff import QDiffSystem, check_system, f_from_g, solve
@@ -55,7 +54,6 @@ from .prover import (
     load_cert,
     load_system_spec,
     tree_to_dot,
-    validate_tree,
     verify_numeric,
 )
 

@@ -46,43 +46,42 @@ class IdealError(ValueError):
 
 @dataclass(frozen=True)
 class SpanOneIdeal:
-    """Seed partitions, linking sets (1-based index sets), and span."""
+    """Seed partitions, linking sets (1-based index sets), and span; an
+    invalid ideal cannot be built."""
 
     pi: tuple[Partition, ...]
     linking: tuple[frozenset[int], ...]
     S: int
 
+    def __post_init__(self) -> None:
+        """Check the structural requirements, reporting every violation found."""
+        problems: list[str] = []
+        K = self.K
+        if K == 0 or self.pi[0] != EMPTY:
+            problems.append("pi_1 must be the empty partition")
+        if len(self.linking) != K:
+            problems.append(f"need one linking set per seed, got {len(self.linking)} for {K}")
+        if len(set(self.pi)) != K:
+            problems.append("seed partitions must be distinct")
+        for j, linked in enumerate(self.linking, start=1):
+            for i in linked:
+                if not 1 <= i <= K:
+                    problems.append(f"linking set of pi_{j} mentions index {i} outside 1..{K}")
+            if 1 not in linked:
+                problems.append(f"the empty partition is missing from the linking set of pi_{j}")
+        if K and self.linking and self.linking[0] != frozenset(range(1, K + 1)):
+            problems.append("the empty partition must link to every seed")
+        max_part = max((p.parts[0] for p in self.pi if p.parts), default=0)
+        if self.S < 1:
+            problems.append(f"span must be >= 1, got {self.S}")
+        elif self.S < max_part:
+            problems.append(f"span {self.S} is smaller than the largest seed part {max_part}")
+        if problems:
+            raise IdealError("; ".join(problems))
+
     @property
     def K(self) -> int:
         return len(self.pi)
-
-
-def validate(ideal: SpanOneIdeal) -> None:
-    """Check the structural requirements, reporting every violation found."""
-    problems: list[str] = []
-    K = ideal.K
-    if K == 0 or ideal.pi[0] != EMPTY:
-        problems.append("pi_1 must be the empty partition")
-    if len(ideal.linking) != K:
-        problems.append(f"need one linking set per seed, got {len(ideal.linking)} for {K}")
-    index_of = {p: i + 1 for i, p in enumerate(ideal.pi)}
-    if len(index_of) != K:
-        problems.append("seed partitions must be distinct")
-    for j, linked in enumerate(ideal.linking, start=1):
-        for i in linked:
-            if not 1 <= i <= K:
-                problems.append(f"linking set of pi_{j} mentions index {i} outside 1..{K}")
-        if 1 not in linked:
-            problems.append(f"the empty partition is missing from the linking set of pi_{j}")
-    if K and ideal.linking and ideal.linking[0] != frozenset(range(1, K + 1)):
-        problems.append("the empty partition must link to every seed")
-    max_part = max((p.parts[0] for p in ideal.pi if p.parts), default=0)
-    if ideal.S < 1:
-        problems.append(f"span must be >= 1, got {ideal.S}")
-    elif ideal.S < max_part:
-        problems.append(f"span {ideal.S} is smaller than the largest seed part {max_part}")
-    if problems:
-        raise IdealError("; ".join(problems))
 
 
 def associated_graph(ideal: SpanOneIdeal) -> QDiffSystem:
@@ -135,7 +134,6 @@ def ideal_genfun_vec(ideal: SpanOneIdeal, x_max: int, q_max: int) -> list[Series
     the sum over k; G_1 alone counts members with no part <= S plus the
     empty partition.
     """
-    validate(ideal)
     system = associated_graph(ideal)
     M = default_levels(ideal.S, q_max)
     return _walk_product(system.A, system.weights, 0, M, ideal.S, x_max, q_max)
@@ -146,7 +144,6 @@ def contains(ideal: SpanOneIdeal, lam: Partition) -> tuple[Partition, ...] | Non
 
     The empty partition is a member with the empty chain ().
     """
-    validate(ideal)
     if lam == EMPTY:
         return ()
     S = ideal.S
@@ -181,7 +178,6 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Par
     lists are collected in one bucket per size, each bucket is sorted, and
     only then is each member wrapped (and validated) as a Partition.
     """
-    validate(ideal)
     _check_orders(q_max, q_max)
     S = ideal.S
     seeds = [(p.parts, p.size, len(p)) for p in ideal.pi]
@@ -236,9 +232,7 @@ def ideal_from_json(data: dict) -> SpanOneIdeal:
         linking = tuple(map(frozenset, jsonin.rows(jsonin.field(data, "linking"), "linking")))
     except ValueError as exc:
         raise IdealError(f"malformed ideal description: {exc}") from None
-    ideal = SpanOneIdeal(pi=pi, linking=linking, S=S)
-    validate(ideal)
-    return ideal
+    return SpanOneIdeal(pi=pi, linking=linking, S=S)
 
 
 def ideal_to_json(ideal: SpanOneIdeal) -> dict:

@@ -201,6 +201,8 @@ def shift_beta(p: MultisumProfile, beta: Beta, S: int) -> Beta:
 def check_additional(p: MultisumProfile, S: int) -> bool:
     """Divisibility conditions tying the profile to a shift S: each modulus
     A_s must divide gamma_s * S and every alpha column entry alpha_rs."""
+    if S < 0:
+        raise ValueError(f"shift must be >= 0, got {S}")
     for s in range(p.R):
         if (p.gamma[s] * S) % p.A[s] != 0:
             return False

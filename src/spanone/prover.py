@@ -67,19 +67,6 @@ def expansions(tree: Node) -> int:
     return 1 + expansions(tree.left) + expansions(tree.right)
 
 
-def validate_tree(p: MultisumProfile, tree: Node, targets: frozenset[Beta]) -> None:
-    """Structural soundness: children match the relation, leaves hit targets."""
-    if isinstance(tree, Leaf):
-        if tree.beta not in targets:
-            raise AssemblyError(f"leaf {tree.beta} is not a target")
-        return
-    left, _, right = rec_children(p, tree.beta, tree.coord)
-    if tree.left.beta != left or tree.right.beta != right:
-        raise AssemblyError(f"children of {tree.beta} do not match coordinate {tree.coord}")
-    validate_tree(p, tree.left, targets)
-    validate_tree(p, tree.right, targets)
-
-
 def derive_row(
     p: MultisumProfile,
     root: Beta,
@@ -145,7 +132,9 @@ def leaf_combination(p: MultisumProfile, tree: Node) -> list[tuple[Beta, tuple[i
     """Leaves with their accumulated edge-weight monomials, as (beta, (xe, qe)).
 
     Sorted by target beta then exponents; duplicates are meaningful (one
-    entry per leaf occurrence in the unfolded tree).
+    entry per leaf occurrence in the unfolded tree).  The first node, in
+    preorder, whose children are not those of its coordinate's relation
+    raises an AssemblyError naming it.
     """
     out: list[tuple[Beta, tuple[int, int]]] = []
 
@@ -153,7 +142,9 @@ def leaf_combination(p: MultisumProfile, tree: Node) -> list[tuple[Beta, tuple[i
         if isinstance(node, Leaf):
             out.append((node.beta, (xe, qe)))
             return
-        _, (wx, wq), _ = rec_children(p, node.beta, node.coord)
+        left, (wx, wq), right = rec_children(p, node.beta, node.coord)
+        if node.left.beta != left or node.right.beta != right:
+            raise AssemblyError(f"children of {node.beta} do not match coordinate {node.coord}")
         walk(node.left, xe, qe)
         walk(node.right, xe + wx, qe + wq)
 
@@ -258,25 +249,33 @@ def verify_numeric(
 def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:
     """Exact check of the certificate trees in fs.certs: root -> why it fails.
 
-    The tree for root must start at root, pass validate_tree against the
-    shifted betas, and have as leaves exactly {(beta_j + S gamma, V_j) :
-    U_kj = 1} for every row k with betas[k] == root.  A passing tree proves
-    those rows as identities of formal series, with no truncation.
+    The tree for root must start at root, and one leaf_combination walk
+    must find every node's children right, every leaf among the shifted
+    betas, and as leaves exactly {(beta_j + S gamma, V_j) : U_kj = 1} for
+    every row k with betas[k] == root; each distinct U row is compared once
+    and the first failing row is named.  A passing tree proves those rows
+    as identities of formal series, with no truncation.
     """
     p = fs.profile
     shifted = [shift_beta(p, b, fs.S) for b in fs.betas]
+    rows: dict[Beta, dict[tuple[int, ...], int]] = {}  # root -> U row -> first k
+    for k, (b, row) in enumerate(zip(fs.betas, fs.U)):
+        rows.setdefault(b, {}).setdefault(tuple(row), k)
     failures: dict[Beta, str] = {}
     for root, tree in fs.certs.items():
         try:
             if tree.beta != root:
                 raise AssemblyError(f"tree starts at {tree.beta}")
-            validate_tree(p, tree, frozenset(shifted))
             leaves = leaf_combination(p, tree)
         except ValueError as exc:
             failures[root] = str(exc)
             continue
-        for k in (k for k, b in enumerate(fs.betas) if b == root):
-            if leaves != sorted((shifted[j], fs.V[j]) for j in range(fs.K) if fs.U[k][j]):
+        stray = next((b for b, _ in leaves if b not in shifted), None)
+        if stray is not None:
+            failures[root] = f"leaf {stray} is not a target"
+            continue
+        for row, k in rows.get(root, {}).items():
+            if leaves != sorted((shifted[j], fs.V[j]) for j, u in enumerate(row) if u):
                 failures[root] = f"its leaves are not row {k + 1} of U and V"
                 break
     return failures
@@ -398,7 +397,7 @@ def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]
     where = "malformed system description: "
     p = profile_from_json(jsonin.field(data, "profile", where), where + "profile.")
     S = jsonin.integer(jsonin.field(data, "S", where), where + "S")
-    betas = list(jsonin.rows(jsonin.field(data, "betas", where), where + "betas"))
+    betas = list(jsonin.rows(jsonin.field(data, "betas", where), where + "betas", p.R))
     if not betas:
         raise ValueError(where + "betas is empty")
     return p, S, betas

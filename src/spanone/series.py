@@ -94,12 +94,7 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        x_max = min(self.x_max, other.x_max)
-        q_max = min(self.q_max, other.q_max)
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return Series(out, x_max, q_max)
+        return series_sum((self, other), self.x_max, self.q_max)
 
     def __neg__(self) -> "Series":
         return Series({k: -c for k, c in self._coeffs.items()}, self.x_max, self.q_max)

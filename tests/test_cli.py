@@ -152,6 +152,15 @@ def test_multisum_check_exit_codes(run_cli):
     assert code == 1 and payload["additional"] is False
 
 
+def test_multisum_check_rejects_negative_shift(capsys):
+    # as multisum shift does; a negative shift used to pass the divisibility check
+    code = main(["multisum", "check", fx("kr_profile.json"), "--beta", "1,3", "--shift", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: shift must be >= 0, got -3\n"
+
+
 def test_prove_small_system(run_cli):
     code, out, payload = run_cli(["prove", fx("ex1_system.json"), "--qmax", "12"])
     assert code == 0
@@ -342,9 +351,13 @@ def _false_alpha_and_shift(d):
         (["export", "@", "--format", "json"],
          lambda t: _proved_kr(t, "cert_1_3.cert.json", lambda d: d.__setitem__("S", 3.5)),
          "S must be an integer, got 3.5"),
+        (["prove", "@"],
+         lambda t: _written(t, json.dumps({**json.loads(open(fx("kr_system.json")).read()),
+                                          "betas": [[1, 3], [2]]})),
+         "malformed system description: betas row 2 must be a list of 2 integers, got [2]"),
     ],
     ids=["verify-alpha-and-S", "profile-1e400", "verify-S-true", "ideal-pi-number",
-         "ideal-S-float", "qdiff-A-float", "qdiff-top-level", "export-S-float"],
+         "ideal-S-float", "qdiff-A-float", "qdiff-top-level", "export-S-float", "prove-beta-rank"],
 )
 def test_every_reader_rejects_what_is_not_a_json_integer(tmp_path, capsys, argv, make, field):
     # read with int(), each of these used to pass, crash, or check another statement

@@ -18,7 +18,6 @@ from spanone.ideals import (
     ideal_from_json,
     ideal_genfun_vec,
     ideal_to_json,
-    validate,
     walk_genfun_matrix,
 )
 from spanone.partitions import (
@@ -34,7 +33,6 @@ from spanone.series import Series
 
 
 def test_rr_fixture_shape(rr_ideal):
-    validate(rr_ideal)
     g = associated_graph(rr_ideal)
     assert g.A == ((1, 1, 1), (1, 1, 1), (1, 0, 1))
     assert g.weights == ((0, 0), (1, 1), (1, 2))
@@ -42,7 +40,6 @@ def test_rr_fixture_shape(rr_ideal):
 
 
 def test_kr_fixture_shape(kr_ideal):
-    validate(kr_ideal)
     g = associated_graph(kr_ideal)
     assert g.weights == ((0, 0), (1, 1), (2, 3), (2, 4), (1, 2), (1, 3), (2, 6))
     ones = (1,) * 7
@@ -58,45 +55,37 @@ def test_kr_fixture_shape(kr_ideal):
 
 
 def test_validate_rejects_small_span(rr_ideal):
-    bad = SpanOneIdeal(pi=rr_ideal.pi, linking=rr_ideal.linking, S=1)
     with pytest.raises(IdealError, match="largest seed part"):
-        validate(bad)
+        SpanOneIdeal(pi=rr_ideal.pi, linking=rr_ideal.linking, S=1)
 
 
 def test_validate_rejects_missing_empty_link(rr_ideal):
     linking = (rr_ideal.linking[0], rr_ideal.linking[1], frozenset({3}))
     with pytest.raises(IdealError, match="missing from the linking set"):
-        validate(SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=2))
+        SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=2)
 
 
 def test_validate_rejects_partial_empty_linking(rr_ideal):
     linking = (frozenset({1, 2}),) + rr_ideal.linking[1:]
     with pytest.raises(IdealError, match="link to every seed"):
-        validate(SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=2))
+        SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=2)
 
 
 def test_validate_rejects_nonempty_first_seed():
     pi = (parse_partition("1"), parse_partition("2"))
     linking = (frozenset({1, 2}), frozenset({1}))
     with pytest.raises(IdealError, match="pi_1 must be the empty"):
-        validate(SpanOneIdeal(pi=pi, linking=linking, S=2))
+        SpanOneIdeal(pi=pi, linking=linking, S=2)
 
 
 def test_validate_reports_multiple_problems(rr_ideal):
     linking = (frozenset({1, 2}), rr_ideal.linking[1], frozenset({3}))
-    try:
-        validate(SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=1))
-    except IdealError as exc:
-        msg = str(exc)
-        assert "missing from the linking set" in msg
-        assert "largest seed part" in msg
-    else:
-        pytest.fail("expected IdealError")
+    with pytest.raises(IdealError, match="missing from the linking set.*largest seed part"):
+        SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=1)
 
 
 def test_trivial_ideal_of_empty_partition():
     ideal = SpanOneIdeal(pi=(EMPTY,), linking=(frozenset({1}),), S=1)
-    validate(ideal)
     g = associated_graph(ideal)
     assert g.A == ((1,),)
     vec = ideal_genfun_vec(ideal, 6, 6)
@@ -308,5 +297,4 @@ def test_json_rejects_malformed():
 def test_fixture_files_parse():
     for name in ("rr.json", "kr_i1.json"):
         with open(spanone.fixture_path(name)) as fh:
-            ideal = ideal_from_json(json.load(fh))
-        validate(ideal)
+            ideal_from_json(json.load(fh))  # an invalid ideal cannot be built

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,6 @@ from spanone.prover import (
     tree_from_json,
     tree_to_dot,
     tree_to_json,
-    validate_tree,
     verify_numeric,
 )
 from spanone.qdiff import QDiffSystem, solve
@@ -168,14 +168,14 @@ def test_tree_monotone_along_paths(kr_profile):
     walk(tree)
 
 
-def test_validate_tree_accepts_and_rejects(kr_profile):
-    tree = derive_row(kr_profile, (2, 6), KR_TARGETS)
-    validate_tree(kr_profile, tree, KR_TARGETS)
+def test_leaf_combination_rejects_mismatched_children(kr_profile):
     bad = Expand((2, 6), 1, Leaf((4, 9)), Leaf((5, 12)))
-    with pytest.raises(AssemblyError, match="do not match coordinate"):
-        validate_tree(kr_profile, bad, KR_TARGETS)
-    with pytest.raises(AssemblyError, match="not a target"):
-        validate_tree(kr_profile, Leaf((9, 9)), KR_TARGETS)
+    with pytest.raises(AssemblyError, match=r"^children of \(2, 6\) do not match coordinate 1$"):
+        leaf_combination(kr_profile, bad)
+    # below a sound root: (3, 9) expands along coordinate 1 into (4, 9) and (5, 12)
+    deep = Expand((3, 6), 2, Expand((3, 9), 1, Leaf((5, 12)), Leaf((4, 9))), Leaf((6, 12)))
+    with pytest.raises(AssemblyError, match=r"^children of \(3, 9\) do not match coordinate 1$"):
+        leaf_combination(kr_profile, deep)
 
 
 def test_node_by_node_soundness(kr_profile):
@@ -292,6 +292,22 @@ def test_assembled_systems_are_certified_and_select_column_one(ex1_system, kr_sy
     assert all(row[0] == 1 for row in fs.U)
     for k, b in enumerate(fs.betas):
         assert fs.U[k] == fs.U[fs.betas.index(b)]
+
+
+def test_check_certs_names_each_rejection(kr_system):
+    fs = assemble_system(*kr_system)  # roots (1, 3), (2, 6), (3, 6); rows 4 and 6 are (2, 6)
+    flipped = [list(row) for row in fs.U]
+    flipped[5][1] ^= 1
+    cases = [
+        ((1, 3), fs.certs[(2, 6)], fs.U, "tree starts at (2, 6)"),
+        ((1, 3), Leaf((1, 3)), fs.U, "leaf (1, 3) is not a target"),
+        ((9, 9), Leaf((9, 9)), fs.U, "leaf (9, 9) is not a target"),
+        ((2, 6), Expand((2, 6), 1, Leaf((4, 9)), Leaf((5, 12))), fs.U,
+         "children of (2, 6) do not match coordinate 1"),
+        ((2, 6), fs.certs[(2, 6)], tuple(map(tuple, flipped)), "its leaves are not row 6 of U and V"),
+    ]
+    for root, tree, U, message in cases:
+        assert check_certs(replace(fs, U=U, certs={**fs.certs, root: tree})) == {root: message}
 
 
 def test_verify_numeric_passes(ex1_system, kr_system):
