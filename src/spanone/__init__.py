@@ -3,7 +3,7 @@ machine-checkable factorizations of the attached q-difference systems."""
 
 from importlib import resources
 
-from .series import DEFAULT_Q_MAX, Series, TruncationRangeError, geom_inverse, monomial
+from .series import Series, TruncationRangeError
 from .partitions import (
     EMPTY,
     Partition,
@@ -26,7 +26,6 @@ from .ideals import (
     ideal_from_json,
     ideal_genfun_vec,
     load_ideal,
-    walk_genfun_matrix,
 )
 from .qdiff import QDiffSystem, check_system, f_from_g, solve
 from .multisum import (

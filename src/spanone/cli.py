@@ -70,7 +70,7 @@ def cmd_oracle(args) -> int:
     else:
         pred = partitions.kr_i1_predicate
         name = "kr-i1"
-    s = partitions.oracle_genfun(pred, q_max, x_max)
+    s = partitions.oracle_genfun(pred, x_max, q_max)
     _emit(
         [f"oracle {name}  qmax={q_max} xmax={x_max}", f"genfun = {s}"],
         {"command": "oracle", "predicate": name, "series": _series_payload(s)},

@@ -103,26 +103,6 @@ def _walk_product(
     return [s.times_xq(xe, qe) for s, (xe, qe) in zip(vec, weights)]
 
 
-def walk_genfun_matrix(
-    A, weights, M: int, S: int, x_max: int, q_max: int
-) -> list[list[Series]]:
-    """Entry (i, j): sum over M-step walks i -> j of the product of vertex
-    monomials, the vertex at position m taken at x -> x q^(mS).
-
-    A is a square 0/1 adjacency matrix and weights[j] = (m_j, s_j) the
-    exponents of vertex j's monomial x^(m_j) q^(s_j); neither needs to meet
-    the QDiffSystem rules.  Column convention: result[i][j] sums walks
-    starting at vertex i+1 and ending at vertex j+1.  With every monomial
-    set to 1 this collapses to the M-th power of the adjacency matrix.
-    """
-    if M < 0:
-        raise ValueError(f"step count must be >= 0, got {M}")
-    if S < 0:
-        raise ValueError(f"shift must be >= 0, got {S}")
-    cols = [_walk_product(A, weights, j, M, S, x_max, q_max) for j in range(len(A))]
-    return [[col[i] for col in cols] for i in range(len(A))]
-
-
 def default_levels(S: int, q_max: int) -> int:
     """Number of product factors guaranteed to saturate truncation order q_max."""
     return ceil(q_max / S) + 1

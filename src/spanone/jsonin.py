@@ -24,9 +24,12 @@ def field(data, key: str, where: str = ""):
     return data[key]
 
 
-def integer(v, where: str) -> int:
+def integer(v, where: str, lo=None) -> int:
+    """v as an integer, at least lo where lo is given."""
     if type(v) is not int:
         raise ValueError(f"{where} must be an integer, got {json.dumps(v)}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{where} must be >= {lo}, got {v}")
     return v
 
 

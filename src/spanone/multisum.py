@@ -108,9 +108,7 @@ def check_positivity(p: MultisumProfile, beta: Beta) -> bool:
     return True
 
 
-def eval_H(
-    p: MultisumProfile, beta: Beta, x_max: int | None = None, q_max: int = 30
-) -> Series:
+def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     """Truncated evaluation of H(beta), enumerated by x-degree gamma . n.
 
     beta may be any integer vector, but a summand whose q-exponent E(n)
@@ -127,8 +125,6 @@ def eval_H(
     the error it raises, is the same as for the full enumeration.
     """
     _check_beta(p, beta)
-    if x_max is None:
-        x_max = q_max
     _check_orders(x_max, q_max)
     R = p.R
     alpha, gamma, A = p.alpha, p.gamma, p.A
@@ -212,15 +208,11 @@ def check_additional(p: MultisumProfile, S: int) -> bool:
     return True
 
 
-def verify_recurrence_numeric(
-    p: MultisumProfile, beta: Beta, r: int, x_max: int | None = None, q_max: int = 30
-) -> bool:
+def verify_recurrence_numeric(p: MultisumProfile, beta: Beta, r: int, x_max: int, q_max: int) -> bool:
     """Check H(beta) = H(left) + x^gamma_r q^beta_r H(right) to truncation."""
     left, (xe, qe), right = rec_children(p, beta, r)
     if qe < 0:
         raise ValueError(f"weight exponent q^{qe} is negative; not a power series identity")
-    if x_max is None:
-        x_max = q_max
     lhs = eval_H(p, beta, x_max, q_max)
     rhs = eval_H(p, left, x_max, q_max) + eval_H(p, right, x_max, q_max).times_xq(xe, qe)
     return lhs.eq_upto(rhs)

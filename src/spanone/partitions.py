@@ -38,10 +38,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -121,9 +117,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
-def oracle_genfun(
-    pred: Callable[[Partition], bool], q_max: int, x_max: int | None = None
-) -> Series:
+def oracle_genfun(pred: Callable[[Partition], bool], x_max: int, q_max: int) -> Series:
     """Sum of x^(number of parts) q^(size) over all partitions of n <= q_max
     that satisfy pred.  Exhaustive, hence slow but authoritative.
 
@@ -132,8 +126,6 @@ def oracle_genfun(
     the last one and no larger than what is left of q_max.  Each visited
     part list is wrapped in a validated Partition and passed to pred.
     """
-    if x_max is None:
-        x_max = q_max
     _check_orders(x_max, q_max)
     coeffs: dict[tuple[int, int], int] = {}
 

@@ -228,16 +228,12 @@ def assemble_system(
     return FactorizationSystem(profile=p, S=S, betas=betas, U=tuple(U), V=tuple(V), certs=certs)
 
 
-def verify_numeric(
-    fs: FactorizationSystem, x_max: int | None = None, q_max: int = 30
-) -> list[bool]:
+def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool]:
     """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma).
 
     Rows with the same beta and the same U row are the same statement, so
     each distinct (beta_k, U row k) pair is compared once.
     """
-    if x_max is None:
-        x_max = q_max
     lhs = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
     shifted = {b: lhs[b].shift_x(fs.S) for b in lhs}
     rhs = _weigh_sum(fs.U, fs.V, [shifted[b] for b in fs.betas])
@@ -256,6 +252,8 @@ def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:
     and the first failing row is named.  A passing tree proves those rows
     as identities of formal series, with no truncation.
     """
+    if not fs.certs:
+        return {}
     p = fs.profile
     shifted = [shift_beta(p, b, fs.S) for b in fs.betas]
     rows: dict[Beta, dict[tuple[int, ...], int]] = {}  # root -> U row -> first k
@@ -314,14 +312,15 @@ def tree_to_json(tree: Node) -> dict:
     }
 
 
-def tree_from_json(data: dict, where: str = "malformed certificate tree: ") -> Node:
-    """Inverse of tree_to_json; where prefixes every error about the tree."""
-    beta = jsonin.integers(jsonin.field(data, "beta", where), where + "beta")
+def tree_from_json(data: dict, R: int, where: str = "malformed certificate tree: ") -> Node:
+    """Inverse of tree_to_json for a profile of rank R; where prefixes
+    every error about the tree."""
+    beta = jsonin.integers(jsonin.field(data, "beta", where), where + "beta", R)
     if "coord" not in data:
         return Leaf(beta)
     coord = jsonin.integer(data["coord"], where + "coord")
-    left = tree_from_json(jsonin.field(data, "left", where), where)
-    return Expand(beta, coord, left, tree_from_json(jsonin.field(data, "right", where), where))
+    left = tree_from_json(jsonin.field(data, "left", where), R, where)
+    return Expand(beta, coord, left, tree_from_json(jsonin.field(data, "right", where), R, where))
 
 
 def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:
@@ -336,8 +335,12 @@ def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:
 def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
     where = "malformed certificate document: "
     p = profile_from_json(jsonin.field(data, "profile", where), where + "profile.")
-    S = jsonin.integer(jsonin.field(data, "S", where), where + "S")
-    return p, S, tree_from_json(jsonin.field(data, "tree", where), where + "tree: ")
+    S = jsonin.integer(jsonin.field(data, "S", where), where + "S", 0)
+    root = jsonin.integers(jsonin.field(data, "root", where), where + "root", p.R)
+    tree = tree_from_json(jsonin.field(data, "tree", where), p.R, where + "tree: ")
+    if root != tree.beta:
+        raise ValueError(f"{where}root {list(root)} is not the tree's root {list(tree.beta)}")
+    return p, S, tree
 
 
 def load_cert(path: str | Path) -> tuple[MultisumProfile, int, Node]:
@@ -396,7 +399,7 @@ def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]
     """The profile, S and betas keys shared by system specs and proved systems."""
     where = "malformed system description: "
     p = profile_from_json(jsonin.field(data, "profile", where), where + "profile.")
-    S = jsonin.integer(jsonin.field(data, "S", where), where + "S")
+    S = jsonin.integer(jsonin.field(data, "S", where), where + "S", 0)
     betas = list(jsonin.rows(jsonin.field(data, "betas", where), where + "betas", p.R))
     if not betas:
         raise ValueError(where + "betas is empty")
@@ -407,8 +410,8 @@ def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]
     return system_spec_from_json(jsonin.load(path))
 
 
-def _certs_from_json(data: dict, betas: list) -> dict:
-    """data["certs"] as {root: tree}, each root one of betas."""
+def _certs_from_json(data: dict, betas: list, R: int) -> dict:
+    """data["certs"] as {root: tree}, each root one of betas, of rank R."""
     entries = data.get("certs", [])
     if not isinstance(entries, list):
         raise ValueError("certs must be a list of {root, tree} objects")
@@ -422,7 +425,7 @@ def _certs_from_json(data: dict, betas: list) -> dict:
             raise ValueError(f"certs entry {i} has root {list(root)}, not one of betas")
         if root in certs:
             raise ValueError(f"certs entry {i} repeats root {list(root)}")
-        certs[root] = tree_from_json(entry["tree"], f"certs entry {i} tree: ")
+        certs[root] = tree_from_json(entry["tree"], R, f"certs entry {i} tree: ")
     return certs
 
 
@@ -439,5 +442,5 @@ def load_factorization(path: str | Path) -> FactorizationSystem:
         if type(rows) is not list or len(rows) != K:
             raise ValueError(f"{key} must be a list of K={K} rows")
     U, V = jsonin.rows(U, "U", K, 0, 1), jsonin.rows(V, "V", 2, 0)
-    certs = _certs_from_json(data, betas)
+    certs = _certs_from_json(data, betas, p.R)
     return FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)

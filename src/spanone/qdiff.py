@@ -104,7 +104,7 @@ def _weigh_sum(
     return [sums[row] for row in map(tuple, A)]
 
 
-def solve(sys: QDiffSystem, x_max: int | None = None, q_max: int = 30) -> list[Series]:
+def solve(sys: QDiffSystem, x_max: int, q_max: int) -> list[Series]:
     """The unique solution of F(x) = A W(x) F(xq^S) with F_k(0) = 1.
 
     Works x-degree by x-degree on dense q-rows: for each n the known j >= 2
@@ -113,8 +113,6 @@ def solve(sys: QDiffSystem, x_max: int | None = None, q_max: int = 30) -> list[S
     Every x-degree up to x_max is solved: a weight with m_j > s_j puts x^n
     below q-order n.
     """
-    if x_max is None:
-        x_max = q_max
     _check_orders(x_max, q_max)
     K, S = sys.K, sys.S
     # f[k][n][d]: coefficient of x^n q^d in F_{k+1}

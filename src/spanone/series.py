@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-DEFAULT_Q_MAX = 30
-
 
 class TruncationRangeError(LookupError):
     """Coefficient query outside a series' truncation rectangle."""
@@ -57,15 +55,11 @@ class Series:
         raise AttributeError("Series is immutable")
 
     @classmethod
-    def zero(cls, x_max: int | None = None, q_max: int | None = None) -> "Series":
-        q_max = DEFAULT_Q_MAX if q_max is None else q_max
-        x_max = q_max if x_max is None else x_max
+    def zero(cls, x_max: int, q_max: int) -> "Series":
         return cls({}, x_max, q_max)
 
     @classmethod
-    def one(cls, x_max: int | None = None, q_max: int | None = None) -> "Series":
-        q_max = DEFAULT_Q_MAX if q_max is None else q_max
-        x_max = q_max if x_max is None else x_max
+    def one(cls, x_max: int, q_max: int) -> "Series":
         return cls({(0, 0): 1}, x_max, q_max)
 
     # -- queries ---------------------------------------------------------
@@ -104,9 +98,7 @@ class Series:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Series({k: c * other for k, c in self._coeffs.items()}, self.x_max, self.q_max)
+    def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         x_max = min(self.x_max, other.x_max)
@@ -122,11 +114,6 @@ class Series:
                 k = (m, n)
                 out[k] = out.get(k, 0) + c1 * c2
         return Series(out, x_max, q_max)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
 
     def shift_x(self, s: int) -> "Series":
         """Substitute x -> x q^s, sending x^m q^n to x^m q^(n + m s).
@@ -208,30 +195,6 @@ def _term_body(c: int, m: int, n: int) -> str:
     elif n > 1:
         factors.append(f"q^{n}")
     return "*".join(factors)
-
-
-def monomial(
-    c: int, m: int, n: int, x_max: int | None = None, q_max: int | None = None
-) -> Series:
-    """The single-term series c x^m q^n.
-
-    Degrees must be nonnegative.  If (m, n) lies outside the requested
-    rectangle the result is the zero series on that rectangle.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
-    q_max = DEFAULT_Q_MAX if q_max is None else q_max
-    x_max = q_max if x_max is None else x_max
-    return Series({(m, n): c}, x_max, q_max)
-
-
-def geom_inverse(j: int, x_max: int | None = None, q_max: int | None = None) -> Series:
-    """1/(1 - q^j) = sum_{k >= 0} q^(j k), truncated.  Requires j >= 1."""
-    if j < 1:
-        raise ValueError(f"geom_inverse needs j >= 1, got {j}")
-    q_max = DEFAULT_Q_MAX if q_max is None else q_max
-    x_max = q_max if x_max is None else x_max
-    return Series({(0, n): 1 for n in range(0, q_max + 1, j)}, x_max, q_max)
 
 
 def series_sum(terms: Iterable[Series], x_max: int, q_max: int) -> Series:

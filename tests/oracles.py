@@ -8,6 +8,10 @@ counter instead of filtering, a full-box multi-sum enumeration instead of the
 pruned walk, a memoless certificate search instead of the memoized one, and
 a recursive memoized certificate search instead of the bottom-up one.
 Agreement between the routes is the point.
+
+One helper is not a second route: walk_genfun_matrix lays the library's
+walk products out as the full walk-matrix, a form only the tests need, so
+that enumerate_walks can check every entry of it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from spanone.ideals import _walk_product
 from spanone.multisum import Beta, MultisumProfile, rec_children
 from spanone.prover import Expand, Leaf, Node, SearchExhausted
 from spanone.series import Series
@@ -62,9 +67,7 @@ def naive_weigh_sum(A, weights, vec, shift: int = 0) -> list[Series]:
     return out
 
 
-def naive_eval_H(
-    p: MultisumProfile, beta: Beta, x_max: int | None = None, q_max: int = 30
-) -> Series:
+def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     """H(beta) summed over the whole box gamma . n <= x_max, with no pruning.
 
     Each E(n) is computed from the definition and each reciprocal
@@ -72,8 +75,6 @@ def naive_eval_H(
     is walked in lexicographic order, so the first summand with a negative
     q-exponent raises the same error as eval_H.
     """
-    if x_max is None:
-        x_max = q_max
     R = p.R
     coeffs: dict[tuple[int, int], int] = {}
     for n in product(*(range(x_max // g + 1) for g in p.gamma)):
@@ -96,6 +97,22 @@ def naive_eval_H(
         for d in range(q_max - e + 1):
             coeffs[(xdeg, e + d)] = coeffs.get((xdeg, e + d), 0) + poch.coeff(0, d)
     return Series(coeffs, x_max, q_max)
+
+
+def walk_genfun_matrix(A, weights, M: int, S: int, x_max: int, q_max: int) -> list[list[Series]]:
+    """Entry (i, j): sum over M-step walks i -> j of the product of vertex
+    monomials, the vertex at position m taken at x -> x q^(mS).
+
+    A is a square 0/1 adjacency matrix and weights[j] = (m_j, s_j) the
+    exponents of vertex j's monomial x^(m_j) q^(s_j); neither needs to meet
+    the QDiffSystem rules.  result[i][j] sums walks starting at vertex i+1
+    and ending at vertex j+1.  With every monomial set to 1 this collapses
+    to the M-th power of the adjacency matrix.  Column j is the library's
+    walk product started at vertex j, so the tests reach its matrix form
+    without the library carrying one.
+    """
+    cols = [_walk_product(A, weights, j, M, S, x_max, q_max) for j in range(len(A))]
+    return [list(row) for row in zip(*cols)]
 
 
 def enumerate_walks(adjacency, lengths, sizes, M: int, S: int):

@@ -13,9 +13,9 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracles import enumerate_walks
+from oracles import enumerate_walks, walk_genfun_matrix
 
-from spanone.ideals import associated_graph, enumerate_members, ideal_genfun_vec, walk_genfun_matrix
+from spanone.ideals import associated_graph, enumerate_members, ideal_genfun_vec
 from spanone.multisum import eval_H, shift_beta, verify_recurrence_numeric
 from spanone.partitions import kr_i1_predicate, oracle_genfun, satisfies_gap
 from spanone.prover import (
@@ -26,7 +26,7 @@ from spanone.prover import (
     verify_numeric,
 )
 from spanone.qdiff import f_from_g, solve
-from spanone.series import Series, monomial, series_sum
+from spanone.series import Series, series_sum
 
 
 @contextmanager
@@ -82,7 +82,7 @@ def test_1_gap2_counts_agree_across_four_routes(rr_ideal, ex1_profile):
     with criterion(1, "gap-2 generating function, four routes to q^30") as note:
         t0 = time.monotonic()
         q_max = 30
-        oracle = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), q_max)
+        oracle = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), q_max, q_max)
         total = series_sum(ideal_genfun_vec(rr_ideal, q_max, q_max), q_max, q_max)
         by_enumeration, _ = enumerate_members(rr_ideal, q_max)
         by_multisum = eval_H(ex1_profile, (1,), q_max, q_max)
@@ -113,7 +113,7 @@ def test_2_smallest_part_refinements_match_multisums(
 def test_3_kr_i1_oracle_matches_multisum(kr_profile):
     with criterion(3, "KR I1 brute-force count vs multi-sum to q^25") as note:
         q_max = 25
-        oracle = oracle_genfun(kr_i1_predicate, q_max)
+        oracle = oracle_genfun(kr_i1_predicate, q_max, q_max)
         assert oracle == eval_H(kr_profile, (1, 3), q_max, q_max)
         note["detail"] = "brute-force count equals multi-sum to q^25"
 
@@ -152,7 +152,7 @@ def _telescoped_ok(p, root, tree, x_max: int, q_max: int) -> bool:
     for leaf, (xe, qe) in leaf_combination(p, tree):
         if leaf not in cache:
             cache[leaf] = eval_H(p, leaf, x_max, q_max)
-        acc = acc + monomial(1, xe, qe, x_max, q_max) * cache[leaf]
+        acc = acc + Series({(xe, qe): 1}, x_max, q_max) * cache[leaf]
     return eval_H(p, root, x_max, q_max).eq_upto(acc)
 
 
@@ -242,8 +242,8 @@ def test_8_walk_matrix_counts_and_symbolic_entries():
                 [Series.zero(x_bound, q_bound) for _ in range(len(A))] for _ in range(len(A))
             ]
             for start, end, xe, qe in enumerate_walks(A, lengths, sizes, M, S):
-                expected[start][end] = expected[start][end] + monomial(
-                    1, xe, qe, x_bound, q_bound
+                expected[start][end] = expected[start][end] + Series(
+                    {(xe, qe): 1}, x_bound, q_bound
                 )
             assert W == expected
         note["detail"] = "20 digraphs match adjacency powers, 8 match walk enumeration"

@@ -7,7 +7,8 @@ import json
 import pytest
 
 import spanone
-from spanone.cli import build_parser, main
+from spanone import prover
+from spanone.cli import _series_payload, build_parser, main
 from spanone.multisum import eval_H
 from spanone.partitions import kr_i1_predicate, oracle_genfun
 
@@ -26,7 +27,7 @@ def test_oracle_gap_qmax_zero(run_cli):
 def test_oracle_kr_matches_library(run_cli):
     code, out, payload = run_cli(["oracle", "kr-i1", "--qmax", "8"])
     assert code == 0
-    expect = oracle_genfun(kr_i1_predicate, 8)
+    expect = oracle_genfun(kr_i1_predicate, 8, 8)
     assert payload["series"]["text"] == str(expect)
 
 
@@ -287,8 +288,8 @@ def test_verify_rejects_empty_betas(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("beta", "13", 'beta must be a list of integers, got "13"'),
-        ("beta", [1.4, 3.4], "beta must be a list of integers, got [1.4, 3.4]"),
+        ("beta", "13", 'beta must be a list of 2 integers, got "13"'),
+        ("beta", [1.4, 3.4], "beta must be a list of 2 integers, got [1.4, 3.4]"),
         ("coord", 1.5, "coord must be an integer, got 1.5"),
     ],
     ids=["beta-string", "beta-floats", "coord-float"],
@@ -369,6 +370,81 @@ def test_every_reader_rejects_what_is_not_a_json_integer(tmp_path, capsys, argv,
     assert captured.out == ""
     assert field in captured.err
     assert "Traceback" not in captured.err
+
+
+def _leftmost_leaf(tree: dict) -> dict:
+    while "coord" in tree:
+        tree = tree["left"]
+    return tree
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit, message",
+    [
+        (["verify", "@", "--qmax", "8"], "system.json", lambda d: d.__setitem__("S", -3),
+         "malformed system description: S must be >= 0, got -3"),
+        (["verify", "@", "--qmax", "8"], "system.json", lambda d: d.update(S=-3, certs=[]),
+         "malformed system description: S must be >= 0, got -3"),
+        (["prove", "@", "--qmax", "8"], "system.json", lambda d: d.__setitem__("S", -3),
+         "malformed system description: S must be >= 0, got -3"),
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json", lambda d: d.__setitem__("S", -3),
+         "malformed certificate document: S must be >= 0, got -3"),
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json", lambda d: d.__setitem__("root", [9, 9]),
+         "malformed certificate document: root [9, 9] is not the tree's root [1, 3]"),
+        (["export", "@", "--format", "dot"], "cert_1_3.cert.json", lambda d: d.__setitem__("root", [9, 9]),
+         "malformed certificate document: root [9, 9] is not the tree's root [1, 3]"),
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json",
+         lambda d: _leftmost_leaf(d["tree"]).__setitem__("beta", [7]),
+         "malformed certificate document: tree: beta must be a list of 2 integers, got [7]"),
+        (["verify", "@", "--qmax", "8"], "system.json",
+         lambda d: _leftmost_leaf(d["certs"][0]["tree"]).__setitem__("beta", [7]),
+         "certs entry 1 tree: beta must be a list of 2 integers, got [7]"),
+    ],
+    ids=["verify-S", "verify-S-no-certs", "prove-S", "export-S", "export-json-root",
+         "export-dot-root", "export-leaf-rank", "verify-leaf-rank"],
+)
+def test_malformed_shift_and_certificates_are_named_where_read(tmp_path, capsys, argv, name, edit, message):
+    # each used to exit 0, exit 1, or fail deep in the work without naming the field
+    path = _proved_kr(tmp_path, name, edit)
+    capsys.readouterr()
+    code = main([path if a == "@" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+X_MAX, Q_MAX = 4, 12
+KR_PROFILE = spanone.load_profile(spanone.fixture_path("kr_profile.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["oracle", "gap", "--d", "2", "--k", "1"], lambda: {"series": _series_payload(
+            spanone.oracle_genfun(lambda p: spanone.satisfies_gap(p, 2, 1), X_MAX, Q_MAX))}),
+        (["oracle", "kr-i1"], lambda: {"series": _series_payload(
+            spanone.oracle_genfun(kr_i1_predicate, X_MAX, Q_MAX))}),
+        (["multisum", "eval", fx("kr_profile.json"), "--beta", "1,3"], lambda: {"series": _series_payload(
+            eval_H(KR_PROFILE, (1, 3), X_MAX, Q_MAX))}),
+        (["multisum", "rec", fx("kr_profile.json"), "--beta", "1,3", "--coord", "2"], lambda: {
+            "verified": spanone.verify_recurrence_numeric(KR_PROFILE, (1, 3), 2, X_MAX, Q_MAX)}),
+        (["qdiff", "solve", fx("rr.json")], lambda: {"components": [_series_payload(s) for s in spanone.solve(
+            spanone.associated_graph(spanone.load_ideal(fx("rr.json"))), X_MAX, Q_MAX)]}),
+        (["prove", fx("kr_system.json")], lambda: {"xmax": X_MAX, "qmax": Q_MAX, "rows_verified": spanone.verify_numeric(
+            spanone.assemble_system(*spanone.load_system_spec(fx("kr_system.json"))), X_MAX, Q_MAX)}),
+        (["verify", fx("kr_system.json")], lambda: {"xmax": X_MAX, "qmax": Q_MAX, "rows": spanone.verify_numeric(
+            prover.load_factorization(fx("kr_system.json")), X_MAX, Q_MAX)}),
+    ],
+    ids=["oracle-gap", "oracle-kr-i1", "multisum-eval", "multisum-rec", "qdiff-solve", "prove", "verify"],
+)
+def test_unequal_orders_reach_the_library_in_order(run_cli, argv, expect):
+    # x_max < q_max, so swapping the two orders anywhere on the way changes the result
+    code, out, payload = run_cli([*argv, "--xmax", str(X_MAX), "--qmax", str(Q_MAX)])
+    assert code == 0
+    assert f"qmax={Q_MAX} xmax={X_MAX}" in out
+    want = expect()
+    assert {key: payload[key] for key in want} == want
 
 
 def test_qdiff_system_without_vertices_exits_two(tmp_path, capsys):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import spanone
-from oracles import enumerate_walks
+from oracles import enumerate_walks, walk_genfun_matrix
 from spanone.ideals import (
     IdealError,
     SpanOneIdeal,
@@ -18,7 +18,6 @@ from spanone.ideals import (
     ideal_from_json,
     ideal_genfun_vec,
     ideal_to_json,
-    walk_genfun_matrix,
 )
 from spanone.partitions import (
     EMPTY,
@@ -179,7 +178,7 @@ def test_rr_triple_agreement_moderate(rr_ideal):
     q_max = 16
     vec = ideal_genfun_vec(rr_ideal, q_max, q_max)
     total = vec[0] + vec[1] + vec[2]
-    assert total.eq_upto(oracle_genfun(lambda p: satisfies_gap(p, 2, 1), q_max))
+    assert total.eq_upto(oracle_genfun(lambda p: satisfies_gap(p, 2, 1), q_max, q_max))
     genfun, _ = enumerate_members(rr_ideal, q_max)
     assert total.eq_upto(genfun)
 
@@ -190,7 +189,7 @@ def test_kr_triple_agreement_moderate(kr_ideal):
     total = vec[0]
     for s in vec[1:]:
         total = total + s
-    assert total.eq_upto(oracle_genfun(kr_i1_predicate, q_max))
+    assert total.eq_upto(oracle_genfun(kr_i1_predicate, q_max, q_max))
     genfun, _ = enumerate_members(kr_ideal, q_max)
     assert total.eq_upto(genfun)
 

@@ -56,7 +56,7 @@ def test_oplus_merges_multisets():
 def test_size_and_parts():
     p = parse_partition("6+4+1")
     assert p.size == 11
-    assert p.num_parts == 3
+    assert len(p) == 3
     assert EMPTY.size == 0 and len(EMPTY) == 0
 
 
@@ -136,7 +136,7 @@ def test_partitions_of_counts():
 
 
 def test_oracle_genfun_gap21_small():
-    s = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), 6)
+    s = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), 6, 6)
     assert str(s) == (
         "1 + x*q + x*q^2 + x*q^3 + x*q^4 + x^2*q^4 + x*q^5 + x^2*q^5"
         " + x*q^6 + 2*x^2*q^6"
@@ -144,17 +144,17 @@ def test_oracle_genfun_gap21_small():
 
 
 def test_oracle_genfun_trivial_predicates():
-    assert str(oracle_genfun(lambda p: False, 5)) == "0"
-    assert str(oracle_genfun(lambda p: p == EMPTY, 5)) == "1"
+    assert str(oracle_genfun(lambda p: False, 5, 5)) == "0"
+    assert str(oracle_genfun(lambda p: p == EMPTY, 5, 5)) == "1"
 
 
 def test_oracle_genfun_respects_x_max():
-    s = oracle_genfun(lambda p: True, 6, x_max=1)
+    s = oracle_genfun(lambda p: True, 1, 6)
     assert s.x_max == 1
     assert s.coeff(1, 6) == 1  # only the single-part partition survives
 
 
-@pytest.mark.parametrize("x_max", [None, 0, 3])
+@pytest.mark.parametrize("x_max", [12, 0, 3])
 def test_oracle_genfun_calls_pred_once_per_partition(x_max):
     seen = []
 
@@ -163,12 +163,11 @@ def test_oracle_genfun_calls_pred_once_per_partition(x_max):
         seen.append(p.parts)
         return satisfies_gap(p, 2, 1)
 
-    s = oracle_genfun(pred, 12, x_max)
-    bound = 12 if x_max is None else x_max
-    every = [p for n in range(13) for p in partitions_of(n) if len(p) <= bound]
+    s = oracle_genfun(pred, x_max, 12)
+    every = [p for n in range(13) for p in partitions_of(n) if len(p) <= x_max]
     assert sorted(seen) == sorted(p.parts for p in every)
-    assert s.x_max == bound and s.q_max == 12
-    for m in range(bound + 1):
+    assert s.x_max == x_max and s.q_max == 12
+    for m in range(x_max + 1):
         for n in range(13):
             assert s.coeff(m, n) == sum(
                 1 for p in every if len(p) == m and p.size == n and satisfies_gap(p, 2, 1)
@@ -176,14 +175,14 @@ def test_oracle_genfun_calls_pred_once_per_partition(x_max):
 
 
 def test_oracle_counts_match_bijective_recurrence():
-    s = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), 18)
+    s = oracle_genfun(lambda p: satisfies_gap(p, 2, 1), 18, 18)
     for n in range(19):
         for m in range(n + 1):
             assert s.coeff(m, n) == count_gap2(n, m), (n, m)
 
 
 def test_kr_oracle_small_sizes():
-    s = oracle_genfun(kr_i1_predicate, 6)
+    s = oracle_genfun(kr_i1_predicate, 6, 6)
     by_size = {n: sum(s.coeff(m, n) for m in range(7)) for n in range(7)}
     # by hand: size 3 has {3, 2+1}, size 4 has {4, 3+1}, size 5 has {5, 4+1},
     # size 6 has {6, 5+1, 3+3, 4+2}... 4+2 differ by 2 (no sum rule) and gap fine

@@ -32,7 +32,7 @@ from spanone.prover import (
     verify_numeric,
 )
 from spanone.qdiff import QDiffSystem, solve
-from spanone.series import Series, monomial
+from spanone.series import Series
 
 KR_TARGETS = frozenset({(4, 9), (5, 12), (6, 12)})
 
@@ -201,7 +201,7 @@ def test_leaf_combination_telescopes(kr_profile):
         tree = derive_row(kr_profile, root, KR_TARGETS)
         rhs = Series.zero(q_max, q_max)
         for beta, (xe, qe) in leaf_combination(kr_profile, tree):
-            rhs = rhs + monomial(1, xe, qe, q_max, q_max) * eval_H(kr_profile, beta, q_max, q_max)
+            rhs = rhs + Series({(xe, qe): 1}, q_max, q_max) * eval_H(kr_profile, beta, q_max, q_max)
         assert eval_H(kr_profile, root, q_max, q_max).eq_upto(rhs)
 
 
@@ -385,7 +385,7 @@ def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_syst
 
 def test_tree_json_round_trip(kr_profile):
     tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
-    assert tree_from_json(tree_to_json(tree)) == tree
+    assert tree_from_json(tree_to_json(tree), kr_profile.R) == tree
 
 
 def test_cert_document_round_trip(kr_profile):
@@ -412,6 +412,8 @@ def test_dot_export_structure(kr_profile):
 
 def test_tree_from_json_rejects_malformed():
     with pytest.raises(ValueError):
-        tree_from_json({"coord": 1})
+        tree_from_json({"coord": 1}, 1)
     with pytest.raises(ValueError):
-        tree_from_json({"beta": [1], "coord": 1, "left": {"beta": [2]}})
+        tree_from_json({"beta": [1], "coord": 1, "left": {"beta": [2]}}, 1)
+    with pytest.raises(ValueError, match=r"beta must be a list of 2 integers, got \[7\]"):
+        tree_from_json({"beta": [3, 9], "coord": 1, "left": {"beta": [7]}, "right": {"beta": [4, 9]}}, 2)

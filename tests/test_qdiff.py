@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import naive_weigh_sum
-from spanone.ideals import associated_graph, default_levels, ideal_genfun_vec, walk_genfun_matrix
+from oracles import naive_weigh_sum, walk_genfun_matrix
+from spanone.ideals import associated_graph, default_levels, ideal_genfun_vec
 from spanone.qdiff import (
     QDiffSystem,
     _weigh_sum,
@@ -18,7 +18,7 @@ from spanone.qdiff import (
     system_from_json,
     system_to_json,
 )
-from spanone.series import Series, monomial
+from spanone.series import Series
 
 
 def test_from_ideal_rr(rr_ideal):
@@ -151,7 +151,7 @@ def test_check_system_accepts_solution(rr_ideal, kr_ideal):
 def test_check_system_rejects_perturbation(rr_ideal):
     sys = associated_graph(rr_ideal)
     F = solve(sys, 10, 10)
-    F[1] = F[1] + monomial(1, 2, 7, 10, 10)
+    F[1] = F[1] + Series({(2, 7): 1}, 10, 10)
     assert not check_system(sys, F)
 
 
