@@ -369,102 +369,182 @@ def cmd_export(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_orders(sp, qmax_default=CLI_Q_MAX):
-    sp.add_argument("--qmax", type=int, default=qmax_default, help="q truncation order")
+def _add_orders(sp):
+    sp.add_argument("--qmax", type=int, default=CLI_Q_MAX, help="q truncation order")
     sp.add_argument("--xmax", type=int, default=None, help="x truncation order (default: qmax)")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args starts every
-    call from a fresh namespace, so nothing carries over between calls."""
-    parser = argparse.ArgumentParser(
-        prog="spanone",
-        description="generating functions and factorization certificates "
-        "for span-one linked partition ideals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("oracle", help="brute-force partition generating functions")
+def _oracle_args(sp):
     sp.add_argument("predicate", choices=["gap", "kr-i1"])
     sp.add_argument("--d", type=int, default=None, help="minimum difference")
     sp.add_argument("--k", type=int, default=None, help="distance at which the difference applies")
     _add_orders(sp)
     sp.set_defaults(func=cmd_oracle)
 
-    ideal = sub.add_parser("ideal", help="span-one linked partition ideals")
-    isub = ideal.add_subparsers(dest="subcommand", required=True)
-    sp = isub.add_parser("genfun", help="matrix-product generating function vector")
+
+def _ideal_genfun_args(sp):
     sp.add_argument("file")
     _add_orders(sp)
     sp.set_defaults(func=cmd_ideal_genfun)
-    sp = isub.add_parser("members", help="enumerate members up to a size bound")
+
+
+def _ideal_members_args(sp):
     sp.add_argument("file")
     sp.add_argument("--qmax", type=int, default=CLI_Q_MAX)
     sp.set_defaults(func=cmd_ideal_members)
-    sp = isub.add_parser("contains", help="membership test with chain decomposition")
+
+
+def _ideal_contains_args(sp):
     sp.add_argument("file")
     sp.add_argument("partition", help="partition literal, e.g. 6+4+1 or empty")
     sp.set_defaults(func=cmd_ideal_contains)
 
-    qd = sub.add_parser("qdiff", help="q-difference systems of ideals and digraphs")
-    qsub = qd.add_subparsers(dest="subcommand", required=True)
-    sp = qsub.add_parser("solve", help="unique power-series solution")
+
+def _qdiff_solve_args(sp):
     sp.add_argument("file", help="ideal json or {A, weights, S} json")
     _add_orders(sp)
     sp.set_defaults(func=cmd_qdiff_solve)
-    sp = qsub.add_parser("check", help="consistency of solve and the walk product")
+
+
+def _qdiff_check_args(sp):
     sp.add_argument("file")
     _add_orders(sp)
     sp.set_defaults(func=cmd_qdiff_check)
 
-    ms = sub.add_parser("multisum", help="Nahm-type multi-sum series")
-    msub = ms.add_subparsers(dest="subcommand", required=True)
-    sp = msub.add_parser("eval", help="truncated evaluation of H(beta)")
+
+def _multisum_eval_args(sp):
     sp.add_argument("file")
     sp.add_argument("--beta", required=True)
     _add_orders(sp)
     sp.set_defaults(func=cmd_multisum_eval)
-    sp = msub.add_parser("rec", help="two-term relation at a coordinate")
+
+
+def _multisum_rec_args(sp):
     sp.add_argument("file")
     sp.add_argument("--beta", required=True)
     sp.add_argument("--coord", type=int, required=True)
     _add_orders(sp)
     sp.set_defaults(func=cmd_multisum_rec)
-    sp = msub.add_parser("shift", help="beta after substituting x -> x q^S")
+
+
+def _multisum_shift_args(sp):
     sp.add_argument("file")
     sp.add_argument("--beta", required=True)
     sp.add_argument("--shift", type=int, required=True)
     sp.set_defaults(func=cmd_multisum_shift)
-    sp = msub.add_parser("check", help="positivity and divisibility conditions")
+
+
+def _multisum_check_args(sp):
     sp.add_argument("file")
     sp.add_argument("--beta", required=True)
     sp.add_argument("--shift", type=int, default=None)
     sp.set_defaults(func=cmd_multisum_check)
 
-    sp = sub.add_parser("prove", help="derive certificates and assemble U, V")
+
+def _prove_args(sp):
     sp.add_argument("file", help="json with profile, S and betas")
     sp.add_argument("--max-expansions", type=int, default=64)
     sp.add_argument("--out", default=None, help="directory for certificates and matrices")
     _add_orders(sp)
     sp.set_defaults(func=cmd_prove)
 
-    sp = sub.add_parser("verify", help="numeric check of a (proved) factorization")
+
+def _verify_args(sp):
     sp.add_argument("file", help="system spec or prove output json")
     _add_orders(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("export", help="certificate tree to DOT or JSON")
+
+def _export_args(sp):
     sp.add_argument("file", help="certificate json written by prove --out")
     sp.add_argument("--format", choices=["dot", "json"], required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_export)
 
+
+# name -> (help, function adding the command's arguments, or a table of its subcommands)
+COMMANDS = {
+    "oracle": ("brute-force partition generating functions", _oracle_args),
+    "ideal": ("span-one linked partition ideals", {
+        "genfun": ("matrix-product generating function vector", _ideal_genfun_args),
+        "members": ("enumerate members up to a size bound", _ideal_members_args),
+        "contains": ("membership test with chain decomposition", _ideal_contains_args),
+    }),
+    "qdiff": ("q-difference systems of ideals and digraphs", {
+        "solve": ("unique power-series solution", _qdiff_solve_args),
+        "check": ("consistency of solve and the walk product", _qdiff_check_args),
+    }),
+    "multisum": ("Nahm-type multi-sum series", {
+        "eval": ("truncated evaluation of H(beta)", _multisum_eval_args),
+        "rec": ("two-term relation at a coordinate", _multisum_rec_args),
+        "shift": ("beta after substituting x -> x q^S", _multisum_shift_args),
+        "check": ("positivity and divisibility conditions", _multisum_check_args),
+    }),
+    "prove": ("derive certificates and assemble U, V", _prove_args),
+    "verify": ("numeric check of a (proved) factorization", _verify_args),
+    "export": ("certificate tree to DOT or JSON", _export_args),
+}
+
+
+def _command_path(argv) -> tuple[str, ...] | None:
+    """The command names leading argv down to a leaf of COMMANDS, or None
+    when argv does not start with a complete, known path."""
+    table, path = COMMANDS, ()
+    for token in argv:
+        if token not in table:
+            return None
+        path += (token,)
+        spec = table[token][1]
+        if not isinstance(spec, dict):
+            return path
+        table = spec
+    return None
+
+
+def _add_commands(parser, table, path, dests=("command", "subcommand")) -> None:
+    """Subparsers for table under parser: all of them when path is None,
+    else only the chain path names, listed with the full choice list."""
+    # a pruned parser would list only its one name in usage lines; the full
+    # tree keeps argparse's default, which names an invalid choice by dest
+    metavar = None if path is None else "{" + ",".join(table) + "}"
+    sub = parser.add_subparsers(dest=dests[0], required=True, metavar=metavar)
+    for name in table if path is None else path[:1]:
+        help_text, spec = table[name]
+        sp = sub.add_parser(name, help=help_text)
+        if isinstance(spec, dict):
+            _add_commands(sp, spec, None if path is None else path[1:], dests[1:])
+        else:
+            spec(sp)
+
+
+@functools.cache
+def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+    """The argument parser for one command path of COMMANDS, built once
+    per process and path.
+
+    main passes the path its argv starts with, so a call builds the top
+    parser and that one chain of subparsers, not the parsers of every
+    command.  Any other argv (none, -h, an unknown or incomplete command)
+    gets path None, the full tree, so its help and errors list every
+    command.  For the argvs it is built for, a chain prints the same help
+    and errors and returns the same namespace as the full tree.  The
+    module's imports stay eager: a deferred import would only move their
+    cost into the call that needs them.  parse_args starts every call from
+    a fresh namespace, so nothing carries over between calls.
+    """
+    parser = argparse.ArgumentParser(
+        prog="spanone",
+        description="generating functions and factorization certificates "
+        "for span-one linked partition ideals",
+    )
+    _add_commands(parser, COMMANDS, path)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_command_path(argv)).parse_args(argv)
     try:
         return args.func(args)
     except prover.SearchExhausted as exc:

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import ceil
+from operator import add
 from pathlib import Path
 
 from . import jsonin
@@ -180,10 +181,14 @@ def rec_children(
     _check_beta(p, beta)
     if not 1 <= r <= p.R:
         raise ValueError(f"coordinate must be in 1..{p.R}, got {r}")
-    i = r - 1
-    left = tuple(b + (p.A[i] if s == i else 0) for s, b in enumerate(beta))
-    right = tuple(b + p.alpha[i][s] for s, b in enumerate(beta))
-    return left, (p.gamma[i], beta[i]), right
+    left, right = _children(p, tuple(beta), r - 1)
+    return left, (p.gamma[r - 1], beta[r - 1]), right
+
+
+def _children(p: MultisumProfile, beta: Beta, i: int) -> tuple[Beta, Beta]:
+    """Left and right child of the relation at the 0-based coordinate i,
+    unchecked: beta must be a tuple of the profile's rank."""
+    return beta[:i] + (beta[i] + p.A[i],) + beta[i + 1:], tuple(map(add, beta, p.alpha[i]))
 
 
 def shift_beta(p: MultisumProfile, beta: Beta, S: int) -> Beta:

@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import Union
 
 from . import jsonin
-from .multisum import Beta, MultisumProfile, eval_H, profile_from_json, profile_to_json, rec_children, shift_beta
+from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
+                       profile_to_json, rec_children, shift_beta)
 from .qdiff import _weigh_sum
 
 
@@ -84,6 +85,8 @@ def derive_row(
         raise ValueError("target set must be nonempty")
     if max_expansions < 0:
         raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
+    # every beta below is built from root by the relation, so it has root's rank
+    _check_beta(p, root)
     children: dict[Beta, list[tuple[Beta, Beta]]] = {}
     stack = [root]
     while stack:
@@ -92,7 +95,7 @@ def derive_row(
             continue
         # a beta with no target in reach gets no options
         reach = _reaches_target(p, beta, targets, max_expansions)
-        children[beta] = [rec_children(p, beta, r)[::2] for r in range(1, p.R + 1)] if reach else []
+        children[beta] = [_children(p, beta, i) for i in range(p.R)] if reach else []
         stack.extend(b for pair in children[beta] for b in pair)
 
     best: dict[Beta, tuple[int, Node]] = {t: (0, Leaf(t)) for t in targets}
@@ -340,6 +343,10 @@ def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
     tree = tree_from_json(jsonin.field(data, "tree", where), p.R, where + "tree: ")
     if root != tree.beta:
         raise ValueError(f"{where}root {list(root)} is not the tree's root {list(tree.beta)}")
+    try:
+        leaf_combination(p, tree)
+    except ValueError as exc:
+        raise ValueError(f"{where}tree: {exc}") from None
     return p, S, tree
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 import spanone
-from spanone import prover
+from spanone import cli, prover
 from spanone.cli import _series_payload, build_parser, main
 from spanone.multisum import eval_H
 from spanone.partitions import kr_i1_predicate, oracle_genfun
@@ -47,6 +48,8 @@ def test_oracle_gap_rejects_distance_below_one(k, capsys):
 
 def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
     assert build_parser() is build_parser()
+    assert build_parser(("oracle",)) is build_parser(("oracle",))
+    assert build_parser(("oracle",)) is not build_parser(("ideal", "genfun"))
     code, _, _ = run_cli(["oracle", "gap", "--d", "2", "--k", "1", "--qmax", "4"])
     assert code == 0
     code = main(["oracle", "gap", "--qmax", "4"])
@@ -57,6 +60,113 @@ def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
     code, out, payload = run_cli(["ideal", "genfun", fx("rr.json"), "--qmax", "6"])
     assert code == 0 and payload["total"]["x_max"] == 6
     assert "qmax=6 xmax=6" in out
+    # back on the first path after another one, nothing of the other shows
+    code, out, payload = run_cli(["oracle", "kr-i1", "--qmax", "4"])
+    assert code == 0 and payload["series"]["x_max"] == 4
+    args = build_parser(("oracle",)).parse_args(["oracle", "kr-i1"])
+    assert vars(args) == {"command": "oracle", "predicate": "kr-i1", "d": None, "k": None,
+                          "qmax": 25, "xmax": None, "func": cli.cmd_oracle}
+
+
+def _leaf_paths(table=cli.COMMANDS, prefix=()):
+    for name, (_, spec) in table.items():
+        if isinstance(spec, dict):
+            yield from _leaf_paths(spec, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+# one argv per command path, with every required argument
+SAMPLE_ARGVS = {
+    ("oracle",): ["oracle", "gap", "--d", "2", "--k", "1", "--xmax", "3"],
+    ("ideal", "genfun"): ["ideal", "genfun", "f.json", "--qmax", "6"],
+    ("ideal", "members"): ["ideal", "members", "f.json"],
+    ("ideal", "contains"): ["ideal", "contains", "f.json", "6+4+1"],
+    ("qdiff", "solve"): ["qdiff", "solve", "f.json", "--xmax", "2"],
+    ("qdiff", "check"): ["qdiff", "check", "f.json"],
+    ("multisum", "eval"): ["multisum", "eval", "f.json", "--beta", "1,3"],
+    ("multisum", "rec"): ["multisum", "rec", "f.json", "--beta", "1,3", "--coord", "2"],
+    ("multisum", "shift"): ["multisum", "shift", "f.json", "--beta", "1,3", "--shift", "4"],
+    ("multisum", "check"): ["multisum", "check", "f.json", "--beta", "1,3"],
+    ("prove",): ["prove", "f.json", "--max-expansions", "9", "--out", "d"],
+    ("verify",): ["verify", "f.json", "--qmax", "12"],
+    ("export",): ["export", "f.json", "--format", "dot"],
+}
+
+# argvs that name no complete command path, and so get the full tree
+UNROUTED = [[], ["-h"], ["bogus"], ["ideal", "bogus"], ["ideal"]]
+USAGE_ERRORS = UNROUTED + [["prove", "--bogus", "x"], ["multisum", "eval", "f.json"]]
+
+
+def _parse(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of parse(argv)."""
+    capsys.readouterr()
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_sample_argvs_cover_every_command_path():
+    assert set(SAMPLE_ARGVS) == set(_leaf_paths())
+    for path, argv in SAMPLE_ARGVS.items():
+        assert cli._command_path(argv) == path
+    for argv in UNROUTED:
+        assert cli._command_path(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for path in SAMPLE_ARGVS for argv in ([*path, "--help"], [*path, "--bogus"])] + USAGE_ERRORS,
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_main_parses_as_the_full_tree(argv, capsys, monkeypatch):
+    # help and usage errors are printed and raise SystemExit before any work is done
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(build_parser().parse_args, argv, capsys)
+    assert isinstance(full[0], int)
+    assert _parse(main, argv, capsys) == full
+    monkeypatch.setattr(sys, "argv", ["spanone", *argv])
+    assert _parse(main, None, capsys) == full
+
+
+TOP_USAGE = "usage: spanone [-h] {oracle,ideal,qdiff,multisum,prove,verify,export} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # the choice list after this is quoted differently from one python version to another
+        (["bogus"], TOP_USAGE + "spanone: error: argument command: invalid choice: 'bogus'"),
+        (["prove", "--bogus", "x"], TOP_USAGE + "spanone: error: unrecognized arguments: --bogus\n"),
+        (["ideal"], "usage: spanone ideal [-h] {genfun,members,contains} ...\n"
+         "spanone ideal: error: the following arguments are required: subcommand\n"),
+    ],
+    ids=["bogus", "prove --bogus x", "ideal"],
+)
+def test_usage_errors_name_every_command(argv, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, printed = _parse(main, argv, capsys)
+    assert (code, out) == (2, "")
+    assert printed.startswith(err)
+
+
+@pytest.mark.parametrize("path", list(SAMPLE_ARGVS), ids=" ".join)
+def test_each_path_builds_one_chain_with_the_full_tree_namespace(path, capsys, monkeypatch):
+    argv = SAMPLE_ARGVS[path]
+    parser = build_parser(path)
+    for name in path:
+        (sub,) = parser._subparsers._group_actions
+        assert list(sub.choices) == [name]
+        parser = sub.choices[name]
+    assert parser._subparsers is None
+    assert _parse(build_parser(path).parse_args, argv, capsys) == _parse(build_parser().parse_args, argv, capsys)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda path=None: built.append(path) or build_parser(path))
+    assert _parse(main, [*path, "--help"], capsys)[0] == 0
+    assert built == [path]
 
 
 def test_ideal_genfun_report(run_cli):
@@ -378,6 +488,11 @@ def _leftmost_leaf(tree: dict) -> dict:
     return tree
 
 
+def _swap_root_children(d):
+    tree = d["tree"]
+    tree["left"], tree["right"] = tree["right"], tree["left"]
+
+
 @pytest.mark.parametrize(
     "argv, name, edit, message",
     [
@@ -399,9 +514,18 @@ def _leftmost_leaf(tree: dict) -> dict:
         (["verify", "@", "--qmax", "8"], "system.json",
          lambda d: _leftmost_leaf(d["certs"][0]["tree"]).__setitem__("beta", [7]),
          "certs entry 1 tree: beta must be a list of 2 integers, got [7]"),
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json", _swap_root_children,
+         "malformed certificate document: tree: children of (1, 3) do not match coordinate 2"),
+        (["export", "@", "--format", "dot"], "cert_1_3.cert.json", _swap_root_children,
+         "malformed certificate document: tree: children of (1, 3) do not match coordinate 2"),
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json", lambda d: d["tree"].__setitem__("coord", 9),
+         "malformed certificate document: tree: coordinate must be in 1..2, got 9"),
+        (["export", "@", "--format", "dot"], "cert_1_3.cert.json", lambda d: d["tree"].__setitem__("coord", 9),
+         "malformed certificate document: tree: coordinate must be in 1..2, got 9"),
     ],
     ids=["verify-S", "verify-S-no-certs", "prove-S", "export-S", "export-json-root",
-         "export-dot-root", "export-leaf-rank", "verify-leaf-rank"],
+         "export-dot-root", "export-leaf-rank", "verify-leaf-rank", "export-json-swapped",
+         "export-dot-swapped", "export-json-coord", "export-dot-coord"],
 )
 def test_malformed_shift_and_certificates_are_named_where_read(tmp_path, capsys, argv, name, edit, message):
     # each used to exit 0, exit 1, or fail deep in the work without naming the field

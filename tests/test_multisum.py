@@ -187,6 +187,15 @@ def test_rec_children_coordinate_bounds(kr_profile):
         rec_children(kr_profile, (1, 3), 3)
 
 
+def test_rec_children_checks_the_rank(kr_profile):
+    with pytest.raises(ValueError, match="beta has rank 3, profile has rank 2"):
+        rec_children(kr_profile, (1, 3, 5), 1)
+    with pytest.raises(ValueError, match="beta has rank 1, profile has rank 2"):
+        rec_children(kr_profile, (1,), 1)
+    # a list is read as the tuple it lists
+    assert rec_children(kr_profile, [1, 3], 2) == ((1, 6), (2, 3), (4, 9))
+
+
 def test_shift_beta_examples(ex1_profile, kr_profile, ex3_profile):
     assert shift_beta(ex1_profile, (1,), 2) == (3,)
     assert shift_beta(kr_profile, (1, 3), 3) == (4, 9)

@@ -84,6 +84,13 @@ def test_derive_row_unreachable_targets(ex1_profile):
         derive_row(ex1_profile, (5,), frozenset({(3,)}))
 
 
+def test_derive_row_checks_the_root_rank(kr_profile):
+    # the search builds children without checks, so a root of the wrong rank is refused first
+    for root in ((1,), (1, 3, 5)):
+        with pytest.raises(ValueError, match=f"beta has rank {len(root)}, profile has rank 2"):
+            derive_row(kr_profile, root, KR_TARGETS)
+
+
 @st.composite
 def _search_cases(draw):
     R = draw(st.integers(1, 3))
@@ -130,13 +137,13 @@ def test_derive_row_equals_recursive_search(case):
 def test_far_targets_are_refused_without_expanding(ex3_system, monkeypatch):
     p, _, betas = ex3_system
     calls = []
-    rec_children = prover.rec_children
+    children = prover._children
 
     def counted(*args):
         calls.append(args)
-        return rec_children(*args)
+        return children(*args)
 
-    monkeypatch.setattr(prover, "rec_children", counted)
+    monkeypatch.setattr(prover, "_children", counted)
     with pytest.raises(SearchExhausted, match="within 64 expansions"):
         derive_row(p, (1, 2, 4), frozenset(shift_beta(p, b, 30) for b in betas))
     assert calls == []
