@@ -16,7 +16,8 @@ Each beta value expands through the same coordinate at every occurrence,
 so a certificate is a choice function on beta vectors and the tree is its
 unfolding.  We pick one minimizing the expansions of the unfolded tree (ties
 to the smallest coordinate) by dynamic programming over the betas collected
-from the root.  A beta is expanded only when some target lies a run of at
+from every root of a system, each beta expanded and solved once, so roots
+that share betas share their work.  A beta is expanded only when some target lies a run of at
 most max_expansions left moves away: a tree's leftmost leaf is such a run,
 and a tree within the budget has no subtree over it.  Both moves are
 componentwise non-decreasing and a left move raises one coordinate, so
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 from typing import Union
 
 from . import jsonin
-from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
+from .multisum import (Beta, MultisumProfile, _check_beta, _children, _eval_rows, profile_from_json,
                        profile_to_json, rec_children, shift_beta)
-from .qdiff import _weigh_sum
 
 
 class SearchExhausted(RuntimeError):
@@ -74,21 +75,45 @@ def derive_row(
     targets: frozenset[Beta] | set[Beta],
     max_expansions: int = 64,
 ) -> Node:
-    """Expansion-minimal certificate tree from root into the target set.
+    """Expansion-minimal certificate tree from root into the target set:
+    the search that assemble_system runs for all roots, run for one.
 
     Raises SearchExhausted when no choice function yields a finite tree
     within max_expansions relation applications, and ValueError for an
-    empty target set or a negative budget.
+    empty target set, a negative budget, or a root or target whose rank is
+    not the profile's.
+    """
+    return _derive_rows(p, (root,), targets, max_expansions)[root]
+
+
+def _derive_rows(
+    p: MultisumProfile,
+    roots: tuple[Beta, ...],
+    targets: frozenset[Beta] | set[Beta],
+    max_expansions: int,
+) -> dict[Beta, Node]:
+    """Certificate trees for roots, each root once, from one table of betas.
+
+    A beta's cost and tie-break depend only on its children, which the cost
+    pass solves first, so the table is the same whichever root reached a
+    beta, and each tree equals the one a search from its root alone finds.
+    The first root, in order, with no tree within the budget is the one a
+    SearchExhausted names.
     """
     targets = frozenset(targets)
     if not targets:
         raise ValueError("target set must be nonempty")
     if max_expansions < 0:
         raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
-    # every beta below is built from root by the relation, so it has root's rank
-    _check_beta(p, root)
+    # every beta below is built from a root by the relation, so it has the root's rank
+    for root in roots:
+        _check_beta(p, root)
+    # a target of another rank would be compared on a truncated prefix
+    for t in targets:
+        if len(t) != p.R:
+            raise ValueError(f"target {t} has rank {len(t)}, profile has rank {p.R}")
     children: dict[Beta, list[tuple[Beta, Beta]]] = {}
-    stack = [root]
+    stack = list(roots)
     while stack:
         beta = stack.pop()
         if beta in children or beta in targets:
@@ -110,11 +135,14 @@ def derive_row(
         if options:
             cost, r, left, right = min(options)
             best[beta] = (cost, Expand(beta, r, best[left][1], best[right][1]))
-    if root not in best or best[root][0] > max_expansions:
-        raise SearchExhausted(
-            f"no certificate for {root} within {max_expansions} expansions"
-        )
-    return best[root][1]
+    trees = {}
+    for root in dict.fromkeys(roots):
+        if root not in best or best[root][0] > max_expansions:
+            raise SearchExhausted(
+                f"no certificate for {root} within {max_expansions} expansions"
+            )
+        trees[root] = best[root][1]
+    return trees
 
 
 def _reaches_target(p: MultisumProfile, beta: Beta, targets: frozenset[Beta], max_expansions: int) -> bool:
@@ -195,7 +223,7 @@ def assemble_system(
         raise ValueError("need at least one component")
     shifted = [shift_beta(p, b, S) for b in betas]
     rank = {t: i for i, t in enumerate(dict.fromkeys(shifted))}  # targets in column order
-    certs = {root: derive_row(p, root, frozenset(rank), max_expansions) for root in dict.fromkeys(betas)}
+    certs = _derive_rows(p, betas, rank, max_expansions)
     leaves = {  # ((target, weight), count) by target in column order, then weight
         root: sorted(Counter(leaf_combination(p, tree)).items(), key=lambda leaf: rank[leaf[0][0]])
         for root, tree in certs.items()
@@ -234,15 +262,35 @@ def assemble_system(
 def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool]:
     """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma).
 
-    Rows with the same beta and the same U row are the same statement, so
-    each distinct (beta_k, U row k) pair is compared once.
+    Each distinct beta is evaluated once into dense rows, H[a][d] the
+    coefficient of x^a q^d, and each distinct (beta_k, U row k) pair is
+    compared once.  V_j = x^m q^n sends H(beta_j)(x q^S)'s x^a q^d to
+    x^(a + m) q^(n + a S + d), so row k's right side is built by adding
+    slices of rows.  Terms past x_max or q_max fall off both sides, the
+    rectangle of eval_H's series.
     """
-    lhs = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
-    shifted = {b: lhs[b].shift_x(fs.S) for b in lhs}
-    rhs = _weigh_sum(fs.U, fs.V, [shifted[b] for b in fs.betas])
+    H = {b: _eval_rows(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
+    # Laurent weights are refused, also where all their terms would fall off
+    if fs.S < 0:
+        raise ValueError(f"shift amount must be >= 0, got {fs.S}")
+    for m, n in fs.V:
+        if m < 0 or n < 0:
+            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
     rows = list(zip(fs.betas, map(tuple, fs.U)))
-    ok = {row: lhs[row[0]].eq_upto(r) for row, r in dict(zip(rows, rhs)).items()}
-    return [ok[row] for row in rows]
+    ok = {}
+    for beta, row in dict.fromkeys(rows):
+        rhs = [[0] * (q_max + 1) for _ in range(x_max + 1)]
+        for j in (j for j, u in enumerate(row) if u):
+            m, n = fs.V[j]
+            Hj = H[fs.betas[j]]
+            for a in range(x_max + 1 - m):
+                d = n + a * fs.S
+                if d > q_max:
+                    break
+                dst = rhs[a + m]
+                dst[d:] = map(add, dst[d:], Hj[a])
+        ok[beta, row] = rhs == H[beta]
+    return [ok[key] for key in rows]
 
 
 def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:

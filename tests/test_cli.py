@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -314,6 +315,65 @@ def test_verify_detects_broken_matrix(run_cli, tmp_path):
     assert code == 1
     assert payload["ok"] is False
     assert "MISMATCH" in out
+
+
+def _proof_digests(system: str, tmp_path, capsys) -> dict[str, str]:
+    """sha256 of every file prove --qmax 40 --out writes, and of the stdout of
+    prove and of verify on its system.json, with both directories as tokens."""
+    outdir = tmp_path / system
+    fixtures = str(spanone.fixture_path(""))
+    digests = {}
+    for name, argv in (("prove", ["prove", fx(f"{system}_system.json"), "--qmax", "40", "--out", str(outdir)]),
+                       ("verify", ["verify", str(outdir / "system.json"), "--qmax", "40"])):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.replace(str(outdir), "<OUT>").replace(fixtures, "<FIXTURES>")
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    for f in sorted(outdir.iterdir()):
+        digests[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+    return digests
+
+
+# one changed byte in a proof, a certificate, a drawing or a report fails here
+PROOF_DIGESTS = {
+    "ex1": {
+        "cert_1.cert.json": "1530bf3d4a179a49be793aeae3aed396631ac3df3f0c75681a0f55d2368ae56d",
+        "cert_1.dot": "21d693d4faeba500567e817ccf0872b2541d609aa1a0a7be018f68972333fded",
+        "cert_2.cert.json": "a60e64f5e535378a1bed8257c84e4a9263bb2fe47ac788a242715052d01b4dd0",
+        "cert_2.dot": "3a0c1742c55a85507691ef3311d23a0827cd23ed380104ea1523231345c5cf74",
+        "prove": "49e215b24b79b5750c511adc15423fa7e925efa3a4bf364bb35f119f15dea065",
+        "system.json": "33a3e061922ca4c429e5cf66244a98fa16744f929fe1a3360d86cb8ae70b0a01",
+        "verify": "25b23cfb9f891176cb7a829d6bb477ec03ca573d4bea0ecb19362ac55044f384",
+    },
+    "kr": {
+        "cert_1_3.cert.json": "9849f32c0dcf8574da91ef65091f3f115e01888dee7e0d659a1c57b4f38af159",
+        "cert_1_3.dot": "c7ae8ab68336e69d45f21d777cb7721146d6812f8609b60c2bea96298335d942",
+        "cert_2_6.cert.json": "9f63e82e13b2b90b33444b4959e0add97ee12a3b8924c9ad2117407d299ddd43",
+        "cert_2_6.dot": "0af16f4f63c772e44f47b925eec8cd3374cfab4ee5f85d6eac4fb0f42e9f437b",
+        "cert_3_6.cert.json": "9ab0d01b4810630be30be3e7be3dc61682a64fa3e0707a6c1ae98174c059d2ca",
+        "cert_3_6.dot": "48b5e6190ec20d2f580f9ec71cfffeb9bb90ea3fcc8586b07157d20b091201cd",
+        "prove": "67e16113976b11b4ca71f519499a79ea2048e12a9c93f2abc5f27039203850b1",
+        "system.json": "0311300f185852846ee919a3f21ac94fa6cc205d11f34b0a4a27ac636582743b",
+        "verify": "0dd43b74dd9e2da6565e91cd43ca73180efcf9e8c1eb318405d8ab0ef53e9c16",
+    },
+    "ex3": {
+        "cert_1_2_4.cert.json": "bcb61d8c70bc3819c0ca4551e1377f00202f56d4d412c43be9870f1c92ec72d1",
+        "cert_1_2_4.dot": "b525c7f2555f5a0de018ac4191301d9aae31deb6a0ad55e06d9f3b2d0e5ec1ce",
+        "cert_2_4_7.cert.json": "7738f9b7a09a37b0e6dc30c9fe989c2e102264c8a50a6986d9ec6bd7ada00895",
+        "cert_2_4_7.dot": "e79cf50ae5e82eb4d71f220653eba75a4028d6fcff7834c828f1799b4cf84ca5",
+        "cert_2_6_10.cert.json": "e2f3e0c8713e8c4cc145e43be68ac2f7d5fd1044afdd2d45e00f25c6bb220206",
+        "cert_2_6_10.dot": "3916d8d4f090cf2fc7f29a0fc49de84d3268e84aca353e6a497ee6b7cd4a7e73",
+        "cert_3_6_10.cert.json": "3eef5d1497b028fa445d8cf11646b76f40ce043ab724f4795e208a13f63a8b83",
+        "cert_3_6_10.dot": "14a44b2e019993e2c7aadaabf05c5c9f6d51597c9328cd6cb9c93cb68fcd0833",
+        "prove": "5b50a79b579a954ce1940985c4cf64728d546da5cd6b4dc8ee5635b0d8c1f4cb",
+        "system.json": "bf806cb9537923619962a46011e17d4f38ef9187ff83b3eeb7f714375b546c7e",
+        "verify": "251fe8cdcf150e3d6c3463fbe2bd5c3ae2dd64578fff49b6afee0b3567cd7103",
+    },
+}
+
+
+@pytest.mark.parametrize("system", ["ex1", "kr", "ex3"])
+def test_proof_outputs_are_byte_identical(system, tmp_path, capsys):
+    assert _proof_digests(system, tmp_path, capsys) == PROOF_DIGESTS[system]
 
 
 def _verify_edited(tmp_path, capsys, edit) -> tuple[int, str]:

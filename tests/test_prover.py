@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -134,19 +135,73 @@ def test_derive_row_equals_recursive_search(case):
     assert outcome(derive_row) == outcome(recursive_derive_row)
 
 
-def test_far_targets_are_refused_without_expanding(ex3_system, monkeypatch):
-    p, _, betas = ex3_system
+def _counting_children(monkeypatch, limit: int = 10_000) -> list:
+    """Record prover._children calls; past limit, raise instead of searching on."""
     calls = []
     children = prover._children
 
     def counted(*args):
         calls.append(args)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} expansions")
         return children(*args)
 
     monkeypatch.setattr(prover, "_children", counted)
+    return calls
+
+
+def test_far_targets_are_refused_without_expanding(ex3_system, monkeypatch):
+    p, _, betas = ex3_system
+    calls = _counting_children(monkeypatch)
     with pytest.raises(SearchExhausted, match="within 64 expansions"):
         derive_row(p, (1, 2, 4), frozenset(shift_beta(p, b, 30) for b in betas))
     assert calls == []
+
+
+@pytest.mark.parametrize("target", [(4,), (4, 9, 0)], ids=["short", "long"])
+def test_targets_of_another_rank_are_refused_before_expanding(kr_profile, monkeypatch, target):
+    # compared on a common prefix, a short target is "reached" by every beta with
+    # b_1 <= 4 and the search climbs coordinate 2 without end; a long one exhausts
+    calls = _counting_children(monkeypatch)
+    message = re.escape(f"target {target} has rank {len(target)}, profile has rank 2")
+    for targets in ({target}, KR_TARGETS | {target}):
+        with pytest.raises(ValueError, match=message):
+            derive_row(kr_profile, (1, 3), targets)
+    assert calls == []
+
+
+@settings(max_examples=300)
+@given(_search_cases())
+def test_shared_search_gives_each_root_its_own_tree(case):
+    p, betas, S, root, budget = case
+    roots = (*betas, root)
+    targets = frozenset(shift_beta(p, b, S) for b in betas)
+    alone = {}
+    for r in roots:
+        try:
+            alone[r] = recursive_derive_row(p, r, targets, budget)
+        except SearchExhausted:
+            # the first root, in order, with no tree is the one named
+            with pytest.raises(SearchExhausted, match=re.escape(f"no certificate for {r} within")):
+                prover._derive_rows(p, roots, targets, budget)
+            return
+    assert prover._derive_rows(p, roots, targets, budget) == alone
+
+
+def test_assembly_names_the_first_exhausted_root(kr_profile):
+    # at a budget of 2, (1, 3) needs 6 expansions and (2, 6) needs 3; (3, 6) fits
+    for betas, named in (([(3, 6), (2, 6), (1, 3)], (2, 6)), ([(3, 6), (1, 3), (2, 6)], (1, 3))):
+        with pytest.raises(SearchExhausted, match=re.escape(f"no certificate for {named} within 2")):
+            assemble_system(kr_profile, 3, betas, max_expansions=2)
+
+
+def test_one_search_table_serves_every_root(ex3_system, monkeypatch):
+    # ex3's four roots expand 212 betas between them, three relation steps
+    # each; one search per root took 1,407 steps, redoing the shared betas
+    calls = _counting_children(monkeypatch)
+    fs = assemble_system(*ex3_system)
+    assert len(fs.certs) == 4
+    assert len(calls) == 636
 
 
 def test_memoized_search_is_cost_transparent(ex1_profile, kr_profile):
@@ -337,9 +392,9 @@ def test_verify_numeric_detects_tampering(kr_system):
     assert not all(verify_numeric(fs, 12, 12))
 
 
-def _oracle_rows(fs, q_max: int) -> list[bool]:
+def _oracle_rows(fs, x_max: int, q_max: int) -> list[bool]:
     """verify_numeric's row vector with every row weighed and summed on its own."""
-    H = {b: eval_H(fs.profile, b, q_max, q_max) for b in set(fs.betas)}
+    H = {b: eval_H(fs.profile, b, x_max, q_max) for b in set(fs.betas)}
     rhs = naive_weigh_sum(fs.U, fs.V, [H[b].shift_x(fs.S) for b in fs.betas])
     return [H[b].eq_upto(r) for b, r in zip(fs.betas, rhs)]
 
@@ -349,9 +404,8 @@ def _with(fs, U=None, V=None):
                                U=fs.U if U is None else U, V=fs.V if V is None else V, certs={})
 
 
-def test_verify_numeric_rows_equal_oracle_on_every_kr_mutant(kr_system):
-    # the whole row vector, not only the mutated row: equal rows share one sum
-    fs = assemble_system(*kr_system)
+def _mutants(fs) -> list[FactorizationSystem]:
+    """Every U with one entry flipped, then every V with one exponent moved by one."""
     mutants = []
     for i in range(fs.K):
         for j in range(fs.K):
@@ -364,9 +418,52 @@ def test_verify_numeric_rows_equal_oracle_on_every_kr_mutant(kr_system):
                 V = list(fs.V)
                 V[j] = (m + dm, n + dn)
                 mutants.append(_with(fs, V=tuple(V)))
+    return mutants
+
+
+def test_verify_numeric_rows_equal_oracle_on_every_kr_mutant(kr_system):
+    # the whole row vector, not only the mutated row: equal rows share one sum
+    fs = assemble_system(*kr_system)
+    mutants = _mutants(fs)
     assert len(mutants) == 49 + 26
+    # windows wider in x than in q and the reverse, and x^0 alone, where
+    # weighed terms fall off one edge of the rectangle before the other
+    for x_max, q_max in ((12, 12), (3, 20), (20, 5), (0, 12)):
+        for mutant in mutants:
+            assert verify_numeric(mutant, x_max, q_max) == _oracle_rows(mutant, x_max, q_max)
+    # at S = 0 no weighed row moves up in q with its x-degree
+    for mutant in _mutants(replace(fs, S=0)):
+        assert verify_numeric(mutant, 12, 12) == _oracle_rows(mutant, 12, 12)
+
+
+def test_verify_numeric_rows_equal_oracle_on_every_ex3_mutant(ex3_system):
+    fs = assemble_system(*ex3_system)
+    mutants = _mutants(fs)
+    assert len(mutants) == 529 + 90  # only V_1 = 1 has an exponent that cannot drop
     for mutant in mutants:
-        assert verify_numeric(mutant, 12, 12) == _oracle_rows(mutant, 12)
+        assert verify_numeric(mutant, 12, 12) == _oracle_rows(mutant, 12, 12)
+
+
+def test_verify_numeric_raises_eval_H_error_on_negative_energy(kr_system):
+    # H(-2, 3)'s summand n = (1, 0) has q-exponent -2, so it is no power series
+    fs = assemble_system(*kr_system)
+    bad = (-2, 3)
+    with pytest.raises(ValueError) as expected:
+        eval_H(fs.profile, bad, 12, 12)
+    with pytest.raises(ValueError) as raised:
+        verify_numeric(replace(fs, betas=fs.betas[:3] + (bad,) + fs.betas[4:]), 12, 12)
+    assert str(raised.value) == str(expected.value)
+    assert "negative q-exponent" in str(raised.value)
+
+
+def test_verify_numeric_refuses_laurent_weights(kr_system):
+    # refused as the series would refuse them, also where the term falls off the rectangle
+    fs = assemble_system(*kr_system)
+    with pytest.raises(ValueError, match=r"^shift amount must be >= 0, got -1$"):
+        verify_numeric(replace(fs, S=-1), 12, 12)
+    V = fs.V[:2] + ((1, -1),) + fs.V[3:]
+    with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^1 q\^-1$"):
+        verify_numeric(replace(fs, V=V), 0, 12)
 
 
 def test_verify_numeric_tells_equal_u_rows_apart_by_beta(kr_system):
@@ -378,7 +475,7 @@ def test_verify_numeric_tells_equal_u_rows_apart_by_beta(kr_system):
     mutant = _with(fs, U=tuple(U))
     rows = verify_numeric(mutant, 12, 12)
     assert rows == [True, True, True, False, True, True, True]
-    assert rows == _oracle_rows(mutant, 12)
+    assert rows == _oracle_rows(mutant, 12, 12)
 
 
 def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_system):
