@@ -28,15 +28,13 @@ bound uses no sign of beta, so it is exact for any integer beta, and since a
 pruned summand has E(n) > q_max >= 0, a summand with negative E(n) is still
 met, in the same order, and still raises ValueError.  Reciprocal
 Pochhammers are kept as dense q-rows of ints, each step of n_r one in-place
-division by (1 - q^(A_r n_r)).  The walk fills dense rows of coefficients,
-one per x-degree; eval_H wraps them in a Series, and the prover's numeric
-check reads them as they are, so both run the one walk.
+division by (1 - q^(A_r n_r)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import ceil
 from operator import add
 from pathlib import Path
@@ -116,15 +114,6 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
 
     beta may be any integer vector, but a summand whose q-exponent E(n)
     would be negative cannot live in a power series and raises ValueError.
-    """
-    rows = _eval_rows(p, beta, x_max, q_max)
-    return Series(
-        {(m, d): c for m, row in enumerate(rows) for d, c in enumerate(row) if c}, x_max, q_max
-    )
-
-
-def _eval_rows(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> list[list[int]]:
-    """eval_H's coefficients as dense rows: rows[m][d] is that of x^m q^d.
 
     The walk fixes n_1, n_2, ... in turn and carries the energy of the
     prefix.  Cross terms alpha_sr n_s n_r are >= 0, so every completion of a
@@ -147,6 +136,7 @@ def _eval_rows(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> list[l
         tail[r] = tail[r + 1] + min(
             a * k * (k - 1) // 2 + b * k for k in range(x_max // gamma[r] + 1)
         )
+    # rows[m][d]: coefficient of x^m q^d
     rows = [[0] * (q_max + 1) for _ in range(x_max + 1)]
 
     def walk(r: int, n: tuple[int, ...], xdeg: int, e: int, part: list[int]) -> None:
@@ -178,7 +168,10 @@ def _eval_rows(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> list[l
             walk(r + 1, n + (k,), xdeg + k * g, e, c)
 
     walk(0, (), 0, 0, [1] + [0] * q_max)
-    return rows
+    degrees = range(q_max + 1)
+    return Series(
+        {(m, d): row[d] for m, row in enumerate(rows) for d in compress(degrees, row)}, x_max, q_max
+    )
 
 
 def rec_children(

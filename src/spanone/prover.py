@@ -16,13 +16,14 @@ Each beta value expands through the same coordinate at every occurrence,
 so a certificate is a choice function on beta vectors and the tree is its
 unfolding.  We pick one minimizing the expansions of the unfolded tree (ties
 to the smallest coordinate) by dynamic programming over the betas collected
-from every root of a system, each beta expanded and solved once, so roots
-that share betas share their work.  A beta is expanded only when some target lies a run of at
+from the root.  A beta is expanded only when some target lies a run of at
 most max_expansions left moves away: a tree's leftmost leaf is such a run,
 and a tree within the budget has no subtree over it.  Both moves are
 componentwise non-decreasing and a left move raises one coordinate, so
 descending coordinate sum solves every child before its parent, except for
-a right move along an all-zero alpha row: a self-loop, never counted.
+a right move along an all-zero alpha row: a self-loop, never counted.  The
+solved betas go into a SearchTable that assemble_system shares among all
+roots of a system, so each beta is expanded and solved once per system.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Union
 
 from . import jsonin
-from .multisum import (Beta, MultisumProfile, _check_beta, _children, _eval_rows, profile_from_json,
+from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
                        profile_to_json, rec_children, shift_beta)
 
 
@@ -69,80 +70,85 @@ def expansions(tree: Node) -> int:
     return 1 + expansions(tree.left) + expansions(tree.right)
 
 
+class SearchTable:
+    """What searches for one profile, target set and budget have solved.
+
+    best maps each beta reached to (expansions, tree), or to None when it
+    has no tree.  An entry depends only on the entries of the beta's
+    children, so it is the same whichever root reached the beta, and every
+    root searched in one table shares it.
+    """
+
+    def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta], max_expansions: int):
+        targets = frozenset(targets)
+        if not targets:
+            raise ValueError("target set must be nonempty")
+        if max_expansions < 0:
+            raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
+        # a target of another rank would be compared on a truncated prefix
+        for t in targets:
+            if len(t) != p.R:
+                raise ValueError(f"target {t} has rank {len(t)}, profile has rank {p.R}")
+        self.p = p
+        self.targets = targets
+        self.max_expansions = max_expansions
+        self.best: dict[Beta, tuple[int, Node] | None] = {t: (0, Leaf(t)) for t in targets}
+
+
 def derive_row(
     p: MultisumProfile,
     root: Beta,
     targets: frozenset[Beta] | set[Beta],
     max_expansions: int = 64,
+    table: SearchTable | None = None,
 ) -> Node:
-    """Expansion-minimal certificate tree from root into the target set:
-    the search that assemble_system runs for all roots, run for one.
+    """Expansion-minimal certificate tree from root into the target set.
+
+    A table built for the same p, targets and max_expansions is read before
+    expanding and keeps every beta this call solves; assemble_system passes
+    one for all of a system's roots.
 
     Raises SearchExhausted when no choice function yields a finite tree
     within max_expansions relation applications, and ValueError for an
-    empty target set, a negative budget, or a root or target whose rank is
-    not the profile's.
+    empty target set, a negative budget, a root or target whose rank is not
+    the profile's, or a table built for another search.
     """
-    return _derive_rows(p, (root,), targets, max_expansions)[root]
-
-
-def _derive_rows(
-    p: MultisumProfile,
-    roots: tuple[Beta, ...],
-    targets: frozenset[Beta] | set[Beta],
-    max_expansions: int,
-) -> dict[Beta, Node]:
-    """Certificate trees for roots, each root once, from one table of betas.
-
-    A beta's cost and tie-break depend only on its children, which the cost
-    pass solves first, so the table is the same whichever root reached a
-    beta, and each tree equals the one a search from its root alone finds.
-    The first root, in order, with no tree within the budget is the one a
-    SearchExhausted names.
-    """
-    targets = frozenset(targets)
-    if not targets:
-        raise ValueError("target set must be nonempty")
-    if max_expansions < 0:
-        raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
-    # every beta below is built from a root by the relation, so it has the root's rank
-    for root in roots:
-        _check_beta(p, root)
-    # a target of another rank would be compared on a truncated prefix
-    for t in targets:
-        if len(t) != p.R:
-            raise ValueError(f"target {t} has rank {len(t)}, profile has rank {p.R}")
+    if table is None:
+        table = SearchTable(p, targets, max_expansions)
+    elif (table.p, table.targets, table.max_expansions) != (p, targets, max_expansions):
+        raise ValueError("table was built for another profile, target set or budget")
+    # every beta below is built from root by the relation, so it has root's rank
+    _check_beta(p, root)
+    best = table.best
     children: dict[Beta, list[tuple[Beta, Beta]]] = {}
-    stack = list(roots)
+    stack = [root]
     while stack:
         beta = stack.pop()
-        if beta in children or beta in targets:
+        if beta in children or beta in best:
             continue
         # a beta with no target in reach gets no options
-        reach = _reaches_target(p, beta, targets, max_expansions)
+        reach = _reaches_target(p, beta, table.targets, max_expansions)
         children[beta] = [_children(p, beta, i) for i in range(p.R)] if reach else []
         stack.extend(b for pair in children[beta] for b in pair)
 
-    best: dict[Beta, tuple[int, Node]] = {t: (0, Leaf(t)) for t in targets}
     for beta in sorted(children, key=sum, reverse=True):
         # beta is not in best yet, so its self-loop (a right move along a
         # zero alpha row) never counts; ties go to the smallest coordinate
         options = [
             (1 + best[left][0] + best[right][0], r, left, right)
             for r, (left, right) in enumerate(children[beta], 1)
-            if left in best and right in best
+            if best.get(left) is not None and best.get(right) is not None
         ]
         if options:
             cost, r, left, right = min(options)
             best[beta] = (cost, Expand(beta, r, best[left][1], best[right][1]))
-    trees = {}
-    for root in dict.fromkeys(roots):
-        if root not in best or best[root][0] > max_expansions:
-            raise SearchExhausted(
-                f"no certificate for {root} within {max_expansions} expansions"
-            )
-        trees[root] = best[root][1]
-    return trees
+        else:
+            best[beta] = None
+    if best[root] is None or best[root][0] > max_expansions:
+        raise SearchExhausted(
+            f"no certificate for {root} within {max_expansions} expansions"
+        )
+    return best[root][1]
 
 
 def _reaches_target(p: MultisumProfile, beta: Beta, targets: frozenset[Beta], max_expansions: int) -> bool:
@@ -223,7 +229,8 @@ def assemble_system(
         raise ValueError("need at least one component")
     shifted = [shift_beta(p, b, S) for b in betas]
     rank = {t: i for i, t in enumerate(dict.fromkeys(shifted))}  # targets in column order
-    certs = _derive_rows(p, betas, rank, max_expansions)
+    table = SearchTable(p, frozenset(rank), max_expansions)
+    certs = {root: derive_row(p, root, table.targets, max_expansions, table) for root in dict.fromkeys(betas)}
     leaves = {  # ((target, weight), count) by target in column order, then weight
         root: sorted(Counter(leaf_combination(p, tree)).items(), key=lambda leaf: rank[leaf[0][0]])
         for root, tree in certs.items()
@@ -262,14 +269,14 @@ def assemble_system(
 def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool]:
     """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma).
 
-    Each distinct beta is evaluated once into dense rows, H[a][d] the
-    coefficient of x^a q^d, and each distinct (beta_k, U row k) pair is
+    Each distinct beta is evaluated once and read into dense rows, H[a][d]
+    the coefficient of x^a q^d, and each distinct (beta_k, U row k) pair is
     compared once.  V_j = x^m q^n sends H(beta_j)(x q^S)'s x^a q^d to
     x^(a + m) q^(n + a S + d), so row k's right side is built by adding
     slices of rows.  Terms past x_max or q_max fall off both sides, the
     rectangle of eval_H's series.
     """
-    H = {b: _eval_rows(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
+    H = {b: eval_H(fs.profile, b, x_max, q_max).rows() for b in dict.fromkeys(fs.betas)}
     # Laurent weights are refused, also where all their terms would fall off
     if fs.S < 0:
         raise ValueError(f"shift amount must be >= 0, got {fs.S}")

@@ -30,7 +30,7 @@ the walk products of ideals, check_system and f_from_g run it on plain
 term, not a series product, and each distinct row of A is summed once: a
 factorization's rows repeat heavily, since rows whose betas agree have the
 same leaves (ex3 has 23 rows but 4 distinct ones).  The prover's numeric
-check sums the same way, but on the dense rows that eval_H's walk fills;
+check sums the same way, but on dense rows read from eval_H's series;
 the series here stay sparse, which was measured faster on the ideals'
 61x61 windows.
 """

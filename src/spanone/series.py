@@ -80,6 +80,13 @@ class Series:
     def support(self) -> Iterator[tuple[int, int]]:
         return iter(self._coeffs)
 
+    def rows(self) -> list[list[int]]:
+        """Every coefficient of the rectangle as dense rows: rows[m][n] is that of x^m q^n."""
+        rows = [[0] * (self.q_max + 1) for _ in range(self.x_max + 1)]
+        for (m, n), c in self._coeffs.items():
+            rows[m][n] = c
+        return rows
+
     def is_zero(self) -> bool:
         return not self._coeffs
 

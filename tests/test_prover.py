@@ -19,6 +19,7 @@ from spanone.prover import (
     FactorizationSystem,
     Leaf,
     SearchExhausted,
+    SearchTable,
     assemble_system,
     cert_from_json,
     check_certs,
@@ -176,16 +177,25 @@ def test_shared_search_gives_each_root_its_own_tree(case):
     p, betas, S, root, budget = case
     roots = (*betas, root)
     targets = frozenset(shift_beta(p, b, S) for b in betas)
-    alone = {}
+    table = SearchTable(p, targets, budget)
     for r in roots:
         try:
-            alone[r] = recursive_derive_row(p, r, targets, budget)
+            alone = recursive_derive_row(p, r, targets, budget)
         except SearchExhausted:
-            # the first root, in order, with no tree is the one named
             with pytest.raises(SearchExhausted, match=re.escape(f"no certificate for {r} within")):
-                prover._derive_rows(p, roots, targets, budget)
-            return
-    assert prover._derive_rows(p, roots, targets, budget) == alone
+                derive_row(p, r, targets, budget, table)
+        else:
+            assert derive_row(p, r, targets, budget, table) == alone
+
+
+def test_a_table_serves_only_its_own_search(kr_profile):
+    table = SearchTable(kr_profile, KR_TARGETS, 64)
+    for args in ((KR_TARGETS | {(9, 9)}, 64), (KR_TARGETS, 63)):
+        with pytest.raises(ValueError, match="table was built for another"):
+            derive_row(kr_profile, (1, 3), *args, table)
+    assert derive_row(kr_profile, (1, 3), set(KR_TARGETS), 64, table) == derive_row(
+        kr_profile, (1, 3), KR_TARGETS
+    )
 
 
 def test_assembly_names_the_first_exhausted_root(kr_profile):

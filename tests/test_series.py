@@ -190,3 +190,10 @@ def test_shift_x_composes_additively(a, s1, s2):
 @given(series_strategy())
 def test_add_negation_cancels(a):
     assert (a + (-a)).is_zero()
+
+
+@given(series_strategy())
+def test_rows_hold_every_coefficient_of_the_rectangle(a):
+    rows = a.rows()
+    assert [len(row) for row in rows] == [a.q_max + 1] * (a.x_max + 1)
+    assert all(rows[m][n] == a.coeff(m, n) for m in range(a.x_max + 1) for n in range(a.q_max + 1))
