@@ -276,13 +276,18 @@ def cmd_multisum_check(args) -> int:
 # -- prove / verify / export ----------------------------------------------
 
 
+def _checked_rows(fs: prover.FactorizationSystem, x_max: int, q_max: int) -> tuple[dict, list[bool]]:
+    """Rejected certificates, and per row: no rejected certificate and a numeric match."""
+    bad_certs = prover.check_certs(fs)
+    rows_ok = prover.verify_numeric(fs, x_max, q_max)
+    return bad_certs, [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
+
+
 def cmd_prove(args) -> int:
     x_max, q_max = _orders(args)
     p, S, betas = prover.load_system_spec(args.file)
     fs = prover.assemble_system(p, S, betas, args.max_expansions)
-    bad_certs = prover.check_certs(fs)
-    rows_ok = prover.verify_numeric(fs, x_max, q_max)
-    rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
+    _, rows_ok = _checked_rows(fs, x_max, q_max)
 
     positivity = {b: multisum.check_positivity(p, b) for b in sorted(set(fs.betas))}
     additional = multisum.check_additional(p, S)
@@ -332,9 +337,7 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     x_max, q_max = _orders(args)
     fs = prover.load_factorization(args.file)
-    bad_certs = prover.check_certs(fs)
-    rows_ok = prover.verify_numeric(fs, x_max, q_max)
-    rows_ok = [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
+    bad_certs, rows_ok = _checked_rows(fs, x_max, q_max)
     lines = [f"system {args.file}  K={fs.K} S={fs.S}  qmax={q_max} xmax={x_max}"]
     for k, ok in enumerate(rows_ok):
         lines.append(f"row {k + 1}: {prover._beta_label(fs.betas[k])} == selected combination: {'ok' if ok else 'MISMATCH'}")
@@ -372,6 +375,11 @@ def cmd_export(args) -> int:
 def _add_orders(sp):
     sp.add_argument("--qmax", type=int, default=CLI_Q_MAX, help="q truncation order")
     sp.add_argument("--xmax", type=int, default=None, help="x truncation order (default: qmax)")
+
+
+def _profile_and_beta(sp):
+    sp.add_argument("file")
+    sp.add_argument("--beta", required=True, help="comma-separated integers; write -1,3 as --beta=-1,3")
 
 
 def _oracle_args(sp):
@@ -413,30 +421,26 @@ def _qdiff_check_args(sp):
 
 
 def _multisum_eval_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--beta", required=True)
+    _profile_and_beta(sp)
     _add_orders(sp)
     sp.set_defaults(func=cmd_multisum_eval)
 
 
 def _multisum_rec_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--beta", required=True)
+    _profile_and_beta(sp)
     sp.add_argument("--coord", type=int, required=True)
     _add_orders(sp)
     sp.set_defaults(func=cmd_multisum_rec)
 
 
 def _multisum_shift_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--beta", required=True)
+    _profile_and_beta(sp)
     sp.add_argument("--shift", type=int, required=True)
     sp.set_defaults(func=cmd_multisum_shift)
 
 
 def _multisum_check_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--beta", required=True)
+    _profile_and_beta(sp)
     sp.add_argument("--shift", type=int, default=None)
     sp.set_defaults(func=cmd_multisum_check)
 

@@ -34,8 +34,7 @@ division by (1 - q^(A_r n_r)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-from math import ceil
+from itertools import compress
 from operator import add
 from pathlib import Path
 
@@ -90,23 +89,14 @@ def energy(p: MultisumProfile, beta: Beta, n: tuple[int, ...]) -> int:
 
 
 def check_positivity(p: MultisumProfile, beta: Beta) -> bool:
-    """Is E(n) > 0 for every nonzero n in N^R?
-
-    Fast path: beta all >= 1 forces E(n) >= sum n_r > 0.  Otherwise test a
-    box exhaustively and settle each axis ray separately: along e_r the
-    exponent grows linearly in n once alpha_rr > 0, and stays at beta_r * n
-    when alpha_rr = 0.
+    """Is E(n) > 0 for every nonzero n in N^R?  Exactly when every beta_r >= 1:
+    E(e_r) = beta_r, so a beta_r <= 0 fails at n = e_r; when every beta_r >= 1,
+    each diagonal term alpha_rr k(k-1)/2 + beta_r k is positive for k >= 1
+    and the cross terms are >= 0.  Positivity makes H(beta) a q-series: only
+    finitely many n have E(n) <= any given order.
     """
     _check_beta(p, beta)
-    if all(b >= 1 for b in beta):
-        return True
-    B = 2 + max(ceil(2 * abs(b) / max(p.alpha[r][r], 1)) for r, b in enumerate(beta))
-    if not all(not any(n) or energy(p, beta, n) > 0 for n in product(range(B + 1), repeat=p.R)):
-        return False
-    for r in range(p.R):
-        if p.alpha[r][r] == 0 and beta[r] <= 0:
-            return False
-    return True
+    return all(b >= 1 for b in beta)
 
 
 def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:

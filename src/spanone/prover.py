@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
 from pathlib import Path
 from typing import Union
 
 from . import jsonin
 from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
                        profile_to_json, rec_children, shift_beta)
+from .qdiff import _rows_hold
 
 
 class SearchExhausted(RuntimeError):
@@ -267,37 +267,10 @@ def assemble_system(
 
 
 def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool]:
-    """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma).
-
-    Each distinct beta is evaluated once and read into dense rows, H[a][d]
-    the coefficient of x^a q^d, and each distinct (beta_k, U row k) pair is
-    compared once.  V_j = x^m q^n sends H(beta_j)(x q^S)'s x^a q^d to
-    x^(a + m) q^(n + a S + d), so row k's right side is built by adding
-    slices of rows.  Terms past x_max or q_max fall off both sides, the
-    rectangle of eval_H's series.
-    """
-    H = {b: eval_H(fs.profile, b, x_max, q_max).rows() for b in dict.fromkeys(fs.betas)}
-    # Laurent weights are refused, also where all their terms would fall off
-    if fs.S < 0:
-        raise ValueError(f"shift amount must be >= 0, got {fs.S}")
-    for m, n in fs.V:
-        if m < 0 or n < 0:
-            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
-    rows = list(zip(fs.betas, map(tuple, fs.U)))
-    ok = {}
-    for beta, row in dict.fromkeys(rows):
-        rhs = [[0] * (q_max + 1) for _ in range(x_max + 1)]
-        for j in (j for j, u in enumerate(row) if u):
-            m, n = fs.V[j]
-            Hj = H[fs.betas[j]]
-            for a in range(x_max + 1 - m):
-                d = n + a * fs.S
-                if d > q_max:
-                    break
-                dst = rhs[a + m]
-                dst[d:] = map(add, dst[d:], Hj[a])
-        ok[beta, row] = rhs == H[beta]
-    return [ok[key] for key in rows]
+    """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma) by
+    qdiff's row check with A = U and weights = V; each distinct H is evaluated once."""
+    H = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
+    return _rows_hold(fs.U, fs.V, fs.S, [H[b] for b in fs.betas])
 
 
 def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:

@@ -22,22 +22,20 @@ breaks it, so solve works through every x-degree up to x_max.
 
 QDiffSystem is the package's one system type: ideals.associated_graph
 builds it from an ideal, and a proved factorization F(x) = U V F(xq^S) is
-the same data with A = U and weights = V.  The step "weigh entry j by
-x^(m_j) q^(s_j + m_j shift), then sum along the rows of A" is _weigh_sum;
-the walk products of ideals, check_system and f_from_g run it on plain
-(A, weights) data, so it also serves matrices that QDiffSystem rejects
-(random digraphs).  Weighing by a monomial is an exponent shift of every
-term, not a series product, and each distinct row of A is summed once: a
-factorization's rows repeat heavily, since rows whose betas agree have the
-same leaves (ex3 has 23 rows but 4 distinct ones).  The prover's numeric
-check sums the same way, but on dense rows read from eval_H's series;
-the series here stay sparse, which was measured faster on the ideals'
-61x61 windows.
+the same data with A = U and weights = V.  Two helpers take plain
+(A, weights), so they also serve matrices that QDiffSystem rejects.
+_weigh_sum builds sparse series for the walk products of ideals and for
+f_from_g (dense walk products measured 8x slower); _rows_hold is the one
+check of F = A W(x) F(xq^S), on dense rows, for check_system and the
+prover's verify_numeric.  Both weigh by a monomial as an exponent shift,
+not a series product, and treat each distinct row of A once: a
+factorization's rows repeat (ex3 has 23 rows but 4 distinct ones).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from . import jsonin
@@ -90,11 +88,8 @@ def _weigh_sum(
 ) -> list[Series]:
     """A W(x q^shift) vec: entry j times x^(m_j) q^(s_j + m_j shift), then
     summed along each row of A (entries read by truthiness, an empty row
-    gives zero).  The result lives on the smallest rectangle of vec.
-
-    Weighing by a monomial is an exponent shift, so each entry is re-keyed
-    in place of a series product.  Each distinct row of A is summed once,
-    and equal rows share the resulting (immutable) Series.
+    gives zero).  The result lives on the smallest rectangle of vec, and
+    equal rows share one (immutable) Series.
     """
     x_max = min(s.x_max for s in vec)
     q_max = min(s.q_max for s in vec)
@@ -155,12 +150,49 @@ def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:
     return _weigh_sum(sys.A, ((0, 0),) * sys.K, G)
 
 
+def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
+               F: Sequence[Series]) -> list[bool]:
+    """Per row k of A: does F_k = sum_j A_kj x^(m_j) q^(n_j) F_j(x q^S) hold on
+    the common rectangle of F?  Each distinct series is read once into dense
+    rows, cut to that rectangle only when the rectangles differ; x^m q^n sends
+    F_j(x q^S)'s x^a q^d to x^(a + m) q^(n + a S + d), so a right side is a sum
+    of row slices, built once per distinct row of A and compared once per
+    distinct (row of A, F_k) pair."""
+    # Laurent weights are refused, also where all their terms would fall off
+    if S < 0:
+        raise ValueError(f"shift amount must be >= 0, got {S}")
+    for m, n in weights:
+        if m < 0 or n < 0:
+            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
+    distinct = {id(s): s for s in F}
+    x_max = min((s.x_max for s in distinct.values()), default=0)
+    q_max = min((s.q_max for s in distinct.values()), default=0)
+    dense = {i: s.rows() for i, s in distinct.items()}
+    if any((s.x_max, s.q_max) != (x_max, q_max) for s in distinct.values()):
+        dense = {i: [row[:q_max + 1] for row in rows[:x_max + 1]] for i, rows in dense.items()}
+    cols = [dense[id(s)] for s in F]
+    keys = [(tuple(row), id(s)) for row, s in zip(A, F)]
+    pairs = dict.fromkeys(keys)
+    rhs = {row: [[0] * (q_max + 1) for _ in range(x_max + 1)] for row in {r for r, _ in pairs}}
+    for row, out in rhs.items():
+        for j in (j for j, e in enumerate(row) if e):
+            m, n = weights[j]
+            Fj = cols[j]
+            for a in range(x_max + 1 - m):
+                d = n + a * S
+                if d > q_max:
+                    break
+                dst = out[a + m]
+                dst[d:] = map(add, dst[d:], Fj[a])
+    ok = {(row, i): rhs[row] == dense[i] for row, i in pairs}
+    return [ok[key] for key in keys]
+
+
 def check_system(sys: QDiffSystem, F: list[Series]) -> bool:
     """Does F satisfy F(x) = A W(x) F(xq^S) on the shared truncation region?"""
     if len(F) != sys.K:
         raise ValueError(f"expected {sys.K} component series, got {len(F)}")
-    rhs = _weigh_sum(sys.A, sys.weights, [s.shift_x(sys.S) for s in F])
-    return all(f.eq_upto(r) for f, r in zip(F, rhs))
+    return all(_rows_hold(sys.A, sys.weights, sys.S, F))
 
 
 # -- JSON interface ------------------------------------------------------

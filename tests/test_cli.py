@@ -264,6 +264,20 @@ def test_multisum_check_exit_codes(run_cli):
     assert code == 1 and payload["additional"] is False
 
 
+def test_a_negative_beta_is_written_with_an_equals_sign(capsys):
+    # --beta=-1,3 reaches eval_H, which refuses H(-1,3)'s summand n = (1, 0)
+    code = main(["multisum", "eval", fx("kr_profile.json"), "--beta=-1,3", "--qmax", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: summand n=(1, 0) of H(beta=(-1, 3)) has negative q-exponent -1\n"
+    # with a space argparse reads -1,3 as an option, which the --beta help warns of
+    with pytest.raises(SystemExit) as exc:
+        main(["multisum", "eval", fx("kr_profile.json"), "--beta", "-1,3"])
+    assert exc.value.code == 2
+    assert "argument --beta: expected one argument" in capsys.readouterr().err
+
+
 def test_multisum_check_rejects_negative_shift(capsys):
     # as multisum shift does; a negative shift used to pass the divisibility check
     code = main(["multisum", "check", fx("kr_profile.json"), "--beta", "1,3", "--shift", "-3"])

@@ -85,6 +85,27 @@ def test_positivity_matches_brute_force(a11, a22, a12, b1, b2):
     assert check_positivity(p, beta) == brute
 
 
+@given(
+    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_positivity_matches_brute_force_rank_three(entries, beta):
+    a11, a22, a33, a12, a13, a23 = entries
+    alpha = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
+    p = MultisumProfile(alpha=alpha, gamma=(1, 1, 1), A=(1, 1, 1))
+    beta = tuple(beta)
+    brute = all(
+        energy(p, beta, n) > 0
+        for n in product(range(6), repeat=3)
+        if any(n)
+    ) and all(
+        energy(p, beta, tuple(k if i == r else 0 for i in range(3))) > 0
+        for r in range(3)
+        for k in range(6, 40)
+    )
+    assert check_positivity(p, beta) == brute
+
+
 def test_eval_h_matches_gap_oracle(ex1_profile):
     q_max = 16
     assert eval_H(ex1_profile, (1,), q_max, q_max).eq_upto(

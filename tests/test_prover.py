@@ -33,7 +33,7 @@ from spanone.prover import (
     tree_to_json,
     verify_numeric,
 )
-from spanone.qdiff import QDiffSystem, solve
+from spanone.qdiff import QDiffSystem, check_system, solve
 from spanone.series import Series
 
 KR_TARGETS = frozenset({(4, 9), (5, 12), (6, 12)})
@@ -486,6 +486,26 @@ def test_verify_numeric_tells_equal_u_rows_apart_by_beta(kr_system):
     rows = verify_numeric(mutant, 12, 12)
     assert rows == [True, True, True, False, True, True, True]
     assert rows == _oracle_rows(mutant, 12, 12)
+
+
+def test_check_system_agrees_with_verify_numeric(ex1_system, kr_system, ex3_system):
+    # a factorization is a q-difference system with A = U and weights = V, so
+    # both checks of F = A W(x) F(xq^S) give one answer, also on every U
+    # mutant that is still such a system (column and row 1 all ones)
+    q_max = 20
+    for spec in (ex1_system, kr_system, ex3_system):
+        fs = assemble_system(*spec)
+        H = {b: eval_H(fs.profile, b, q_max, q_max) for b in set(fs.betas)}
+        F = [H[b] for b in fs.betas]
+        checked = 0
+        for mutant in [fs] + _mutants(fs)[:fs.K ** 2]:
+            try:
+                sys = QDiffSystem(A=mutant.U, weights=mutant.V, S=mutant.S)
+            except ValueError:
+                continue
+            assert check_system(sys, F) == all(verify_numeric(mutant, q_max, q_max))
+            checked += 1
+        assert checked == 1 + (fs.K - 1) ** 2
 
 
 def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_system):

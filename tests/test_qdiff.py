@@ -155,6 +155,23 @@ def test_check_system_rejects_perturbation(rr_ideal):
     assert not check_system(sys, F)
 
 
+def test_check_system_compares_on_the_common_rectangle(kr_ideal):
+    # components truncated to different rectangles are compared where all are known
+    sys = associated_graph(kr_ideal)
+    F = solve(sys, 12, 12)
+    orders = [(12, 12), (9, 12), (12, 10)] + [(11, 11)] * (sys.K - 3)
+    cut = [Series(dict(s.terms()), x, q) for s, (x, q) in zip(F, orders)]
+    assert check_system(sys, cut)
+    # the common rectangle is [0..9] x [0..10]
+    inside = list(cut)
+    inside[0] = inside[0] + Series({(2, 7): 1}, 12, 12)
+    assert not check_system(sys, inside)
+    for k, term in ((0, (11, 3)), (0, (4, 11)), (1, (3, 12)), (2, (12, 0))):
+        outside = list(cut)
+        outside[k] = outside[k] + Series({term: 1}, 12, 12)
+        assert check_system(sys, outside)
+
+
 def test_solution_coefficient_orders(rr_ideal, kr_ideal):
     # the x^n coefficient of any component starts at q-order >= n
     for ideal in (rr_ideal, kr_ideal):
