@@ -172,6 +172,10 @@ def cmd_qdiff_solve(args) -> int:
 
 
 def cmd_qdiff_check(args) -> int:
+    """Check solve against the system it solved and, for an ideal file, against
+    the walk-product route.  On a bare {A, weights, S} file only the first
+    check runs, which cannot fail: it passes for every valid system, so it
+    proves nothing about where the system came from."""
     x_max, q_max = _orders(args)
     system, ideal = _load_qdiff_input(args.file)
     F = qdiff.solve(system, x_max, q_max)
@@ -476,7 +480,8 @@ COMMANDS = {
     }),
     "qdiff": ("q-difference systems of ideals and digraphs", {
         "solve": ("unique power-series solution", _qdiff_solve_args),
-        "check": ("consistency of solve and the walk product", _qdiff_check_args),
+        "check": ("consistency of solve and the walk product (ideal files); "
+                  "on a bare {A, weights, S} file it cannot fail", _qdiff_check_args),
     }),
     "multisum": ("Nahm-type multi-sum series", {
         "eval": ("truncated evaluation of H(beta)", _multisum_eval_args),

@@ -30,12 +30,13 @@ one system type, and the walk products run qdiff's A W(x q^(mS)) step.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
 from . import jsonin
-from .partitions import EMPTY, Partition, format_partition, parse_partition
+from .partitions import EMPTY, Partition, _trusted, format_partition, parse_partition
 from .qdiff import QDiffSystem, _weigh_sum
 from .series import Series, _check_orders
 
@@ -154,41 +155,52 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Par
     (LS, (L+1)S] because S is at least the largest seed part, while every
     part built so far is at most LS.  The windows are disjoint, so oplus is
     a plain concatenation: the shifted link goes in front of the parts
-    already built and the result is weakly decreasing with no sort.  Part
-    lists are collected in one bucket per size, each bucket is sorted, and
-    only then is each member wrapped (and validated) as a Partition.
+    already built and the result is weakly decreasing with no sort.
+
+    The chains are grown one level at a time: the frontier holds every
+    chain (last seed, parts, size) that reached the current level, each
+    seed is shifted once per level, and a chain that takes the empty link
+    passes unchanged into the next level's frontier.  Part lists are
+    collected in one bucket per size, each bucket is sorted, and only then
+    is each member wrapped as a Partition.
     """
     _check_orders(q_max, q_max)
     S = ideal.S
-    seeds = [(p.parts, p.size, len(p)) for p in ideal.pi]
+    linking = ideal.linking
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q_max + 1)]
     buckets[0].append(())
-    coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
-
-    def extend(j: int, level: int, parts: tuple[int, ...], size: int) -> None:
-        shift = level * S
-        if size + shift + 1 > q_max:
-            return  # even the smallest nonempty link no longer fits
-        for i in ideal.linking[j - 1]:
-            link, link_size, n = seeds[i - 1]
-            if not n:
-                # a chain may pass through an empty window and resume higher up
-                extend(i, level + 1, parts, size)
-                continue
-            grown_size = size + link_size + shift * n
-            if grown_size > q_max:
-                continue
-            grown = tuple([a + shift for a in link]) + parts
-            buckets[grown_size].append(grown)
-            key = (len(grown), grown_size)
-            coeffs[key] = coeffs.get(key, 0) + 1
-            extend(i, level + 1, grown, grown_size)
-
-    extend(1, 0, (), 0)
+    frontier: list[tuple[int, tuple[int, ...], int]] = [(1, (), 0)]
+    shift = 0
+    while frontier and shift < q_max:
+        shifted = [tuple([a + shift for a in p.parts]) for p in ideal.pi]
+        sizes = [p.size + shift * len(p) for p in ideal.pi]
+        grown_frontier = []
+        for j, parts, size in frontier:
+            if size + shift >= q_max:
+                continue  # even the smallest nonempty link no longer fits
+            for i in linking[j - 1]:
+                link = shifted[i - 1]
+                if not link:
+                    # a chain may pass through an empty window and resume higher up
+                    grown_frontier.append((i, parts, size))
+                    continue
+                grown_size = size + sizes[i - 1]
+                if grown_size > q_max:
+                    continue
+                grown = link + parts
+                buckets[grown_size].append(grown)
+                grown_frontier.append((i, grown, grown_size))
+        frontier = grown_frontier
+        shift += S
+    coeffs: dict[tuple[int, int], int] = {}
     members: list[Partition] = []
-    for bucket in buckets:
+    for size, bucket in enumerate(buckets):
         bucket.sort()
-        members += map(Partition, bucket)
+        for n, count in Counter(map(len, bucket)).items():
+            coeffs[(n, size)] = count
+        # each part list is a shifted link in front of lower windows, so it
+        # is weakly decreasing and positive by construction
+        members += [_trusted(parts) for parts in bucket]
     return Series(coeffs, q_max, q_max), members
 
 

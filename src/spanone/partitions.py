@@ -21,9 +21,13 @@ from typing import Callable, Iterator
 from .series import Series, _check_orders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
-    """Weakly decreasing tuple of positive integer parts; () is the empty partition."""
+    """Weakly decreasing tuple of positive integer parts; () is the empty partition.
+
+    The constructor checks both conditions.  Code that builds part lists
+    valid by construction wraps them with _trusted instead.
+    """
 
     parts: tuple[int, ...] = ()
 
@@ -48,6 +52,15 @@ class Partition:
         return f"Partition({format_partition(self)!r})"
 
 
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A Partition built without the constructor's checks.  Only for part
+    lists that are weakly decreasing and positive by construction; each
+    caller says why."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "parts", parts)
+    return p
+
+
 EMPTY = Partition()
 
 
@@ -62,7 +75,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Partition) -> str:
-    return "empty" if not p.parts else "+".join(str(a) for a in p.parts)
+    return "empty" if not p.parts else "+".join(map(str, p.parts))
 
 
 def phi(p: Partition, k: int = 1) -> Partition:
@@ -114,7 +127,8 @@ def partitions_of(n: int) -> Iterator[Partition]:
                 yield (first,) + rest
 
     for parts in gen(n, n):
-        yield Partition(parts)
+        # gen appends only parts in 1..cap, each at most the one before it
+        yield _trusted(parts)
 
 
 def oracle_genfun(pred: Callable[[Partition], bool], x_max: int, q_max: int) -> Series:
@@ -124,13 +138,14 @@ def oracle_genfun(pred: Callable[[Partition], bool], x_max: int, q_max: int) -> 
     One depth-first walk visits every partition of size <= q_max with at
     most x_max parts exactly once: each step appends a part no larger than
     the last one and no larger than what is left of q_max.  Each visited
-    part list is wrapped in a validated Partition and passed to pred.
+    part list is passed to pred as a Partition.
     """
     _check_orders(x_max, q_max)
     coeffs: dict[tuple[int, int], int] = {}
 
     def walk(parts: tuple[int, ...], size: int, cap: int) -> None:
-        if pred(Partition(parts)):
+        # every appended part is in 1..cap, at most the one before it
+        if pred(_trusted(parts)):
             key = (len(parts), size)
             coeffs[key] = coeffs.get(key, 0) + 1
         if len(parts) < x_max:

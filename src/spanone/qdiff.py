@@ -171,10 +171,15 @@ def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S
     if any((s.x_max, s.q_max) != (x_max, q_max) for s in distinct.values()):
         dense = {i: [row[:q_max + 1] for row in rows[:x_max + 1]] for i, rows in dense.items()}
     cols = [dense[id(s)] for s in F]
-    keys = [(tuple(row), id(s)) for row, s in zip(A, F)]
-    pairs = dict.fromkeys(keys)
-    rhs = {row: [[0] * (q_max + 1) for _ in range(x_max + 1)] for row in {r for r, _ in pairs}}
-    for row, out in rhs.items():
+    # each row of A is hashed once: a row is named by the index of its first
+    # copy, and a (row, F_k) pair by the first index k where it occurs
+    row_first: dict[tuple[int, ...], int] = {}
+    pair_first: dict[tuple[int, int], int] = {}
+    firsts = [pair_first.setdefault((row_first.setdefault(tuple(row), k), id(s)), k)
+              for k, (row, s) in enumerate(zip(A, F))]
+    rhs = {}
+    for row, r in row_first.items():
+        out = rhs[r] = [[0] * (q_max + 1) for _ in range(x_max + 1)]
         for j in (j for j, e in enumerate(row) if e):
             m, n = weights[j]
             Fj = cols[j]
@@ -184,8 +189,8 @@ def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S
                     break
                 dst = out[a + m]
                 dst[d:] = map(add, dst[d:], Fj[a])
-    ok = {(row, i): rhs[row] == dense[i] for row, i in pairs}
-    return [ok[key] for key in keys]
+    ok = {k: rhs[r] == dense[i] for (r, i), k in pair_first.items()}
+    return [ok[k] for k in firsts]
 
 
 def check_system(sys: QDiffSystem, F: list[Series]) -> bool:

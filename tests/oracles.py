@@ -5,9 +5,10 @@ route: dense-array convolution instead of sparse scatter products, a product
 and a sum for every row instead of re-keyed entries and shared row sums,
 explicit walk enumeration instead of matrix products, a bijective partition
 counter instead of filtering, a full-box multi-sum enumeration instead of the
-pruned walk, a memoless certificate search instead of the memoized one, and
-a recursive memoized certificate search instead of the bottom-up one.
-Agreement between the routes is the point.
+pruned walk, a memoless certificate search instead of the memoized one, a
+recursive memoized certificate search instead of the bottom-up one, and a
+recursive chain expansion of an ideal's members instead of the level-wise
+walk.  Agreement between the routes is the point.
 
 One helper is not a second route: walk_genfun_matrix lays the library's
 walk products out as the full walk-matrix, a form only the tests need, so
@@ -19,8 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from spanone.ideals import _walk_product
+from spanone.ideals import SpanOneIdeal, _walk_product
 from spanone.multisum import Beta, MultisumProfile, rec_children
+from spanone.partitions import Partition
 from spanone.prover import Expand, Leaf, Node, SearchExhausted
 from spanone.series import Series
 
@@ -97,6 +99,44 @@ def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Seri
         for d in range(q_max - e + 1):
             coeffs[(xdeg, e + d)] = coeffs.get((xdeg, e + d), 0) + poch.coeff(0, d)
     return Series(coeffs, x_max, q_max)
+
+
+def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Partition]]:
+    """Members of size <= q_max by one recursive call per chain, each member
+    validated as a Partition: the same result as enumerate_members, down to
+    the order of the member list (by size, then part list).
+    """
+    S = ideal.S
+    seeds = [(p.parts, p.size, len(p)) for p in ideal.pi]
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q_max + 1)]
+    buckets[0].append(())
+    coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
+
+    def extend(j: int, level: int, parts: tuple[int, ...], size: int) -> None:
+        shift = level * S
+        if size + shift + 1 > q_max:
+            return  # even the smallest nonempty link no longer fits
+        for i in ideal.linking[j - 1]:
+            link, link_size, n = seeds[i - 1]
+            if not n:
+                # a chain may pass through an empty window and resume higher up
+                extend(i, level + 1, parts, size)
+                continue
+            grown_size = size + link_size + shift * n
+            if grown_size > q_max:
+                continue
+            grown = tuple([a + shift for a in link]) + parts
+            buckets[grown_size].append(grown)
+            key = (len(grown), grown_size)
+            coeffs[key] = coeffs.get(key, 0) + 1
+            extend(i, level + 1, grown, grown_size)
+
+    extend(1, 0, (), 0)
+    members: list[Partition] = []
+    for bucket in buckets:
+        bucket.sort()
+        members += map(Partition, bucket)
+    return Series(coeffs, q_max, q_max), members
 
 
 def walk_genfun_matrix(A, weights, M: int, S: int, x_max: int, q_max: int) -> list[list[Series]]:

@@ -390,6 +390,28 @@ def test_proof_outputs_are_byte_identical(system, tmp_path, capsys):
     assert _proof_digests(system, tmp_path, capsys) == PROOF_DIGESTS[system]
 
 
+# one changed byte in a member list or a brute-force count fails here
+ENUMERATION_DIGESTS = {
+    ("ideal", "members", "<FIXTURES>/rr.json", "--qmax", "40"):
+        "fbc40beee0095672fc427f1d67d9ca9971ea9d3415bb21f07b61d57a9dac6c5e",
+    ("ideal", "members", "<FIXTURES>/kr_i1.json", "--qmax", "40"):
+        "99579e8553116a4ebc0aee1cb398695aa15701b1fae1d370e4cba4b2ff5e2524",
+    ("oracle", "gap", "--d", "2", "--k", "1", "--qmax", "30"):
+        "73156f29db4d20ed45a08d64c86d5868d261a4ac24569614b7ddca2dc18ec694",
+    ("oracle", "kr-i1", "--qmax", "30"):
+        "d0b147ffc6d5f2c8de52f6d6fdc6cf12477670a8089d64e10c93122f71708063",
+}
+
+
+@pytest.mark.parametrize("argv", ENUMERATION_DIGESTS, ids=" ".join)
+def test_enumeration_outputs_are_byte_identical(argv, capsys):
+    """sha256 of stdout, with the fixture directory as a token."""
+    fixtures = str(spanone.fixture_path(""))
+    assert main([a.replace("<FIXTURES>", fixtures) for a in argv]) == 0
+    out = capsys.readouterr().out.replace(fixtures, "<FIXTURES>")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_DIGESTS[argv]
+
+
 def _verify_edited(tmp_path, capsys, edit) -> tuple[int, str]:
     """Prove kr, apply edit to the written system, verify it; (exit code, stderr)."""
     outdir = tmp_path / "kr"

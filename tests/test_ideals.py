@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import spanone
-from oracles import enumerate_walks, walk_genfun_matrix
+from oracles import enumerate_walks, recursive_enumerate_members, walk_genfun_matrix
 from spanone.ideals import (
     IdealError,
     SpanOneIdeal,
@@ -21,6 +22,7 @@ from spanone.ideals import (
 )
 from spanone.partitions import (
     EMPTY,
+    Partition,
     kr_i1_predicate,
     oracle_genfun,
     parse_partition,
@@ -250,6 +252,32 @@ def test_members_are_the_oracle_partitions_in_order(rr_ideal, kr_ideal):
         for q_max in range(19):
             _, members = enumerate_members(ideal, q_max)
             assert members == [p for p in expected if p.size <= q_max], q_max
+
+
+@st.composite
+def small_ideals(draw) -> SpanOneIdeal:
+    """A valid ideal with span S <= 4, up to five distinct seeds with parts
+    <= S, and random linking sets (each holding the empty seed)."""
+    S = draw(st.integers(1, 4))
+    seed = st.lists(st.integers(1, S), min_size=1, max_size=3).map(
+        lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+    pi = (EMPTY, *draw(st.lists(seed, max_size=4, unique=True)))
+    K = len(pi)
+    linking = [frozenset(range(1, K + 1))]
+    for _ in range(1, K):
+        linking.append(frozenset({1} | draw(st.sets(st.integers(1, K)))))
+    return SpanOneIdeal(pi=pi, linking=tuple(linking), S=S)
+
+
+@given(small_ideals(), st.integers(0, 14))
+def test_level_walk_matches_recursive_expansion(ideal, q_max):
+    genfun, members = enumerate_members(ideal, q_max)
+    old_genfun, old_members = recursive_enumerate_members(ideal, q_max)
+    assert genfun == old_genfun
+    assert members == old_members
+    for m in members:
+        assert Partition(m.parts) == m
+        assert contains(ideal, m) is not None
 
 
 def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):

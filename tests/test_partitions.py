@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from oracles import count_gap2
 from spanone.partitions import (
     EMPTY,
     Partition,
+    _trusted,
     format_partition,
     kr_i1_predicate,
     oplus,
@@ -39,6 +43,31 @@ def test_parse_rejects_garbage():
         parse_partition("1+2")  # increasing
     with pytest.raises(ValueError):
         parse_partition("3+0")
+
+
+@given(partition_strategy)
+def test_trusted_partition_equals_checked_one(p):
+    t = _trusted(p.parts)
+    assert t == p and hash(t) == hash(p)
+    assert repr(t) == repr(p) == f"Partition({format_partition(p)!r})"
+    assert t.size == p.size and len(t) == len(p)
+
+
+def test_partition_is_frozen_and_slotted():
+    p = parse_partition("3+1")
+    for target in (p, _trusted((3, 1))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.parts = (2,)
+        assert not hasattr(target, "__dict__")
+    assert Partition.__slots__ == ("parts",)
+    assert repr(EMPTY) == "Partition('empty')" and EMPTY == _trusted(())
+
+
+def test_public_constructor_still_checks():
+    with pytest.raises(ValueError, match="^parts must be positive, got 0$"):
+        Partition((0,))
+    with pytest.raises(ValueError, match=re.escape("parts must be weakly decreasing, got (1, 2)")):
+        Partition((1, 2))
 
 
 def test_phi_adds_to_every_part():
