@@ -9,12 +9,9 @@ from .partitions import (
     Partition,
     format_partition,
     kr_i1_predicate,
-    oplus,
     oracle_genfun,
     parse_partition,
     partitions_of,
-    phi,
-    s_tail,
     satisfies_gap,
 )
 from .ideals import (

@@ -34,7 +34,6 @@ division by (1 - q^(A_r n_r)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import add
 from pathlib import Path
 
@@ -158,10 +157,8 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
             walk(r + 1, n + (k,), xdeg + k * g, e, c)
 
     walk(0, (), 0, 0, [1] + [0] * q_max)
-    degrees = range(q_max + 1)
-    return Series(
-        {(m, d): row[d] for m, row in enumerate(rows) for d in compress(degrees, row)}, x_max, q_max
-    )
+    # rows: x_max + 1 rows of q_max + 1 ints, built here and done with
+    return Series._of_rows(rows, x_max, q_max)
 
 
 def rec_children(

@@ -1,15 +1,9 @@
 """Integer partitions and the predicates that carve out our partition classes.
 
-Partitions are weakly decreasing tuples of positive parts.  The two
-structural moves everything else is built from:
-
-* ``phi`` adds 1 to every part (repeatedly: ``phi(p, k)``), so parts shift
-  upward without changing their number;
-* ``oplus`` is multiset union, merging two partitions part by part.
-
-A brute-force generating function over all partitions of n <= q_max,
-filtered by an arbitrary predicate, serves as the reference count that the
-structured constructions elsewhere in the package are checked against.
+Partitions are weakly decreasing tuples of positive parts.  A brute-force
+generating function over all partitions of n <= q_max, filtered by an
+arbitrary predicate, serves as the reference count that the structured
+constructions elsewhere in the package are checked against.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     lists that are weakly decreasing and positive by construction; each
     caller says why."""
     p = object.__new__(Partition)
-    object.__setattr__(p, "parts", parts)
+    Partition.parts.__set__(p, parts)  # the slot's own setter, unguarded by frozen
     return p
 
 
@@ -76,23 +70,6 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     return "empty" if not p.parts else "+".join(map(str, p.parts))
-
-
-def phi(p: Partition, k: int = 1) -> Partition:
-    """Add k to every part (k >= 0).  The empty partition is fixed."""
-    if k < 0:
-        raise ValueError(f"phi exponent must be >= 0, got {k}")
-    return Partition(tuple(a + k for a in p.parts))
-
-
-def oplus(p: Partition, r: Partition) -> Partition:
-    """Multiset union of the parts of p and r."""
-    return Partition(tuple(sorted(p.parts + r.parts, reverse=True)))
-
-
-def s_tail(p: Partition, s: int) -> Partition:
-    """The sub-partition of parts that are <= s."""
-    return Partition(tuple(a for a in p.parts if a <= s))
 
 
 def satisfies_gap(p: Partition, d: int, k: int) -> bool:

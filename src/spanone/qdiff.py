@@ -24,12 +24,11 @@ QDiffSystem is the package's one system type: ideals.associated_graph
 builds it from an ideal, and a proved factorization F(x) = U V F(xq^S) is
 the same data with A = U and weights = V.  Two helpers take plain
 (A, weights), so they also serve matrices that QDiffSystem rejects.
-_weigh_sum builds sparse series for the walk products of ideals and for
-f_from_g (dense walk products measured 8x slower); _rows_hold is the one
-check of F = A W(x) F(xq^S), on dense rows, for check_system and the
-prover's verify_numeric.  Both weigh by a monomial as an exponent shift,
-not a series product, and treat each distinct row of A once: a
-factorization's rows repeat (ex3 has 23 rows but 4 distinct ones).
+_weigh_sum builds the walk products of ideals and f_from_g; _rows_hold is
+the one check of F = A W(x) F(xq^S), on the series' own x-rows, for
+check_system and the prover's verify_numeric.  Both weigh by a monomial
+as an exponent shift, not a series product, and treat each distinct row of
+A once: a factorization's rows repeat (ex3 has 23 rows but 4 distinct ones).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from operator import add
 from typing import Sequence
 
 from . import jsonin
-from .series import Series, _check_orders, series_sum
+from .series import Series, _check_orders, _trim, series_sum
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,8 @@ def solve(sys: QDiffSystem, x_max: int, q_max: int) -> list[Series]:
                 row[i] += f1[i - step]
         for fk, row in zip(f, rows):
             fk.append(row)
-    return [
-        Series({(n, d): c for n, row in enumerate(fk) for d, c in enumerate(row) if c},
-               x_max, q_max)
-        for fk in f
-    ]
+    # f[k] holds x_max + 1 fresh rows of q_max + 1 ints that nothing else keeps
+    return [Series._of_rows(fk, x_max, q_max) for fk in f]
 
 
 def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:
@@ -153,8 +149,8 @@ def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:
 def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
                F: Sequence[Series]) -> list[bool]:
     """Per row k of A: does F_k = sum_j A_kj x^(m_j) q^(n_j) F_j(x q^S) hold on
-    the common rectangle of F?  Each distinct series is read once into dense
-    rows, cut to that rectangle only when the rectangles differ; x^m q^n sends
+    the common rectangle of F?  Each distinct series' x-rows are read as they
+    are, cut to that rectangle only when the rectangles differ; x^m q^n sends
     F_j(x q^S)'s x^a q^d to x^(a + m) q^(n + a S + d), so a right side is a sum
     of row slices, built once per distinct row of A and compared once per
     distinct (row of A, F_k) pair."""
@@ -167,9 +163,9 @@ def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S
     distinct = {id(s): s for s in F}
     x_max = min((s.x_max for s in distinct.values()), default=0)
     q_max = min((s.q_max for s in distinct.values()), default=0)
-    dense = {i: s.rows() for i, s in distinct.items()}
+    dense = {i: s._rows for i, s in distinct.items()}
     if any((s.x_max, s.q_max) != (x_max, q_max) for s in distinct.values()):
-        dense = {i: [row[:q_max + 1] for row in rows[:x_max + 1]] for i, rows in dense.items()}
+        dense = {i: _trim([row[:q_max + 1] for row in rows[:x_max + 1]]) for i, rows in dense.items()}
     cols = [dense[id(s)] for s in F]
     # each row of A is hashed once: a row is named by the index of its first
     # copy, and a (row, F_k) pair by the first index k where it occurs
@@ -182,13 +178,13 @@ def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S
         out = rhs[r] = [[0] * (q_max + 1) for _ in range(x_max + 1)]
         for j in (j for j, e in enumerate(row) if e):
             m, n = weights[j]
-            Fj = cols[j]
-            for a in range(x_max + 1 - m):
+            for a, src in enumerate(cols[j]):
                 d = n + a * S
-                if d > q_max:
+                if a + m > x_max or d > q_max:
                     break
                 dst = out[a + m]
-                dst[d:] = map(add, dst[d:], Fj[a])
+                dst[d:] = map(add, dst[d:], src)
+        _trim(out)
     ok = {k: rhs[r] == dense[i] for (r, i), k in pair_first.items()}
     return [ok[k] for k in firsts]
 

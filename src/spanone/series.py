@@ -6,6 +6,13 @@ on elements of  Z[[x, q]]  truncated to a rectangle  0 <= m <= x_max,
 0 <= n <= q_max  (inclusive).  Coefficients are ordinary Python ints, so all
 arithmetic is exact; there is no floating point anywhere.
 
+A series is stored as x-rows: _rows[m][n] is the coefficient of x^m q^n,
+every row is a dense list of exactly q_max + 1 ints, and trailing all-zero
+rows are dropped, so a missing row means zero and equal series have equal
+rows.  The hot producers (the multi-sum walk, the q-difference solver)
+build such rows themselves and hand them over through Series._of_rows; the
+rows of a series are never mutated afterwards, so series may share them.
+
 A series only ever *knows* coefficients inside its truncation rectangle.
 Asking for a coefficient outside the rectangle is a programming error and
 raises :class:`TruncationRangeError` rather than returning 0, because a
@@ -17,7 +24,8 @@ region where both operands are meaningful.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from operator import add
+from typing import Iterable, Mapping
 
 
 class TruncationRangeError(LookupError):
@@ -29,27 +37,47 @@ def _check_orders(x_max: int, q_max: int) -> None:
         raise ValueError(f"truncation orders must be >= 0, got x_max={x_max} q_max={q_max}")
 
 
+def _trim(rows: list[list[int]]) -> list[list[int]]:
+    """Drop trailing all-zero rows in place; returns rows."""
+    while rows and not any(rows[-1]):
+        rows.pop()
+    return rows
+
+
 class Series:
     """An element of Z[[x, q]] known up to x^x_max and q^q_max.
 
-    Instances are immutable; every operation returns a fresh series.  Zero
-    coefficients are never stored, so ``not s._coeffs`` means s == 0 on its
-    rectangle.
+    Instances are immutable; every operation returns a fresh series.
     """
 
-    __slots__ = ("_coeffs", "x_max", "q_max")
+    __slots__ = ("_rows", "x_max", "q_max")
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int], x_max: int, q_max: int):
+    def __new__(cls, coeffs: Mapping[tuple[int, int], int], x_max: int, q_max: int) -> "Series":
         _check_orders(x_max, q_max)
-        clean: dict[tuple[int, int], int] = {}
+        rows: list[list[int]] = []
         for (m, n), c in coeffs.items():
             if m < 0 or n < 0:
                 raise ValueError(f"negative exponent in series term x^{m} q^{n}")
             if c and m <= x_max and n <= q_max:
-                clean[(m, n)] = c
-        object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "x_max", x_max)
-        object.__setattr__(self, "q_max", q_max)
+                while len(rows) <= m:
+                    rows.append([0] * (q_max + 1))
+                rows[m][n] = c
+        # rows of q_max + 1 ints, one per m up to the largest kept, all fresh
+        return cls._of_rows(rows, x_max, q_max)
+
+    @classmethod
+    def _of_rows(cls, rows: list[list[int]], x_max: int, q_max: int) -> "Series":
+        """A series taking over rows, with only trailing zero rows dropped.
+
+        Only for at most x_max + 1 rows of exactly q_max + 1 ints each, which
+        no one mutates afterwards; each caller says why its rows are such.
+        """
+        s = object.__new__(cls)
+        # the slots' own setters, which the immutability guard does not see
+        Series._rows.__set__(s, _trim(rows))
+        Series.x_max.__set__(s, x_max)
+        Series.q_max.__set__(s, q_max)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -71,24 +99,14 @@ class Series:
                 f"coefficient x^{m} q^{n} outside truncation region "
                 f"[0..{self.x_max}] x [0..{self.q_max}]"
             )
-        return self._coeffs.get((m, n), 0)
+        return self._rows[m][n] if m < len(self._rows) else 0
 
     def terms(self) -> list[tuple[tuple[int, int], int]]:
         """Nonzero terms ((m, n), c) in graded-lex order: by q-degree, then x-degree."""
-        return sorted(self._coeffs.items(), key=lambda t: (t[0][1], t[0][0]))
-
-    def support(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs)
-
-    def rows(self) -> list[list[int]]:
-        """Every coefficient of the rectangle as dense rows: rows[m][n] is that of x^m q^n."""
-        rows = [[0] * (self.q_max + 1) for _ in range(self.x_max + 1)]
-        for (m, n), c in self._coeffs.items():
-            rows[m][n] = c
-        return rows
+        return [((m, n), c) for n, col in enumerate(zip(*self._rows)) for m, c in enumerate(col) if c]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._rows
 
     # -- arithmetic ------------------------------------------------------
 
@@ -98,7 +116,8 @@ class Series:
         return series_sum((self, other), self.x_max, self.q_max)
 
     def __neg__(self) -> "Series":
-        return Series({k: -c for k, c in self._coeffs.items()}, self.x_max, self.q_max)
+        # negating keeps every row's length and which rows are zero
+        return Series._of_rows([[-c for c in row] for row in self._rows], self.x_max, self.q_max)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -110,17 +129,16 @@ class Series:
             return NotImplemented
         x_max = min(self.x_max, other.x_max)
         q_max = min(self.q_max, other.q_max)
-        out: dict[tuple[int, int], int] = {}
-        for (m1, n1), c1 in self._coeffs.items():
-            if m1 > x_max or n1 > q_max:
-                continue
-            for (m2, n2), c2 in other._coeffs.items():
-                m, n = m1 + m2, n1 + n2
-                if m > x_max or n > q_max:
-                    continue
-                k = (m, n)
-                out[k] = out.get(k, 0) + c1 * c2
-        return Series(out, x_max, q_max)
+        size = max(0, min(x_max + 1, len(self._rows) + len(other._rows) - 1))
+        out = [[0] * (q_max + 1) for _ in range(size)]
+        for m1, r1 in enumerate(self._rows[:size]):
+            for m2, r2 in enumerate(other._rows[:size - m1]):
+                dst = out[m1 + m2]
+                for n1, c1 in enumerate(r1[:q_max + 1]):
+                    if c1:
+                        dst[n1:] = [d + c1 * c2 for d, c2 in zip(dst[n1:], r2)]
+        # size rows of q_max + 1 ints, at most x_max + 1 of them
+        return Series._of_rows(out, x_max, q_max)
 
     def shift_x(self, s: int) -> "Series":
         """Substitute x -> x q^s, sending x^m q^n to x^m q^(n + m s).
@@ -130,19 +148,25 @@ class Series:
         """
         if s < 0:
             raise ValueError(f"shift amount must be >= 0, got {s}")
-        out: dict[tuple[int, int], int] = {}
-        for (m, n), c in self._coeffs.items():
-            n2 = n + m * s
-            if n2 <= self.q_max:
-                out[(m, n2)] = c
-        return Series(out, self.x_max, self.q_max)
+        q = self.q_max
+        # row m moves right by m s <= q and keeps q + 1 ints; rows with
+        # m s > q vanish, and for s > 0 they are all the rows past some m
+        rows = [[0] * (m * s) + row[:q + 1 - m * s] for m, row in enumerate(self._rows) if m * s <= q]
+        return Series._of_rows(rows, self.x_max, q)
 
     def times_xq(self, m: int, n: int) -> "Series":
         """Multiply by x^m q^n: every term's exponents shift by (m, n), with
         no series product.  Terms pushed off the rectangle fall off."""
         if m < 0 or n < 0:
             raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
-        return Series({(a + m, b + n): c for (a, b), c in self._coeffs.items()}, self.x_max, self.q_max)
+        x, q = self.x_max, self.q_max
+        if m > x or n > q:
+            # also keeps the slice bound x + 1 - m below from going negative
+            return Series.zero(x, q)
+        rows = [[0] * (q + 1) for _ in range(m)]
+        rows += [[0] * n + row[:q + 1 - n] for row in self._rows[:x + 1 - m]]
+        # m zero rows, then rows shifted right by n <= q, all of q + 1 ints
+        return Series._of_rows(rows, x, q)
 
     # -- comparison ------------------------------------------------------
 
@@ -151,10 +175,10 @@ class Series:
         x_max = min(self.x_max, other.x_max)
         q_max = min(self.q_max, other.q_max)
 
-        def restrict(s: "Series") -> dict[tuple[int, int], int]:
-            return {k: c for k, c in s._coeffs.items() if k[0] <= x_max and k[1] <= q_max}
+        def cut(s: "Series") -> list[list[int]]:
+            return _trim([row[:q_max + 1] for row in s._rows[:x_max + 1]])
 
-        return restrict(self) == restrict(other)
+        return cut(self) == cut(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -162,16 +186,16 @@ class Series:
         return (
             self.x_max == other.x_max
             and self.q_max == other.q_max
-            and self._coeffs == other._coeffs
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.x_max, self.q_max, frozenset(self._coeffs.items())))
+        return hash((self.x_max, self.q_max, tuple(map(tuple, self._rows))))
 
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        if not self._coeffs:
+        if not self._rows:
             return "0"
         pieces: list[str] = []
         for (m, n), c in self.terms():
@@ -205,11 +229,18 @@ def _term_body(c: int, m: int, n: int) -> str:
 
 
 def series_sum(terms: Iterable[Series], x_max: int, q_max: int) -> Series:
-    """Sum a (possibly empty) collection of series in one pass.  The result
+    """Sum a (possibly empty) collection of series, row by row.  The result
     lives on the intersection of the given rectangle with every term's."""
-    out: dict[tuple[int, int], int] = {}
+    terms = list(terms)
     for t in terms:
         x_max, q_max = min(x_max, t.x_max), min(q_max, t.q_max)
-        for k, c in t._coeffs.items():
-            out[k] = out.get(k, 0) + c
-    return Series(out, x_max, q_max)
+    out: list[list[int]] = []
+    for t in terms:
+        for m, row in enumerate(t._rows[:x_max + 1]):
+            if m < len(out):
+                out[m] = list(map(add, out[m], row))
+            else:
+                out.append(row if len(row) == q_max + 1 else row[:q_max + 1])
+    # every row is a term's row cut to q_max + 1 ints or a sum of such rows,
+    # and a term's rows are never mutated, so sharing one is safe
+    return Series._of_rows(out, x_max, q_max)

@@ -12,7 +12,9 @@ walk.  Agreement between the routes is the point.
 
 One helper is not a second route: walk_genfun_matrix lays the library's
 walk products out as the full walk-matrix, a form only the tests need, so
-that enumerate_walks can check every entry of it.
+that enumerate_walks can check every entry of it.  Nor are the partition
+moves phi, oplus and s_tail: they are the definitions the paper builds
+members from, which the tests use to rebuild and split partitions.
 """
 
 from __future__ import annotations
@@ -137,6 +139,23 @@ def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series
         bucket.sort()
         members += map(Partition, bucket)
     return Series(coeffs, q_max, q_max), members
+
+
+def phi(p: Partition, k: int = 1) -> Partition:
+    """Add k to every part (k >= 0).  The empty partition is fixed."""
+    if k < 0:
+        raise ValueError(f"phi exponent must be >= 0, got {k}")
+    return Partition(tuple(a + k for a in p.parts))
+
+
+def oplus(p: Partition, r: Partition) -> Partition:
+    """Multiset union of the parts of p and r."""
+    return Partition(tuple(sorted(p.parts + r.parts, reverse=True)))
+
+
+def s_tail(p: Partition, s: int) -> Partition:
+    """The sub-partition of parts that are <= s."""
+    return Partition(tuple(a for a in p.parts if a <= s))
 
 
 def walk_genfun_matrix(A, weights, M: int, S: int, x_max: int, q_max: int) -> list[list[Series]]:

@@ -390,7 +390,8 @@ def test_proof_outputs_are_byte_identical(system, tmp_path, capsys):
     assert _proof_digests(system, tmp_path, capsys) == PROOF_DIGESTS[system]
 
 
-# one changed byte in a member list or a brute-force count fails here
+# one changed byte in a member list, a brute-force count or a rendered
+# series of the matrix routes fails here
 ENUMERATION_DIGESTS = {
     ("ideal", "members", "<FIXTURES>/rr.json", "--qmax", "40"):
         "fbc40beee0095672fc427f1d67d9ca9971ea9d3415bb21f07b61d57a9dac6c5e",
@@ -400,6 +401,14 @@ ENUMERATION_DIGESTS = {
         "73156f29db4d20ed45a08d64c86d5868d261a4ac24569614b7ddca2dc18ec694",
     ("oracle", "kr-i1", "--qmax", "30"):
         "d0b147ffc6d5f2c8de52f6d6fdc6cf12477670a8089d64e10c93122f71708063",
+    ("ideal", "genfun", "<FIXTURES>/rr.json", "--qmax", "40"):
+        "79eef3bee2972ef0ca1cd902939669d40feaa580173428eda7f28736bb58b9cf",
+    ("ideal", "genfun", "<FIXTURES>/kr_i1.json", "--qmax", "40"):
+        "ddd2f16f45cf9a6b69b5bf213eb5f0900b9fe185b0bead70934487677fe7b0c3",
+    ("qdiff", "solve", "<FIXTURES>/kr_i1.json", "--qmax", "40"):
+        "340e67b706ae8d71db578ffee8d73e3e21a65c82817c8b5fafb88c1db2531fbf",
+    ("multisum", "eval", "<FIXTURES>/ex3_profile.json", "--beta", "1,2,4", "--qmax", "30"):
+        "b44bac9480251f2cd82a6a998c37dc00a4ff6a430d08a98e3f5f2579792d7403",
 }
 
 

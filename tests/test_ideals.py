@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spanone
-from oracles import enumerate_walks, recursive_enumerate_members, walk_genfun_matrix
+from oracles import enumerate_walks, oplus, phi, recursive_enumerate_members, walk_genfun_matrix
 from spanone.ideals import (
     IdealError,
     SpanOneIdeal,
@@ -292,8 +292,6 @@ def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):
 
 
 def test_member_chain_reconstructs_partition(rr_ideal, kr_ideal):
-    from spanone.partitions import oplus, phi
-
     for ideal in (rr_ideal, kr_ideal):
         _, members = enumerate_members(ideal, 12)
         for p in members:

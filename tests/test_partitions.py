@@ -8,19 +8,16 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_gap2
+from oracles import count_gap2, oplus, phi, s_tail
 from spanone.partitions import (
     EMPTY,
     Partition,
     _trusted,
     format_partition,
     kr_i1_predicate,
-    oplus,
     oracle_genfun,
     parse_partition,
     partitions_of,
-    phi,
-    s_tail,
     satisfies_gap,
 )
 

@@ -177,13 +177,13 @@ def test_solution_coefficient_orders(rr_ideal, kr_ideal):
     for ideal in (rr_ideal, kr_ideal):
         F = solve(associated_graph(ideal), 12, 12)
         for f in F:
-            assert all(n >= m for m, n in f.support())
+            assert all(n >= m for (m, n), _ in f.terms())
 
 
 def test_solution_constant_terms_are_one(kr_ideal):
     for f in solve(associated_graph(kr_ideal), 10, 10):
         assert f.coeff(0, 0) == 1
-        assert all(m == 0 or n > 0 for m, n in f.support())
+        assert all(m == 0 or n > 0 for (m, n), _ in f.terms())
 
 
 def test_json_round_trip(kr_ideal):

@@ -48,7 +48,7 @@ def test_monomial_rejects_negative_degrees():
 
 def test_zero_coefficients_never_stored():
     s = Series({(0, 0): 0, (1, 1): 2}, 5, 5)
-    assert list(s.support()) == [(1, 1)]
+    assert [k for k, _ in s.terms()] == [(1, 1)]
     t = s + Series({(1, 1): -2}, 5, 5)
     assert t.is_zero()
 
@@ -192,8 +192,31 @@ def test_add_negation_cancels(a):
     assert (a + (-a)).is_zero()
 
 
-@given(series_strategy())
-def test_rows_hold_every_coefficient_of_the_rectangle(a):
-    rows = a.rows()
-    assert [len(row) for row in rows] == [a.q_max + 1] * (a.x_max + 1)
-    assert all(rows[m][n] == a.coeff(m, n) for m in range(a.x_max + 1) for n in range(a.q_max + 1))
+def _canonical(s: Series) -> bool:
+    """At most x_max + 1 rows of q_max + 1 ints each, and no trailing zero row."""
+    rows = s._rows
+    return (len(rows) <= s.x_max + 1 and all(len(row) == s.q_max + 1 for row in rows)
+            and (not rows or any(rows[-1])))
+
+
+@st.composite
+def dense_rows(draw):
+    """(rows, x_max, q_max): up to x_max + 1 rows of q_max + 1 ints, zero rows included."""
+    x_max, q_max = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    row = st.lists(st.integers(-2, 2) | st.just(0), min_size=q_max + 1, max_size=q_max + 1)
+    return draw(st.lists(row, max_size=x_max + 1)), x_max, q_max
+
+
+@given(series_strategy(), series_strategy(), st.integers(0, 3), st.integers(0, 9), dense_rows())
+def test_every_operation_keeps_rows_canonical(a, b, s, n, dense):
+    # m = x_max + 2 is where a slice bound x_max + 1 - m would go negative
+    shifted = [a.times_xq(m, n) for m in range(a.x_max + 3)]
+    for r in (a + b, a - b, a * b, -a, a.shift_x(s), *shifted):
+        assert _canonical(r)
+    b = Series(dict(b.terms()), a.x_max, a.q_max)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    assert a * b == naive_mul(a, b)
+    rows, x_max, q_max = dense
+    coeffs = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row)}
+    t = Series._of_rows([row[:] for row in rows], x_max, q_max)
+    assert _canonical(t) and t == Series(coeffs, x_max, q_max)
