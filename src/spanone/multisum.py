@@ -29,11 +29,21 @@ pruned summand has E(n) > q_max >= 0, a summand with negative E(n) is still
 met, in the same order, and still raises ValueError.  Reciprocal
 Pochhammers are kept as dense q-rows of ints, each step of n_r one in-place
 division by (1 - q^(A_r n_r)).
+
+A batch of checks in one process (the acceptance suite, a run over many
+mutated factorizations) asks for the same few H again and again, so eval_H
+keeps a bounded LRU memo keyed on (profile, tuple(beta), x_max, q_max).
+Handing one result to many callers is safe: a Series and its rows are
+never mutated once built, qdiff's row check only reads rows and copies any
+it cuts, and MultisumProfile is frozen and hashable.  A walk that raises
+stores nothing, so a negative summand raises again on every call.  The
+memo holds at most _MEMO_SIZE series; a miss runs the walk above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from pathlib import Path
 
@@ -41,6 +51,9 @@ from . import jsonin
 from .series import Series, _check_orders
 
 Beta = tuple[int, ...]
+
+# distinct (profile, beta, x_max, q_max) whose H eval_H keeps
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -113,9 +126,19 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     since the energy is convex in k.  Every pruned summand has
     E(n) > q_max >= 0, so the first negative summand in traversal order, and
     the error it raises, is the same as for the full enumeration.
+
+    Each (p, beta, x_max, q_max) is walked once per process while it stays
+    among the last _MEMO_SIZE distinct ones asked for; see the module
+    docstring.
     """
     _check_beta(p, beta)
     _check_orders(x_max, q_max)
+    return _walk_H(p, tuple(beta), x_max, q_max)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
+    """eval_H's walk, on checked arguments and a tuple beta."""
     R = p.R
     alpha, gamma, A = p.alpha, p.gamma, p.A
     # tail[r]: lower bound on the energy that coordinates r.. can add
@@ -157,7 +180,8 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
             walk(r + 1, n + (k,), xdeg + k * g, e, c)
 
     walk(0, (), 0, 0, [1] + [0] * q_max)
-    # rows: x_max + 1 rows of q_max + 1 ints, built here and done with
+    # rows: x_max + 1 rows of q_max + 1 ints, built here and never mutated
+    # again, whichever callers the memo hands this series to
     return Series._of_rows(rows, x_max, q_max)
 
 

@@ -175,8 +175,11 @@ def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S
               for k, (row, s) in enumerate(zip(A, F))]
     rhs = {}
     for row, r in row_first.items():
-        out = rhs[r] = [[0] * (q_max + 1) for _ in range(x_max + 1)]
-        for j in (j for j, e in enumerate(row) if e):
+        js = [j for j, e in enumerate(row) if e]
+        # x^m F_j(x q^S) has no x-row past len(cols[j]) - 1 + m
+        height = min(x_max + 1, max((len(cols[j]) + weights[j][0] for j in js), default=0))
+        out = rhs[r] = [[0] * (q_max + 1) for _ in range(height)]
+        for j in js:
             m, n = weights[j]
             for a, src in enumerate(cols[j]):
                 d = n + a * S

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import spanone
-from spanone import cli, prover
+from spanone import cli, multisum, prover
 from spanone.cli import _series_payload, build_parser, main
 from spanone.multisum import eval_H
 from spanone.partitions import kr_i1_predicate, oracle_genfun
@@ -329,6 +329,41 @@ def test_verify_detects_broken_matrix(run_cli, tmp_path):
     assert code == 1
     assert payload["ok"] is False
     assert "MISMATCH" in out
+
+
+def test_verify_batch_is_the_same_with_a_warm_memo(tmp_path, capsys):
+    """Every U-mutant of kr verified in one process: the memo of H(beta)
+    carried from op to op changes no exit code and no byte of stdout."""
+    outdir = tmp_path / "kr"
+    assert main(["prove", fx("kr_system.json"), "--qmax", "12", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    data = json.loads((outdir / "system.json").read_text())
+    files = []
+    for i, row in enumerate(data["U"]):
+        for j in range(len(row)):
+            mutant = {**data, "U": [list(r) for r in data["U"]]}
+            mutant["U"][i][j] ^= 1
+            f = tmp_path / f"u_{i}_{j}.json"
+            f.write_text(json.dumps(mutant))
+            files.append(str(f))
+
+    def run(cold: bool) -> list[tuple[int, str]]:
+        results = []
+        for f in files:
+            if cold:
+                multisum._walk_H.cache_clear()
+            code = main(["verify", f, "--qmax", "12"])
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    passes = []
+    for _ in range(2):
+        multisum._walk_H.cache_clear()
+        passes.append(run(cold=False))
+    assert multisum._walk_H.cache_info().hits > 0
+    cold = run(cold=True)
+    assert passes[0] == passes[1] == cold
+    assert all(code == 1 and "result: FAIL" in out for code, out in cold)
 
 
 def _proof_digests(system: str, tmp_path, capsys) -> dict[str, str]:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, strategies as st
 
+from spanone import multisum
 from spanone.multisum import (
     MultisumProfile,
     check_additional,
@@ -153,6 +154,61 @@ def test_eval_h_q_order_dominates_x_degree(kr_profile, ex3_profile):
 def test_eval_h_rejects_negative_energy(ex1_profile):
     with pytest.raises(ValueError, match="negative q-exponent"):
         eval_H(ex1_profile, (-5,), 8, 8)
+
+
+@pytest.fixture()
+def cold_memo():
+    """eval_H's memo, emptied before and after the test."""
+    multisum._walk_H.cache_clear()
+    yield multisum._walk_H
+    multisum._walk_H.cache_clear()
+
+
+def test_memo_keeps_each_window_apart(kr_profile, cold_memo):
+    beta = (1, 3)
+    for q_max in (12, 40, 12):
+        s = eval_H(kr_profile, beta, q_max, q_max)
+        assert (s.x_max, s.q_max) == (q_max, q_max)
+        assert s == naive_eval_H(kr_profile, beta, q_max, q_max)
+    assert cold_memo.cache_info().misses == 2
+
+
+def test_memo_keeps_each_profile_apart(kr_profile, cold_memo):
+    other = MultisumProfile(alpha=((2, 1), (1, 2)), gamma=(1, 1), A=(1, 1))
+    for p in (kr_profile, other, kr_profile):
+        assert eval_H(p, (1, 3), 12, 12) == naive_eval_H(p, (1, 3), 12, 12)
+    assert eval_H(kr_profile, (1, 3), 12, 12) != eval_H(other, (1, 3), 12, 12)
+
+
+def test_memo_accepts_a_list_beta(kr_profile, cold_memo):
+    from_list = eval_H(kr_profile, [2, 6], 12, 10)
+    assert from_list == eval_H(kr_profile, (2, 6), 12, 10)
+    assert from_list == naive_eval_H(kr_profile, (2, 6), 12, 10)
+
+
+def test_memo_raises_the_negative_summand_every_time(ex1_profile, cold_memo):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"summand n=\(1,\) of H\(beta=\(-5,\)\) has negative q-exponent -5"):
+            eval_H(ex1_profile, (-5,), 8, 8)
+    assert cold_memo.cache_info().currsize == 0
+
+
+def test_memo_is_bounded(ex1_profile, cold_memo):
+    for b in range(1, multisum._MEMO_SIZE + 20):
+        eval_H(ex1_profile, (b,), 1, b)
+    assert cold_memo.cache_info().currsize == multisum._MEMO_SIZE
+    # the oldest key was dropped and is walked again
+    misses = cold_memo.cache_info().misses
+    eval_H(ex1_profile, (1,), 1, 1)
+    assert cold_memo.cache_info().misses == misses + 1
+
+
+def test_memo_series_stay_immutable(kr_profile, cold_memo):
+    s = eval_H(kr_profile, (1, 3), 8, 8)
+    for name, value in (("x_max", 3), ("q_max", 3), ("_rows", [])):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, value)
+    assert eval_H(kr_profile, (1, 3), 8, 8) == naive_eval_H(kr_profile, (1, 3), 8, 8)
 
 
 @st.composite
