@@ -105,10 +105,16 @@ def cmd_ideal_genfun(args) -> int:
 def cmd_ideal_members(args) -> int:
     ideal = ideals.load_ideal(args.file)
     genfun, members = ideals.enumerate_members(ideal, args.qmax)
-    rendered = [partitions.format_partition(p) for p in members]
-    lines = [f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}"]
-    lines += [f"  {r}" for r in rendered]
-    lines.append(f"genfun = {genfun}")
+    # format_partition on part tuples, through one text per part: a part is
+    # at most its member's size, so at most q_max
+    part_text = [str(a) for a in range(args.qmax + 1)].__getitem__
+    rendered = ["+".join(map(part_text, parts)) if parts else "empty" for parts in members]
+    lines = [
+        f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}",
+        # one indented line per member; the empty partition is always one
+        "  " + "\n  ".join(rendered),
+        f"genfun = {genfun}",
+    ]
     _emit(
         lines,
         {

@@ -11,9 +11,12 @@ entry nonempty, chains of length 0 give the empty partition) via
 
 so the k-th link occupies the window of parts in (kS, (k+1)S].  Because
 S bounds the largest seed part, the windows are disjoint: each (+) is a
-plain concatenation of part lists (enumerate_members builds members that
-way, with no sorting), and the decomposition of a member back into links
-is unique: just slice by windows (contains).
+plain concatenation of part lists, and the decomposition of a member back
+into links is unique: just slice by windows (contains).  enumerate_members
+builds members that way, level by level with its chains grouped by last
+seed and size, and returns them as plain part tuples, sorted by size, then
+part tuple; the CLI renders those tuples without wrapping them as
+Partitions.
 
 The same data is a vertex-weighted digraph: vertex j carries the monomial
 x^(number of parts of pi_j) q^(size of pi_j), and j -> i is an edge when
@@ -36,7 +39,7 @@ from math import ceil
 from pathlib import Path
 
 from . import jsonin
-from .partitions import EMPTY, Partition, _trusted, format_partition, parse_partition
+from .partitions import EMPTY, Partition, format_partition, parse_partition
 from .qdiff import QDiffSystem, _weigh_sum
 from .series import Series, _check_orders
 
@@ -143,13 +146,15 @@ def contains(ideal: SpanOneIdeal, lam: Partition) -> tuple[Partition, ...] | Non
     return tuple(links)
 
 
-def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Partition]]:
+def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[tuple[int, ...]]]:
     """All members of size <= q_max by direct chain expansion.
 
     Returns the generating function (graded like ideal_genfun_vec's sum)
-    together with the member list sorted by size, then part list.  This is
-    structurally independent of the matrix-product route: it assembles
-    actual part lists chain by chain and weighs them afterwards.
+    together with the members as part tuples, sorted by size, then part
+    tuple.  Each tuple is weakly decreasing and positive, so Partition(t)
+    accepts it.  This is structurally independent of the matrix-product
+    route: it assembles actual part lists chain by chain and weighs them
+    afterwards.
 
     A link pi_i at level L contributes phi^(LS)(pi_i), whose parts lie in
     (LS, (L+1)S] because S is at least the largest seed part, while every
@@ -157,50 +162,50 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Par
     a plain concatenation: the shifted link goes in front of the parts
     already built and the result is weakly decreasing with no sort.
 
-    The chains are grown one level at a time: the frontier holds every
-    chain (last seed, parts, size) that reached the current level, each
-    seed is shifted once per level, and a chain that takes the empty link
-    passes unchanged into the next level's frontier.  Part lists are
-    collected in one bucket per size, each bucket is sorted, and only then
-    is each member wrapped as a Partition.
+    The chains are grown one level at a time.  The frontier groups the
+    part tuples of every chain that reached the current level by (last
+    seed, size).  Per level each seed is shifted once; a group that no
+    nonempty link fits on any more is dropped whole, and each other group
+    grows by one list comprehension per seed it links to, whose result
+    goes into its size bucket and its group of the next level.  A chain
+    that takes the empty link passes unchanged into the next level's group
+    of pi_1.  Each size bucket is sorted at the end.
     """
     _check_orders(q_max, q_max)
     S = ideal.S
     linking = ideal.linking
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q_max + 1)]
     buckets[0].append(())
-    frontier: list[tuple[int, tuple[int, ...], int]] = [(1, (), 0)]
+    frontier: dict[tuple[int, int], list[tuple[int, ...]]] = {(1, 0): [()]}
     shift = 0
     while frontier and shift < q_max:
         shifted = [tuple([a + shift for a in p.parts]) for p in ideal.pi]
         sizes = [p.size + shift * len(p) for p in ideal.pi]
-        grown_frontier = []
-        for j, parts, size in frontier:
+        grown_frontier: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for (j, size), chains in frontier.items():
             if size + shift >= q_max:
-                continue  # even the smallest nonempty link no longer fits
+                continue  # even the smallest nonempty link, shift + 1, no longer fits
             for i in linking[j - 1]:
                 link = shifted[i - 1]
-                if not link:
+                if link:
+                    grown_size = size + sizes[i - 1]
+                    if grown_size > q_max:
+                        continue
+                    grown = [link + parts for parts in chains]
+                    buckets[grown_size] += grown
+                else:
                     # a chain may pass through an empty window and resume higher up
-                    grown_frontier.append((i, parts, size))
-                    continue
-                grown_size = size + sizes[i - 1]
-                if grown_size > q_max:
-                    continue
-                grown = link + parts
-                buckets[grown_size].append(grown)
-                grown_frontier.append((i, grown, grown_size))
+                    grown_size, grown = size, chains
+                grown_frontier.setdefault((i, grown_size), []).extend(grown)
         frontier = grown_frontier
         shift += S
     coeffs: dict[tuple[int, int], int] = {}
-    members: list[Partition] = []
+    members: list[tuple[int, ...]] = []
     for size, bucket in enumerate(buckets):
         bucket.sort()
         for n, count in Counter(map(len, bucket)).items():
             coeffs[(n, size)] = count
-        # each part list is a shifted link in front of lower windows, so it
-        # is weakly decreasing and positive by construction
-        members += [_trusted(parts) for parts in bucket]
+        members += bucket
     return Series(coeffs, q_max, q_max), members
 
 
@@ -221,7 +226,12 @@ def ideal_from_json(data: dict) -> SpanOneIdeal:
         if type(pi) is not list or any(type(t) is not str for t in pi):
             raise ValueError(f"pi must be a list of partition strings, got {json.dumps(pi)}")
         pi = tuple(_seed(i, t) for i, t in enumerate(pi, 1))
-        linking = tuple(map(frozenset, jsonin.rows(jsonin.field(data, "linking"), "linking")))
+        linking = jsonin.rows(jsonin.field(data, "linking"), "linking")
+        for j, row in enumerate(linking, 1):
+            # a frozenset would merge the repeat, and ideal_to_json would write another row
+            if len(set(row)) != len(row):
+                raise ValueError(f"linking row {j} repeats an index, got {json.dumps(list(row))}")
+        linking = tuple(map(frozenset, linking))
     except ValueError as exc:
         raise IdealError(f"malformed ideal description: {exc}") from None
     return SpanOneIdeal(pi=pi, linking=linking, S=S)

@@ -148,8 +148,9 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
         tail[r] = tail[r + 1] + min(
             a * k * (k - 1) // 2 + b * k for k in range(x_max // gamma[r] + 1)
         )
-    # rows[m][d]: coefficient of x^m q^d
-    rows = [[0] * (q_max + 1) for _ in range(x_max + 1)]
+    # rows[m][d]: coefficient of x^m q^d, grown to the highest x-degree a
+    # summand reaches
+    rows: list[list[int]] = []
 
     def walk(r: int, n: tuple[int, ...], xdeg: int, e: int, part: list[int]) -> None:
         # part: dense q-row of prod_{s < r} 1/(q^A_s; q^A_s)_{n_s}
@@ -158,6 +159,8 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
                 raise ValueError(
                     f"summand n={n} of H(beta={beta}) has negative q-exponent {e}"
                 )
+            while len(rows) <= xdeg:
+                rows.append([0] * (q_max + 1))
             row = rows[xdeg]
             for d in range(q_max + 1 - e):
                 row[e + d] += part[d]
@@ -180,7 +183,7 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
             walk(r + 1, n + (k,), xdeg + k * g, e, c)
 
     walk(0, (), 0, 0, [1] + [0] * q_max)
-    # rows: x_max + 1 rows of q_max + 1 ints, built here and never mutated
+    # rows: at most x_max + 1 rows of q_max + 1 ints, built here and never mutated
     # again, whichever callers the memo hands this series to
     return Series._of_rows(rows, x_max, q_max)
 

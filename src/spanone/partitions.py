@@ -48,8 +48,8 @@ class Partition:
 
 def _trusted(parts: tuple[int, ...]) -> Partition:
     """A Partition built without the constructor's checks.  Only for part
-    lists that are weakly decreasing and positive by construction; each
-    caller says why."""
+    lists that are weakly decreasing and positive by construction; its two
+    callers, partitions_of and oracle_genfun's walk, each say why."""
     p = object.__new__(Partition)
     Partition.parts.__set__(p, parts)  # the slot's own setter, unguarded by frozen
     return p

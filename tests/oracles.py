@@ -105,8 +105,9 @@ def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Seri
 
 def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Partition]]:
     """Members of size <= q_max by one recursive call per chain, each member
-    validated as a Partition: the same result as enumerate_members, down to
-    the order of the member list (by size, then part list).
+    validated as a Partition: the same generating function and members as
+    enumerate_members, which returns part tuples, down to the order of the
+    member list (by size, then part list).
     """
     S = ideal.S
     seeds = [(p.parts, p.size, len(p)) for p in ideal.pi]

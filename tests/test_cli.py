@@ -186,6 +186,26 @@ def test_ideal_members_report(run_cli):
     assert payload["members"] == ["empty", "1", "2", "2+1", "3"]
 
 
+@pytest.mark.parametrize(
+    "ideal, row",
+    [
+        ({"S": 1, "pi": ["empty"], "linking": [[1, 1]]}, "linking row 1 repeats an index, got [1, 1]"),
+        ({"S": 2, "pi": ["empty", "1", "2"], "linking": [[1, 2, 3], [1, 3, 2, 3], [1, 3]]},
+         "linking row 2 repeats an index, got [1, 3, 2, 3]"),
+    ],
+    ids=["empty-seed", "middle-row"],
+)
+def test_ideal_members_rejects_a_repeated_linking_index(tmp_path, capsys, ideal, row):
+    # a frozenset used to merge the repeat, and the ideal was written back without it
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(ideal))
+    code = main(["ideal", "members", str(path), "--qmax", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: malformed ideal description: {row}\n"
+
+
 def test_ideal_members_rejects_negative_qmax(capsys):
     code = main(["ideal", "members", fx("rr.json"), "--qmax", "-1"])
     captured = capsys.readouterr()
@@ -432,6 +452,10 @@ ENUMERATION_DIGESTS = {
         "fbc40beee0095672fc427f1d67d9ca9971ea9d3415bb21f07b61d57a9dac6c5e",
     ("ideal", "members", "<FIXTURES>/kr_i1.json", "--qmax", "40"):
         "99579e8553116a4ebc0aee1cb398695aa15701b1fae1d370e4cba4b2ff5e2524",
+    ("ideal", "members", "<FIXTURES>/rr.json", "--qmax", "60"):
+        "3f57dff3460e4fb213c78d996b6c3b48c5aceb365b0dc264d2abbdcff6d39c61",
+    ("ideal", "members", "<FIXTURES>/kr_i1.json", "--qmax", "60"):
+        "0f69c2301f0190ebed4205d2e7950fab06f06c2d33b9dc5db49adeab7e8aeeb0",
     ("oracle", "gap", "--d", "2", "--k", "1", "--qmax", "30"):
         "73156f29db4d20ed45a08d64c86d5868d261a4ac24569614b7ddca2dc18ec694",
     ("oracle", "kr-i1", "--qmax", "30"):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
 
 import spanone
 from oracles import enumerate_walks, oplus, phi, recursive_enumerate_members, walk_genfun_matrix
+from spanone.cli import main
 from spanone.ideals import (
     IdealError,
     SpanOneIdeal,
@@ -23,6 +28,7 @@ from spanone.ideals import (
 from spanone.partitions import (
     EMPTY,
     Partition,
+    format_partition,
     kr_i1_predicate,
     oracle_genfun,
     parse_partition,
@@ -92,7 +98,7 @@ def test_trivial_ideal_of_empty_partition():
     vec = ideal_genfun_vec(ideal, 6, 6)
     assert str(vec[0]) == "1"
     genfun, members = enumerate_members(ideal, 6)
-    assert members == [EMPTY]
+    assert members == [()]
     assert str(genfun) == "1"
 
 
@@ -240,7 +246,7 @@ def test_contains_kr_examples(kr_ideal):
 
 def test_kr_members_small(kr_ideal):
     genfun, members = enumerate_members(kr_ideal, 3)
-    assert [str(p) for p in members] == ["empty", "1", "2", "2+1", "3"]
+    assert members == [(), (1,), (2,), (2, 1), (3,)]
     assert str(genfun) == "1 + x*q + x*q^2 + x*q^3 + x^2*q^3"
 
 
@@ -251,7 +257,7 @@ def test_members_are_the_oracle_partitions_in_order(rr_ideal, kr_ideal):
         expected = [p for n in range(19) for p in partitions_of(n) if pred(p)]
         for q_max in range(19):
             _, members = enumerate_members(ideal, q_max)
-            assert members == [p for p in expected if p.size <= q_max], q_max
+            assert members == [p.parts for p in expected if p.size <= q_max], q_max
 
 
 @st.composite
@@ -274,17 +280,34 @@ def test_level_walk_matches_recursive_expansion(ideal, q_max):
     genfun, members = enumerate_members(ideal, q_max)
     old_genfun, old_members = recursive_enumerate_members(ideal, q_max)
     assert genfun == old_genfun
-    assert members == old_members
+    assert members == [p.parts for p in old_members]
     for m in members:
-        assert Partition(m.parts) == m
-        assert contains(ideal, m) is not None
+        assert Partition(m).parts == m  # the checked constructor accepts it
+        assert contains(ideal, Partition(m)) is not None
+
+
+@given(small_ideals(), st.integers(0, 14))
+def test_cli_renders_member_tuples_as_format_partition(ideal, q_max):
+    _, members = enumerate_members(ideal, q_max)
+    expected = [format_partition(Partition(m)) for m in members]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ideal.json")
+        with open(path, "w") as fh:
+            json.dump(ideal_to_json(ideal), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["ideal", "members", path, "--qmax", str(q_max)]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[1 : len(members) + 1] == [f"  {text}" for text in expected]
+    assert lines[len(members) + 1].startswith("genfun = ")
+    assert json.loads(lines[-1])["members"] == expected
 
 
 def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):
     bound = 13
     for ideal in (rr_ideal, kr_ideal):
         _, members = enumerate_members(ideal, bound)
-        member_set = {p.parts for p in members}
+        member_set = set(members)
         for n in range(bound + 1):
             for p in partitions_of(n):
                 chain = contains(ideal, p)
@@ -294,7 +317,8 @@ def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):
 def test_member_chain_reconstructs_partition(rr_ideal, kr_ideal):
     for ideal in (rr_ideal, kr_ideal):
         _, members = enumerate_members(ideal, 12)
-        for p in members:
+        for parts in members:
+            p = Partition(parts)
             chain = contains(ideal, p)
             assert chain is not None
             rebuilt = EMPTY
