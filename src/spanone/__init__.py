@@ -5,8 +5,6 @@ from importlib import resources
 
 from .series import Series, TruncationRangeError
 from .partitions import (
-    EMPTY,
-    Partition,
     format_partition,
     kr_i1_predicate,
     oracle_genfun,

@@ -14,9 +14,8 @@ S bounds the largest seed part, the windows are disjoint: each (+) is a
 plain concatenation of part lists, and the decomposition of a member back
 into links is unique: just slice by windows (contains).  enumerate_members
 builds members that way, level by level with its chains grouped by last
-seed and size, and returns them as plain part tuples, sorted by size, then
-part tuple; the CLI renders those tuples without wrapping them as
-Partitions.
+seed and size, and returns them sorted by size, then part tuple.  Seeds,
+members and links are all plain part tuples (partitions.Parts).
 
 The same data is a vertex-weighted digraph: vertex j carries the monomial
 x^(number of parts of pi_j) q^(size of pi_j), and j -> i is an edge when
@@ -39,7 +38,7 @@ from math import ceil
 from pathlib import Path
 
 from . import jsonin
-from .partitions import EMPTY, Partition, format_partition, parse_partition
+from .partitions import Parts, _check_parts, format_partition, parse_partition
 from .qdiff import QDiffSystem, _weigh_sum
 from .series import Series, _check_orders
 
@@ -53,7 +52,7 @@ class SpanOneIdeal:
     """Seed partitions, linking sets (1-based index sets), and span; an
     invalid ideal cannot be built."""
 
-    pi: tuple[Partition, ...]
+    pi: tuple[Parts, ...]
     linking: tuple[frozenset[int], ...]
     S: int
 
@@ -61,8 +60,13 @@ class SpanOneIdeal:
         """Check the structural requirements, reporting every violation found."""
         problems: list[str] = []
         K = self.K
-        if K == 0 or self.pi[0] != EMPTY:
+        if K == 0 or self.pi[0] != ():
             problems.append("pi_1 must be the empty partition")
+        for j, p in enumerate(self.pi, start=1):
+            try:
+                _check_parts(p)
+            except ValueError as exc:
+                problems.append(f"pi_{j}: {exc}")
         if len(self.linking) != K:
             problems.append(f"need one linking set per seed, got {len(self.linking)} for {K}")
         if len(set(self.pi)) != K:
@@ -75,7 +79,7 @@ class SpanOneIdeal:
                 problems.append(f"the empty partition is missing from the linking set of pi_{j}")
         if K and self.linking and self.linking[0] != frozenset(range(1, K + 1)):
             problems.append("the empty partition must link to every seed")
-        max_part = max((p.parts[0] for p in self.pi if p.parts), default=0)
+        max_part = max((p[0] for p in self.pi if p), default=0)
         if self.S < 1:
             problems.append(f"span must be >= 1, got {self.S}")
         elif self.S < max_part:
@@ -93,7 +97,7 @@ def associated_graph(ideal: SpanOneIdeal) -> QDiffSystem:
     follow pi_j, vertex j weighted by x^len(pi_j) q^|pi_j|, shift S."""
     K = ideal.K
     A = tuple(tuple(1 if i in ideal.linking[j] else 0 for i in range(1, K + 1)) for j in range(K))
-    return QDiffSystem(A=A, weights=tuple((len(p), p.size) for p in ideal.pi), S=ideal.S)
+    return QDiffSystem(A=A, weights=tuple((len(p), sum(p)) for p in ideal.pi), S=ideal.S)
 
 
 def _walk_product(
@@ -123,19 +127,19 @@ def ideal_genfun_vec(ideal: SpanOneIdeal, x_max: int, q_max: int) -> list[Series
     return _walk_product(system.A, system.weights, 0, M, ideal.S, x_max, q_max)
 
 
-def contains(ideal: SpanOneIdeal, lam: Partition) -> tuple[Partition, ...] | None:
+def contains(ideal: SpanOneIdeal, lam: Parts) -> tuple[Parts, ...] | None:
     """Decompose lam into its chain of links, or None when lam is no member.
 
-    The empty partition is a member with the empty chain ().
+    The empty partition is a member with the empty chain ().  A lam that is
+    not weakly decreasing and positive raises ValueError.
     """
-    if lam == EMPTY:
+    _check_parts(lam)
+    if not lam:
         return ()
     S = ideal.S
-    depth = (lam.parts[0] - 1) // S  # window index of the largest part
-    links: list[Partition] = []
-    for k in range(depth + 1):
-        window = tuple(a - k * S for a in lam.parts if k * S < a <= (k + 1) * S)
-        links.append(Partition(tuple(sorted(window, reverse=True))))
+    depth = (lam[0] - 1) // S  # window index of the largest part
+    # a window cut from a weakly decreasing lam is weakly decreasing itself
+    links = [tuple(a - k * S for a in lam if k * S < a <= (k + 1) * S) for k in range(depth + 1)]
     index_of = {p: i + 1 for i, p in enumerate(ideal.pi)}
     prev = 1  # chains start from the empty partition, which links to all of Pi
     for link in links:
@@ -146,13 +150,12 @@ def contains(ideal: SpanOneIdeal, lam: Partition) -> tuple[Partition, ...] | Non
     return tuple(links)
 
 
-def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[tuple[int, ...]]]:
+def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Parts]]:
     """All members of size <= q_max by direct chain expansion.
 
     Returns the generating function (graded like ideal_genfun_vec's sum)
     together with the members as part tuples, sorted by size, then part
-    tuple.  Each tuple is weakly decreasing and positive, so Partition(t)
-    accepts it.  This is structurally independent of the matrix-product
+    tuple.  This is structurally independent of the matrix-product
     route: it assembles actual part lists chain by chain and weighs them
     afterwards.
 
@@ -174,14 +177,14 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[tup
     _check_orders(q_max, q_max)
     S = ideal.S
     linking = ideal.linking
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q_max + 1)]
+    buckets: list[list[Parts]] = [[] for _ in range(q_max + 1)]
     buckets[0].append(())
-    frontier: dict[tuple[int, int], list[tuple[int, ...]]] = {(1, 0): [()]}
+    frontier: dict[tuple[int, int], list[Parts]] = {(1, 0): [()]}
     shift = 0
     while frontier and shift < q_max:
-        shifted = [tuple([a + shift for a in p.parts]) for p in ideal.pi]
-        sizes = [p.size + shift * len(p) for p in ideal.pi]
-        grown_frontier: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        shifted = [tuple([a + shift for a in p]) for p in ideal.pi]
+        sizes = [sum(p) + shift * len(p) for p in ideal.pi]
+        grown_frontier: dict[tuple[int, int], list[Parts]] = {}
         for (j, size), chains in frontier.items():
             if size + shift >= q_max:
                 continue  # even the smallest nonempty link, shift + 1, no longer fits
@@ -200,7 +203,7 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[tup
         frontier = grown_frontier
         shift += S
     coeffs: dict[tuple[int, int], int] = {}
-    members: list[tuple[int, ...]] = []
+    members: list[Parts] = []
     for size, bucket in enumerate(buckets):
         bucket.sort()
         for n, count in Counter(map(len, bucket)).items():
@@ -212,7 +215,7 @@ def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[tup
 # -- JSON interface ------------------------------------------------------
 
 
-def _seed(i: int, text: str) -> Partition:
+def _seed(i: int, text: str) -> Parts:
     try:
         return parse_partition(text)
     except ValueError as exc:

@@ -1,101 +1,72 @@
 """Integer partitions and the predicates that carve out our partition classes.
 
-Partitions are weakly decreasing tuples of positive parts.  A brute-force
-generating function over all partitions of n <= q_max, filtered by an
-arbitrary predicate, serves as the reference count that the structured
-constructions elsewhere in the package are checked against.
+A partition is a plain tuple of parts, weakly decreasing and positive, with
+() the empty partition.  Part lists from outside the package are checked
+where they enter: parse_partition for literals, and the ideal constructor
+and contains in ideals; the package's own constructions build valid tuples
+and pass them on unchecked.  A brute-force generating function over all
+partitions of n <= q_max, filtered by an arbitrary predicate, serves as the
+reference count that the structured constructions elsewhere in the package
+are checked against.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .series import Series, _check_orders
 
-
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """Weakly decreasing tuple of positive integer parts; () is the empty partition.
-
-    The constructor checks both conditions.  Code that builds part lists
-    valid by construction wraps them with _trusted instead.
-    """
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for i, p in enumerate(self.parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {p}")
-            if i and self.parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return format_partition(self)
-
-    def __repr__(self) -> str:
-        return f"Partition({format_partition(self)!r})"
+Parts = tuple[int, ...]
 
 
-def _trusted(parts: tuple[int, ...]) -> Partition:
-    """A Partition built without the constructor's checks.  Only for part
-    lists that are weakly decreasing and positive by construction; its two
-    callers, partitions_of and oracle_genfun's walk, each say why."""
-    p = object.__new__(Partition)
-    Partition.parts.__set__(p, parts)  # the slot's own setter, unguarded by frozen
-    return p
+def _check_parts(parts: Parts) -> None:
+    """Raise ValueError unless parts is weakly decreasing and positive."""
+    for i, p in enumerate(parts):
+        if p < 1:
+            raise ValueError(f"parts must be positive, got {p}")
+        if i and parts[i - 1] < p:
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
 
 
-EMPTY = Partition()
-
-
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str) -> Parts:
     """Parse the literal syntax ``a+b+c`` (weakly decreasing) or ``empty``."""
     text = text.strip()
     if text == "empty":
-        return EMPTY
+        return ()
     if not re.fullmatch(r"[0-9]+(\+[0-9]+)*", text):
         raise ValueError(f"bad partition literal {text!r}")
-    return Partition(tuple(int(tok) for tok in text.split("+")))
+    parts = tuple(int(tok) for tok in text.split("+"))
+    _check_parts(parts)
+    return parts
 
 
-def format_partition(p: Partition) -> str:
-    return "empty" if not p.parts else "+".join(map(str, p.parts))
+def format_partition(p: Parts) -> str:
+    return "empty" if not p else "+".join(map(str, p))
 
 
-def satisfies_gap(p: Partition, d: int, k: int) -> bool:
+def satisfies_gap(p: Parts, d: int, k: int) -> bool:
     """True when every pair of parts at distance k >= 1 differs by at least d."""
     if k < 1:
         raise ValueError(f"gap distance k must be >= 1, got {k}")
-    parts = p.parts
-    return all(parts[i] - parts[i + k] >= d for i in range(len(parts) - k))
+    return all(p[i] - p[i + k] >= d for i in range(len(p) - k))
 
 
-def kr_i1_predicate(p: Partition) -> bool:
+def kr_i1_predicate(p: Parts) -> bool:
     """Difference at least 3 at distance 2, and any two consecutive parts
     that differ by at most 1 must sum to a multiple of 3."""
     if not satisfies_gap(p, 3, 2):
         return False
-    parts = p.parts
-    for i in range(len(parts) - 1):
-        if parts[i] - parts[i + 1] <= 1 and (parts[i] + parts[i + 1]) % 3 != 0:
+    for i in range(len(p) - 1):
+        if p[i] - p[i + 1] <= 1 and (p[i] + p[i + 1]) % 3 != 0:
             return False
     return True
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Parts]:
     """All partitions of n, in lexicographic order of their part lists."""
 
-    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    def gen(remaining: int, cap: int) -> Iterator[Parts]:
         if remaining == 0:
             yield ()
             return
@@ -103,26 +74,23 @@ def partitions_of(n: int) -> Iterator[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    for parts in gen(n, n):
-        # gen appends only parts in 1..cap, each at most the one before it
-        yield _trusted(parts)
+    return gen(n, n)
 
 
-def oracle_genfun(pred: Callable[[Partition], bool], x_max: int, q_max: int) -> Series:
+def oracle_genfun(pred: Callable[[Parts], bool], x_max: int, q_max: int) -> Series:
     """Sum of x^(number of parts) q^(size) over all partitions of n <= q_max
     that satisfy pred.  Exhaustive, hence slow but authoritative.
 
     One depth-first walk visits every partition of size <= q_max with at
     most x_max parts exactly once: each step appends a part no larger than
     the last one and no larger than what is left of q_max.  Each visited
-    part list is passed to pred as a Partition.
+    part tuple is passed to pred as it is.
     """
     _check_orders(x_max, q_max)
     coeffs: dict[tuple[int, int], int] = {}
 
-    def walk(parts: tuple[int, ...], size: int, cap: int) -> None:
-        # every appended part is in 1..cap, at most the one before it
-        if pred(_trusted(parts)):
+    def walk(parts: Parts, size: int, cap: int) -> None:
+        if pred(parts):
             key = (len(parts), size)
             coeffs[key] = coeffs.get(key, 0) + 1
         if len(parts) < x_max:

@@ -14,7 +14,8 @@ One helper is not a second route: walk_genfun_matrix lays the library's
 walk products out as the full walk-matrix, a form only the tests need, so
 that enumerate_walks can check every entry of it.  Nor are the partition
 moves phi, oplus and s_tail: they are the definitions the paper builds
-members from, which the tests use to rebuild and split partitions.
+members from, which the tests use to rebuild and split partitions.  Like
+the library, they take and return partitions as plain part tuples.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import product
 
 from spanone.ideals import SpanOneIdeal, _walk_product
 from spanone.multisum import Beta, MultisumProfile, rec_children
-from spanone.partitions import Partition
+from spanone.partitions import Parts, _check_parts
 from spanone.prover import Expand, Leaf, Node, SearchExhausted
 from spanone.series import Series
 
@@ -103,14 +104,14 @@ def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Seri
     return Series(coeffs, x_max, q_max)
 
 
-def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Partition]]:
+def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Parts]]:
     """Members of size <= q_max by one recursive call per chain, each member
-    validated as a Partition: the same generating function and members as
-    enumerate_members, which returns part tuples, down to the order of the
+    checked to be weakly decreasing and positive: the same generating
+    function and members as enumerate_members, down to the order of the
     member list (by size, then part list).
     """
     S = ideal.S
-    seeds = [(p.parts, p.size, len(p)) for p in ideal.pi]
+    seeds = [(p, sum(p), len(p)) for p in ideal.pi]
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q_max + 1)]
     buckets[0].append(())
     coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -135,28 +136,30 @@ def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series
             extend(i, level + 1, grown, grown_size)
 
     extend(1, 0, (), 0)
-    members: list[Partition] = []
+    members: list[Parts] = []
     for bucket in buckets:
         bucket.sort()
-        members += map(Partition, bucket)
+        for parts in bucket:
+            _check_parts(parts)
+        members += bucket
     return Series(coeffs, q_max, q_max), members
 
 
-def phi(p: Partition, k: int = 1) -> Partition:
+def phi(p: Parts, k: int = 1) -> Parts:
     """Add k to every part (k >= 0).  The empty partition is fixed."""
     if k < 0:
         raise ValueError(f"phi exponent must be >= 0, got {k}")
-    return Partition(tuple(a + k for a in p.parts))
+    return tuple(a + k for a in p)
 
 
-def oplus(p: Partition, r: Partition) -> Partition:
+def oplus(p: Parts, r: Parts) -> Parts:
     """Multiset union of the parts of p and r."""
-    return Partition(tuple(sorted(p.parts + r.parts, reverse=True)))
+    return tuple(sorted(p + r, reverse=True))
 
 
-def s_tail(p: Partition, s: int) -> Partition:
+def s_tail(p: Parts, s: int) -> Parts:
     """The sub-partition of parts that are <= s."""
-    return Partition(tuple(a for a in p.parts if a <= s))
+    return tuple(a for a in p if a <= s)
 
 
 def walk_genfun_matrix(A, weights, M: int, S: int, x_max: int, q_max: int) -> list[list[Series]]:

@@ -227,6 +227,15 @@ def test_ideal_contains_nonmember_exit_one(run_cli):
     assert payload["member"] is False
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1+3", "parts must be weakly decreasing, got (1, 3)"),
+    ("0", "parts must be positive, got 0"),
+])
+def test_ideal_contains_rejects_a_literal_that_is_no_partition(literal, message, capsys):
+    assert main(["ideal", "contains", fx("rr.json"), literal]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_qdiff_solve_and_check(run_cli):
     code, _, payload = run_cli(["qdiff", "solve", fx("rr.json"), "--qmax", "10"])
     assert code == 0
@@ -478,6 +487,37 @@ def test_enumeration_outputs_are_byte_identical(argv, capsys):
     assert main([a.replace("<FIXTURES>", fixtures) for a in argv]) == 0
     out = capsys.readouterr().out.replace(fixtures, "<FIXTURES>")
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_DIGESTS[argv]
+
+
+# exit code and sha256 of stdout of ideal contains on each fixture ideal:
+# members with their chains (one through an empty window), a non-member
+# and the empty partition
+CONTAINS_DIGESTS = {
+    ("ideal", "contains", "<FIXTURES>/rr.json", "12+9+7+4+1"):
+        (0, "3d3b2b3e8d8cbc8c76bcf81cb3c61b3bf7abbf922a23185dbb44fe99f5fd56e4"),
+    ("ideal", "contains", "<FIXTURES>/rr.json", "6+1"):
+        (0, "aedbd59afee0897d036446805d0b2cf1609538db593788866e147fc25efd1dc0"),
+    ("ideal", "contains", "<FIXTURES>/rr.json", "2+1"):
+        (1, "8162db5be48b28d4633241cf10e727e2966daa5b8a421ad00fbfd005fc896001"),
+    ("ideal", "contains", "<FIXTURES>/rr.json", "empty"):
+        (0, "f7011405b70677f7233ef5b8b5008c6c4663b71c1d720dff95ade99b3247447c"),
+    ("ideal", "contains", "<FIXTURES>/kr_i1.json", "12+9+7+4+1"):
+        (0, "097f90021b2c0ac23726ef82e40d527f4b9e6f8340b28d9b992044f5b00b522c"),
+    ("ideal", "contains", "<FIXTURES>/kr_i1.json", "2+1"):
+        (0, "51d051ccfdbf26d5dcb4519ebbf44b06beb07a11cda19da2ba9241fd75452b29"),
+    ("ideal", "contains", "<FIXTURES>/kr_i1.json", "4+3"):
+        (1, "f1f58ace0c9ad5f809b452ab679a2e55da7b9fb390a5520f805eb305b696bbae"),
+    ("ideal", "contains", "<FIXTURES>/kr_i1.json", "empty"):
+        (0, "f7011405b70677f7233ef5b8b5008c6c4663b71c1d720dff95ade99b3247447c"),
+}
+
+
+@pytest.mark.parametrize("argv", CONTAINS_DIGESTS, ids=" ".join)
+def test_ideal_contains_outputs_are_byte_identical(argv, capsys):
+    fixtures = str(spanone.fixture_path(""))
+    code = main([a.replace("<FIXTURES>", fixtures) for a in argv])
+    out = capsys.readouterr().out.replace(fixtures, "<FIXTURES>")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CONTAINS_DIGESTS[argv]
 
 
 def _verify_edited(tmp_path, capsys, edit) -> tuple[int, str]:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -26,8 +27,6 @@ from spanone.ideals import (
     ideal_to_json,
 )
 from spanone.partitions import (
-    EMPTY,
-    Partition,
     format_partition,
     kr_i1_predicate,
     oracle_genfun,
@@ -91,8 +90,19 @@ def test_validate_reports_multiple_problems(rr_ideal):
         SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=1)
 
 
+def test_validate_rejects_seeds_that_are_no_partitions():
+    linking = (frozenset({1, 2, 3}),) * 3
+    with pytest.raises(IdealError, match=re.escape("pi_2: parts must be weakly decreasing, got (1, 3)")):
+        SpanOneIdeal(pi=((), (1, 3), (2,)), linking=linking, S=3)
+    # reported among the other problems, each seed by its own index
+    with pytest.raises(
+        IdealError, match=r"pi_3: parts must be positive, got 0;.*span must be >= 1, got 0"
+    ):
+        SpanOneIdeal(pi=((), (2,), (1, 0)), linking=linking, S=0)
+
+
 def test_trivial_ideal_of_empty_partition():
-    ideal = SpanOneIdeal(pi=(EMPTY,), linking=(frozenset({1}),), S=1)
+    ideal = SpanOneIdeal(pi=((),), linking=(frozenset({1}),), S=1)
     g = associated_graph(ideal)
     assert g.A == ((1,),)
     vec = ideal_genfun_vec(ideal, 6, 6)
@@ -225,14 +235,21 @@ def test_first_component_counts_shifted_members(rr_ideal):
 def test_contains_examples(rr_ideal):
     chain = contains(rr_ideal, parse_partition("6+4+1"))
     assert chain == (parse_partition("1"), parse_partition("2"), parse_partition("2"))
-    assert contains(rr_ideal, EMPTY) == ()
+    assert contains(rr_ideal, ()) == ()
     assert contains(rr_ideal, parse_partition("2+1")) is None
     # a chain passing through an empty middle window
     assert contains(rr_ideal, parse_partition("6+1")) == (
         parse_partition("1"),
-        EMPTY,
+        (),
         parse_partition("2"),
     )
+
+
+def test_contains_rejects_part_lists_that_are_no_partitions(rr_ideal):
+    with pytest.raises(ValueError, match=re.escape("parts must be weakly decreasing, got (1, 3)")):
+        contains(rr_ideal, (1, 3))
+    with pytest.raises(ValueError, match="^parts must be positive, got 0$"):
+        contains(rr_ideal, (3, 0))
 
 
 def test_contains_kr_examples(kr_ideal):
@@ -257,7 +274,7 @@ def test_members_are_the_oracle_partitions_in_order(rr_ideal, kr_ideal):
         expected = [p for n in range(19) for p in partitions_of(n) if pred(p)]
         for q_max in range(19):
             _, members = enumerate_members(ideal, q_max)
-            assert members == [p.parts for p in expected if p.size <= q_max], q_max
+            assert members == [p for p in expected if sum(p) <= q_max], q_max
 
 
 @st.composite
@@ -266,8 +283,8 @@ def small_ideals(draw) -> SpanOneIdeal:
     <= S, and random linking sets (each holding the empty seed)."""
     S = draw(st.integers(1, 4))
     seed = st.lists(st.integers(1, S), min_size=1, max_size=3).map(
-        lambda parts: Partition(tuple(sorted(parts, reverse=True))))
-    pi = (EMPTY, *draw(st.lists(seed, max_size=4, unique=True)))
+        lambda parts: tuple(sorted(parts, reverse=True)))
+    pi = ((), *draw(st.lists(seed, max_size=4, unique=True)))
     K = len(pi)
     linking = [frozenset(range(1, K + 1))]
     for _ in range(1, K):
@@ -280,16 +297,15 @@ def test_level_walk_matches_recursive_expansion(ideal, q_max):
     genfun, members = enumerate_members(ideal, q_max)
     old_genfun, old_members = recursive_enumerate_members(ideal, q_max)
     assert genfun == old_genfun
-    assert members == [p.parts for p in old_members]
+    assert members == old_members  # each of them checked by the oracle
     for m in members:
-        assert Partition(m).parts == m  # the checked constructor accepts it
-        assert contains(ideal, Partition(m)) is not None
+        assert contains(ideal, m) is not None
 
 
 @given(small_ideals(), st.integers(0, 14))
 def test_cli_renders_member_tuples_as_format_partition(ideal, q_max):
     _, members = enumerate_members(ideal, q_max)
-    expected = [format_partition(Partition(m)) for m in members]
+    expected = [format_partition(m) for m in members]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ideal.json")
         with open(path, "w") as fh:
@@ -311,17 +327,16 @@ def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):
         for n in range(bound + 1):
             for p in partitions_of(n):
                 chain = contains(ideal, p)
-                assert (chain is not None) == (p.parts in member_set), p
+                assert (chain is not None) == (p in member_set), p
 
 
 def test_member_chain_reconstructs_partition(rr_ideal, kr_ideal):
     for ideal in (rr_ideal, kr_ideal):
         _, members = enumerate_members(ideal, 12)
-        for parts in members:
-            p = Partition(parts)
+        for p in members:
             chain = contains(ideal, p)
             assert chain is not None
-            rebuilt = EMPTY
+            rebuilt = ()
             for k, link in enumerate(chain):
                 rebuilt = oplus(rebuilt, phi(link, k * ideal.S))
             assert rebuilt == p
@@ -341,6 +356,8 @@ def test_json_rejects_malformed():
         ideal_from_json({"S": 2, "pi": ["empty", "1"], "linking": [[1, 2], "nope"]})
     with pytest.raises(IdealError, match=r"pi entry 2: bad partition literal '1_0'"):
         ideal_from_json({"S": 2, "pi": ["empty", "1_0", "2"], "linking": [[1, 2, 3], [1, 2, 3], [1, 3]]})
+    with pytest.raises(IdealError, match=re.escape("pi entry 2: parts must be weakly decreasing, got (1, 2)")):
+        ideal_from_json({"S": 2, "pi": ["empty", "1+2"], "linking": [[1, 2], [1, 2]]})
 
 
 def test_fixture_files_parse():

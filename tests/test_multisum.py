@@ -119,7 +119,7 @@ def test_eval_h_shifted_beta_counts_larger_parts(ex1_profile):
     q_max = 14
     s = eval_H(ex1_profile, (2,), q_max, q_max)
     oracle = oracle_genfun(
-        lambda p: satisfies_gap(p, 2, 1) and (not p.parts or p.parts[-1] >= 2), q_max, q_max
+        lambda p: satisfies_gap(p, 2, 1) and (not p or p[-1] >= 2), q_max, q_max
     )
     assert s.eq_upto(oracle)
     assert [s.coeff(1, n) for n in range(1, 4)] == [0, 1, 1]

@@ -1,8 +1,7 @@
-"""Partition structure, predicates, and the brute-force generating function."""
+"""Partition literals and checks, predicates, and the brute-force generating function."""
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -10,9 +9,7 @@ from hypothesis import given, strategies as st
 
 from oracles import count_gap2, oplus, phi, s_tail
 from spanone.partitions import (
-    EMPTY,
-    Partition,
-    _trusted,
+    _check_parts,
     format_partition,
     kr_i1_predicate,
     oracle_genfun,
@@ -21,9 +18,8 @@ from spanone.partitions import (
     satisfies_gap,
 )
 
-partition_strategy = st.builds(
-    lambda parts: Partition(tuple(sorted(parts, reverse=True))),
-    st.lists(st.integers(1, 12), max_size=8),
+partition_strategy = st.lists(st.integers(1, 12), max_size=8).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
 )
 
 
@@ -42,34 +38,23 @@ def test_parse_rejects_garbage():
         parse_partition("3+0")
 
 
-@given(partition_strategy)
-def test_trusted_partition_equals_checked_one(p):
-    t = _trusted(p.parts)
-    assert t == p and hash(t) == hash(p)
-    assert repr(t) == repr(p) == f"Partition({format_partition(p)!r})"
-    assert t.size == p.size and len(t) == len(p)
-
-
-def test_partition_is_frozen_and_slotted():
-    p = parse_partition("3+1")
-    for target in (p, _trusted((3, 1))):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            target.parts = (2,)
-        assert not hasattr(target, "__dict__")
-    assert Partition.__slots__ == ("parts",)
-    assert repr(EMPTY) == "Partition('empty')" and EMPTY == _trusted(())
-
-
-def test_public_constructor_still_checks():
-    with pytest.raises(ValueError, match="^parts must be positive, got 0$"):
-        Partition((0,))
-    with pytest.raises(ValueError, match=re.escape("parts must be weakly decreasing, got (1, 2)")):
-        Partition((1, 2))
+def test_check_parts_messages():
+    # parse_partition runs the same check on every literal it reads
+    for bad, message in (
+        ((0,), "^parts must be positive, got 0$"),
+        ((1, 2), "^" + re.escape("parts must be weakly decreasing, got (1, 2)") + "$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _check_parts(bad)
+        with pytest.raises(ValueError, match=message):
+            parse_partition(format_partition(bad))
+    for parts in ((), (1,), (3, 3, 1)):
+        _check_parts(parts)
 
 
 def test_phi_adds_to_every_part():
     assert phi(parse_partition("5+3+3+2+1")) == parse_partition("6+4+4+3+2")
-    assert phi(EMPTY, 7) == EMPTY
+    assert phi((), 7) == ()
     assert phi(parse_partition("2+1"), 0) == parse_partition("2+1")
 
 
@@ -81,22 +66,21 @@ def test_oplus_merges_multisets():
 
 def test_size_and_parts():
     p = parse_partition("6+4+1")
-    assert p.size == 11
-    assert len(p) == 3
-    assert EMPTY.size == 0 and len(EMPTY) == 0
+    assert p == (6, 4, 1) and sum(p) == 11 and len(p) == 3
+    assert parse_partition("empty") == ()
 
 
 def test_s_tail_keeps_small_parts():
     p = parse_partition("6+4+2+1")
     assert s_tail(p, 3) == parse_partition("2+1")
-    assert s_tail(p, 0) == EMPTY
+    assert s_tail(p, 0) == ()
     assert s_tail(p, 6) == p
 
 
 def test_s_tail_splits_partition():
     p = parse_partition("7+5+5+2+2+1")
     s = 4
-    rest = Partition(tuple(a for a in p.parts if a > s))
+    rest = tuple(a for a in p if a > s)
     assert oplus(s_tail(p, s), rest) == p
 
 
@@ -111,7 +95,7 @@ def test_satisfies_gap_examples():
     assert not satisfies_gap(parse_partition("3+2"), 2, 1)
     assert satisfies_gap(parse_partition("5+4+1"), 3, 2)
     assert not satisfies_gap(parse_partition("4+3+2"), 3, 2)
-    assert satisfies_gap(EMPTY, 5, 1)
+    assert satisfies_gap((), 5, 1)
     assert satisfies_gap(parse_partition("1"), 5, 1)
 
 
@@ -123,7 +107,7 @@ def test_kr_predicate_cases():
     assert kr_i1_predicate(parse_partition("3+3"))
     assert kr_i1_predicate(parse_partition("6+4+1"))
     assert not kr_i1_predicate(parse_partition("3+2+1"))  # distance-2 gap is 2
-    assert kr_i1_predicate(EMPTY)
+    assert kr_i1_predicate(())
 
 
 @given(partition_strategy, st.integers(0, 4), st.integers(1, 4), st.integers(1, 3))
@@ -143,7 +127,7 @@ def test_oplus_associative(a, b, c):
 
 @given(partition_strategy)
 def test_oplus_empty_identity(a):
-    assert oplus(a, EMPTY) == a
+    assert oplus(a, ()) == a
 
 
 @given(partition_strategy, st.integers(0, 3), st.integers(0, 3))
@@ -152,13 +136,13 @@ def test_phi_composes(a, j, k):
 
 
 def test_partitions_of_lex_order():
-    got = [p.parts for p in partitions_of(4)]
+    got = list(partitions_of(4))
     assert got == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
 
 
 def test_partitions_of_counts():
     assert sum(1 for _ in partitions_of(8)) == 22
-    assert [p for p in partitions_of(0)] == [EMPTY]
+    assert list(partitions_of(0)) == [()]
 
 
 def test_oracle_genfun_gap21_small():
@@ -171,7 +155,7 @@ def test_oracle_genfun_gap21_small():
 
 def test_oracle_genfun_trivial_predicates():
     assert str(oracle_genfun(lambda p: False, 5, 5)) == "0"
-    assert str(oracle_genfun(lambda p: p == EMPTY, 5, 5)) == "1"
+    assert str(oracle_genfun(lambda p: p == (), 5, 5)) == "1"
 
 
 def test_oracle_genfun_respects_x_max():
@@ -185,18 +169,18 @@ def test_oracle_genfun_calls_pred_once_per_partition(x_max):
     seen = []
 
     def pred(p):
-        assert isinstance(p, Partition)
-        seen.append(p.parts)
+        assert type(p) is tuple
+        seen.append(p)
         return satisfies_gap(p, 2, 1)
 
     s = oracle_genfun(pred, x_max, 12)
     every = [p for n in range(13) for p in partitions_of(n) if len(p) <= x_max]
-    assert sorted(seen) == sorted(p.parts for p in every)
+    assert sorted(seen) == sorted(every)
     assert s.x_max == x_max and s.q_max == 12
     for m in range(x_max + 1):
         for n in range(13):
             assert s.coeff(m, n) == sum(
-                1 for p in every if len(p) == m and p.size == n and satisfies_gap(p, 2, 1)
+                1 for p in every if len(p) == m and sum(p) == n and satisfies_gap(p, 2, 1)
             ), (m, n)
 
 
