@@ -26,7 +26,8 @@ monomials.  A finite number of factors suffices at any truncation order,
 since every extra factor only contributes parts larger than q_max.
 
 associated_graph returns this data as a qdiff.QDiffSystem, the package's
-one system type, and the walk products run qdiff's A W(x q^(mS)) step.
+one system type.  The walk products run qdiff's A W(x q^(mS)) step, and
+their closing W(x) is the same step along the rows of the identity.
 """
 
 from __future__ import annotations
@@ -62,14 +63,19 @@ class SpanOneIdeal:
         K = self.K
         if K == 0 or self.pi[0] != ():
             problems.append("pi_1 must be the empty partition")
+        seeds = []  # the seeds that are tuples of ints, which hash and compare
         for j, p in enumerate(self.pi, start=1):
+            if type(p) is not tuple or any(type(a) is not int for a in p):
+                problems.append(f"pi_{j}: a seed must be a tuple of ints, got {p!r}")
+                continue
+            seeds.append(p)
             try:
                 _check_parts(p)
             except ValueError as exc:
                 problems.append(f"pi_{j}: {exc}")
         if len(self.linking) != K:
             problems.append(f"need one linking set per seed, got {len(self.linking)} for {K}")
-        if len(set(self.pi)) != K:
+        if len(set(seeds)) != len(seeds):
             problems.append("seed partitions must be distinct")
         for j, linked in enumerate(self.linking, start=1):
             for i in linked:
@@ -79,7 +85,7 @@ class SpanOneIdeal:
                 problems.append(f"the empty partition is missing from the linking set of pi_{j}")
         if K and self.linking and self.linking[0] != frozenset(range(1, K + 1)):
             problems.append("the empty partition must link to every seed")
-        max_part = max((p[0] for p in self.pi if p), default=0)
+        max_part = max((p[0] for p in seeds if p), default=0)
         if self.S < 1:
             problems.append(f"span must be >= 1, got {self.S}")
         elif self.S < max_part:
@@ -108,7 +114,7 @@ def _walk_product(
     vec = [Series.one(x_max, q_max) if k == start else Series.zero(x_max, q_max) for k in range(K)]
     for m in range(M, 0, -1):
         vec = _weigh_sum(A, weights, vec, m * S)
-    return [s.times_xq(xe, qe) for s, (xe, qe) in zip(vec, weights)]
+    return _weigh_sum([[i == k for i in range(K)] for k in range(K)], weights, vec)
 
 
 def default_levels(S: int, q_max: int) -> int:

@@ -34,7 +34,7 @@ A batch of checks in one process (the acceptance suite, a run over many
 mutated factorizations) asks for the same few H again and again, so eval_H
 keeps a bounded LRU memo keyed on (profile, tuple(beta), x_max, q_max).
 Handing one result to many callers is safe: a Series and its rows are
-never mutated once built, qdiff's row check only reads rows and copies any
+never mutated once built, the series row check only reads rows and copies any
 it cuts, and MultisumProfile is frozen and hashable.  A walk that raises
 stores nothing, so a negative summand raises again on every call.  The
 memo holds at most _MEMO_SIZE series; a miss runs the walk above.
@@ -48,7 +48,7 @@ from operator import add
 from pathlib import Path
 
 from . import jsonin
-from .series import Series, _check_orders
+from .series import Series, _check_orders, _rows_hold
 
 Beta = tuple[int, ...]
 
@@ -229,13 +229,14 @@ def check_additional(p: MultisumProfile, S: int) -> bool:
 
 
 def verify_recurrence_numeric(p: MultisumProfile, beta: Beta, r: int, x_max: int, q_max: int) -> bool:
-    """Check H(beta) = H(left) + x^gamma_r q^beta_r H(right) to truncation."""
+    """Check H(beta) = H(left) + x^gamma_r q^beta_r H(right) to truncation:
+    the one-row system with A = ((0, 1, 1),) and S = 0 on (H(beta), H(left),
+    H(right))."""
     left, (xe, qe), right = rec_children(p, beta, r)
     if qe < 0:
         raise ValueError(f"weight exponent q^{qe} is negative; not a power series identity")
-    lhs = eval_H(p, beta, x_max, q_max)
-    rhs = eval_H(p, left, x_max, q_max) + eval_H(p, right, x_max, q_max).times_xq(xe, qe)
-    return lhs.eq_upto(rhs)
+    H = [eval_H(p, b, x_max, q_max) for b in (beta, left, right)]
+    return _rows_hold(((0, 1, 1),), ((0, 0), (0, 0), (xe, qe)), 0, H)[0]
 
 
 # -- JSON interface ------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Union
 from . import jsonin
 from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
                        profile_to_json, rec_children, shift_beta)
-from .qdiff import _rows_hold
+from .series import _rows_hold
 
 
 class SearchExhausted(RuntimeError):
@@ -268,7 +268,7 @@ def assemble_system(
 
 def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool]:
     """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma) by
-    qdiff's row check with A = U and weights = V; each distinct H is evaluated once."""
+    series' row check with A = U and weights = V; each distinct H is evaluated once."""
     H = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
     return _rows_hold(fs.U, fs.V, fs.S, [H[b] for b in fs.betas])
 

@@ -22,23 +22,22 @@ breaks it, so solve works through every x-degree up to x_max.
 
 QDiffSystem is the package's one system type: ideals.associated_graph
 builds it from an ideal, and a proved factorization F(x) = U V F(xq^S) is
-the same data with A = U and weights = V.  Two helpers take plain
-(A, weights), so they also serve matrices that QDiffSystem rejects.
-_weigh_sum builds the walk products of ideals and f_from_g; _rows_hold is
-the one check of F = A W(x) F(xq^S), on the series' own x-rows, for
-check_system and the prover's verify_numeric.  Both weigh by a monomial
-as an exponent shift, not a series product, and treat each distinct row of
-A once: a factorization's rows repeat (ex3 has 23 rows but 4 distinct ones).
+the same data with A = U and weights = V.  Every right side
+A W(x) F(xq^S) comes from the one weighing kernel in series, which takes
+plain (A, weights), so it also serves matrices that QDiffSystem rejects:
+_weigh_sum runs it as the A W(x q^shift) step of the ideal walk products
+and f_from_g, and check_system compares F with it, as the prover's
+verify_numeric does.  Of this module only solve knows the x-row layout
+of a series: it hands its rows to Series._of_rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Sequence
 
 from . import jsonin
-from .series import Series, _check_orders, _trim, series_sum
+from .series import Series, _check_orders, _rows_hold, _weigh
 
 
 @dataclass(frozen=True)
@@ -85,19 +84,9 @@ def _weigh_sum(
     vec: Sequence[Series],
     shift: int = 0,
 ) -> list[Series]:
-    """A W(x q^shift) vec: entry j times x^(m_j) q^(s_j + m_j shift), then
-    summed along each row of A (entries read by truthiness, an empty row
-    gives zero).  The result lives on the smallest rectangle of vec, and
-    equal rows share one (immutable) Series.
-    """
-    x_max = min(s.x_max for s in vec)
-    q_max = min(s.q_max for s in vec)
-    weighed = [s.times_xq(m, n + m * shift) for s, (m, n) in zip(vec, weights)]
-    sums = {
-        row: series_sum((weighed[j] for j, e in enumerate(row) if e), x_max, q_max)
-        for row in dict.fromkeys(map(tuple, A))
-    }
-    return [sums[row] for row in map(tuple, A)]
+    """A W(x q^shift) vec on the smallest rectangle of vec: the weighing
+    kernel with x^m q^n taken as x^m q^(n + m shift) and vec unshifted."""
+    return _weigh(A, [(m, n + m * shift) for m, n in weights], 0, vec)
 
 
 def solve(sys: QDiffSystem, x_max: int, q_max: int) -> list[Series]:
@@ -144,52 +133,6 @@ def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:
     if len(G) != sys.K:
         raise ValueError(f"expected {sys.K} component series, got {len(G)}")
     return _weigh_sum(sys.A, ((0, 0),) * sys.K, G)
-
-
-def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
-               F: Sequence[Series]) -> list[bool]:
-    """Per row k of A: does F_k = sum_j A_kj x^(m_j) q^(n_j) F_j(x q^S) hold on
-    the common rectangle of F?  Each distinct series' x-rows are read as they
-    are, cut to that rectangle only when the rectangles differ; x^m q^n sends
-    F_j(x q^S)'s x^a q^d to x^(a + m) q^(n + a S + d), so a right side is a sum
-    of row slices, built once per distinct row of A and compared once per
-    distinct (row of A, F_k) pair."""
-    # Laurent weights are refused, also where all their terms would fall off
-    if S < 0:
-        raise ValueError(f"shift amount must be >= 0, got {S}")
-    for m, n in weights:
-        if m < 0 or n < 0:
-            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
-    distinct = {id(s): s for s in F}
-    x_max = min((s.x_max for s in distinct.values()), default=0)
-    q_max = min((s.q_max for s in distinct.values()), default=0)
-    dense = {i: s._rows for i, s in distinct.items()}
-    if any((s.x_max, s.q_max) != (x_max, q_max) for s in distinct.values()):
-        dense = {i: _trim([row[:q_max + 1] for row in rows[:x_max + 1]]) for i, rows in dense.items()}
-    cols = [dense[id(s)] for s in F]
-    # each row of A is hashed once: a row is named by the index of its first
-    # copy, and a (row, F_k) pair by the first index k where it occurs
-    row_first: dict[tuple[int, ...], int] = {}
-    pair_first: dict[tuple[int, int], int] = {}
-    firsts = [pair_first.setdefault((row_first.setdefault(tuple(row), k), id(s)), k)
-              for k, (row, s) in enumerate(zip(A, F))]
-    rhs = {}
-    for row, r in row_first.items():
-        js = [j for j, e in enumerate(row) if e]
-        # x^m F_j(x q^S) has no x-row past len(cols[j]) - 1 + m
-        height = min(x_max + 1, max((len(cols[j]) + weights[j][0] for j in js), default=0))
-        out = rhs[r] = [[0] * (q_max + 1) for _ in range(height)]
-        for j in js:
-            m, n = weights[j]
-            for a, src in enumerate(cols[j]):
-                d = n + a * S
-                if a + m > x_max or d > q_max:
-                    break
-                dst = out[a + m]
-                dst[d:] = map(add, dst[d:], src)
-        _trim(out)
-    ok = {k: rhs[r] == dense[i] for (r, i), k in pair_first.items()}
-    return [ok[k] for k in firsts]
 
 
 def check_system(sys: QDiffSystem, F: list[Series]) -> bool:

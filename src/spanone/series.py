@@ -12,6 +12,8 @@ rows are dropped, so a missing row means zero and equal series have equal
 rows.  The hot producers (the multi-sum walk, the q-difference solver)
 build such rows themselves and hand them over through Series._of_rows; the
 rows of a series are never mutated afterwards, so series may share them.
+No other module reads them: every right side A W(x) F(x q^S) the package
+builds comes from _weigh, and every check of F against one from _rows_hold.
 
 A series only ever *knows* coefficients inside its truncation rectangle.
 Asking for a coefficient outside the rectangle is a programming error and
@@ -25,7 +27,7 @@ region where both operands are meaningful.
 from __future__ import annotations
 
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class TruncationRangeError(LookupError):
@@ -154,31 +156,12 @@ class Series:
         rows = [[0] * (m * s) + row[:q + 1 - m * s] for m, row in enumerate(self._rows) if m * s <= q]
         return Series._of_rows(rows, self.x_max, q)
 
-    def times_xq(self, m: int, n: int) -> "Series":
-        """Multiply by x^m q^n: every term's exponents shift by (m, n), with
-        no series product.  Terms pushed off the rectangle fall off."""
-        if m < 0 or n < 0:
-            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
-        x, q = self.x_max, self.q_max
-        if m > x or n > q:
-            # also keeps the slice bound x + 1 - m below from going negative
-            return Series.zero(x, q)
-        rows = [[0] * (q + 1) for _ in range(m)]
-        rows += [[0] * n + row[:q + 1 - n] for row in self._rows[:x + 1 - m]]
-        # m zero rows, then rows shifted right by n <= q, all of q + 1 ints
-        return Series._of_rows(rows, x, q)
-
     # -- comparison ------------------------------------------------------
 
     def eq_upto(self, other: "Series") -> bool:
         """Equality on the shared rectangle [0..min x_max] x [0..min q_max]."""
-        x_max = min(self.x_max, other.x_max)
-        q_max = min(self.q_max, other.q_max)
-
-        def cut(s: "Series") -> list[list[int]]:
-            return _trim([row[:q_max + 1] for row in s._rows[:x_max + 1]])
-
-        return cut(self) == cut(other)
+        a, b = _common((self, other))[2]
+        return a == b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -244,3 +227,61 @@ def series_sum(terms: Iterable[Series], x_max: int, q_max: int) -> Series:
     # every row is a term's row cut to q_max + 1 ints or a sum of such rows,
     # and a term's rows are never mutated, so sharing one is safe
     return Series._of_rows(out, x_max, q_max)
+
+
+def _common(F: Sequence[Series]) -> tuple[int, int, list[list[list[int]]]]:
+    """The common rectangle of F and each entry's x-rows on it.  Rows are
+    read as they are; a series with a larger rectangle is cut (and trimmed)
+    to it, once however often it occurs in F."""
+    x_max = min((s.x_max for s in F), default=0)
+    q_max = min((s.q_max for s in F), default=0)
+    cut: dict[int, list[list[int]]] = {}
+    for s in F:
+        if (s.x_max, s.q_max) != (x_max, q_max) and id(s) not in cut:
+            cut[id(s)] = _trim([row[:q_max + 1] for row in s._rows[:x_max + 1]])
+    return x_max, q_max, [cut.get(id(s), s._rows) for s in F]
+
+
+def _weigh(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
+           F: Sequence[Series]) -> list[Series]:
+    """Per row k of A, sum_j A_kj x^(m_j) q^(n_j) F_j(x q^S) on the common
+    rectangle of F, A's entries read by truthiness.  x^m q^n sends
+    F_j(x q^S)'s x^a q^d to x^(a + m) q^(n + a S + d), so a right side is a
+    sum of row slices, built once per distinct row of A and shared by equal
+    rows: a factorization's rows repeat (ex3 has 23 rows, 4 distinct)."""
+    # Laurent weights are refused, also where all their terms would fall off
+    if S < 0:
+        raise ValueError(f"shift amount must be >= 0, got {S}")
+    for m, n in weights:
+        if m < 0 or n < 0:
+            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
+    x_max, q_max, cols = _common(F)
+    keys = list(map(tuple, A))
+    sums: dict[tuple[int, ...], Series] = {}
+    for row in dict.fromkeys(keys):
+        js = [j for j, e in enumerate(row) if e]
+        # x^m F_j(x q^S) has no x-row past len(cols[j]) - 1 + m
+        height = min(x_max + 1, max((len(cols[j]) + weights[j][0] for j in js), default=0))
+        out = [[0] * (q_max + 1) for _ in range(height)]
+        for j in js:
+            m, n = weights[j]
+            for a, src in enumerate(cols[j]):
+                d = n + a * S
+                if a + m > x_max or d > q_max:
+                    break
+                dst = out[a + m]
+                dst[d:] = map(add, dst[d:], src)
+        # height <= x_max + 1 fresh rows of q_max + 1 ints
+        sums[row] = Series._of_rows(out, x_max, q_max)
+    return [sums[row] for row in keys]
+
+
+def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
+               F: Sequence[Series]) -> list[bool]:
+    """Per row k of A: does F_k equal _weigh's right side k on the common
+    rectangle of F?  Compared once per distinct (row of A, F_k) pair."""
+    sums = _weigh(A, weights, S, F)
+    keys = [(id(r), id(f)) for r, f in zip(sums, F)]
+    pairs = dict(zip(keys, zip(sums, _common(F)[2])))
+    ok = {key: r._rows == col for key, (r, col) in pairs.items()}
+    return [ok[key] for key in keys]

@@ -477,6 +477,12 @@ ENUMERATION_DIGESTS = {
         "340e67b706ae8d71db578ffee8d73e3e21a65c82817c8b5fafb88c1db2531fbf",
     ("multisum", "eval", "<FIXTURES>/ex3_profile.json", "--beta", "1,2,4", "--qmax", "30"):
         "b44bac9480251f2cd82a6a998c37dc00a4ff6a430d08a98e3f5f2579792d7403",
+    ("qdiff", "check", "<FIXTURES>/kr_i1.json", "--qmax", "40"):
+        "7b3c4f7057e3b4829c95e8f35ee7ce8957344c684eb338ac50c699691749efe4",
+    ("multisum", "rec", "<FIXTURES>/kr_profile.json", "--beta", "1,3", "--coord", "1", "--qmax", "30"):
+        "77977d05ccadf36d159e0e10a543ac78258bf028b182a2383068baa9d2097a96",
+    ("multisum", "rec", "<FIXTURES>/kr_profile.json", "--beta", "1,3", "--coord", "2", "--qmax", "30"):
+        "d60d883443d5b33af8fbfcb977dd07c27c85d173a670734f6917248a537c6e9f",
 }
 
 

@@ -101,6 +101,19 @@ def test_validate_rejects_seeds_that_are_no_partitions():
         SpanOneIdeal(pi=((), (2,), (1, 0)), linking=linking, S=0)
 
 
+def test_validate_rejects_seeds_that_are_no_tuples_of_ints():
+    # a library caller's seed that no parser made: refused by index, not
+    # with a TypeError from hashing or comparing it
+    linking = (frozenset({1, 2}),) * 2
+    with pytest.raises(IdealError, match=re.escape("pi_2: a seed must be a tuple of ints, got [1]")):
+        SpanOneIdeal(pi=((), [1]), linking=linking, S=1)
+    with pytest.raises(IdealError, match=re.escape("pi_2: a seed must be a tuple of ints, got '1'")):
+        SpanOneIdeal(pi=((), "1"), linking=linking, S=1)
+    # among the other problems, each seed by its own index
+    with pytest.raises(IdealError, match=r"^pi_2: .*got \(1, '2'\); pi_3: .*got \(True,\); span must be >= 1"):
+        SpanOneIdeal(pi=((), (1, "2"), (True,)), linking=(frozenset({1, 2, 3}),) * 3, S=0)
+
+
 def test_trivial_ideal_of_empty_partition():
     ideal = SpanOneIdeal(pi=((),), linking=(frozenset({1}),), S=1)
     g = associated_graph(ideal)

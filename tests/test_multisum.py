@@ -23,7 +23,7 @@ from spanone.multisum import (
 from spanone.partitions import kr_i1_predicate, oracle_genfun, satisfies_gap
 from spanone.series import Series
 
-from oracles import naive_eval_H
+from oracles import naive_eval_H, naive_mul
 
 
 def test_profile_validation():
@@ -300,6 +300,25 @@ def test_recurrence_beyond_positivity_region(kr_profile):
     assert not check_positivity(kr_profile, (0, 5))
     assert verify_recurrence_numeric(kr_profile, (0, 5), 1, 12, 12)
     assert verify_recurrence_numeric(kr_profile, (0, 5), 2, 12, 12)
+
+
+@given(st.sampled_from(("kr", "ex3")), st.lists(st.integers(0, 13), min_size=3, max_size=3),
+       st.integers(1, 3), st.integers(0, 6), st.integers(0, 10))
+@example("kr", [1, 3, 0], 2, 3, 10)  # xmax < qmax
+@example("ex3", [2, 4, 7], 3, 2, 9)
+@example("kr", [1, 12, 0], 2, 6, 10)  # beta_r > q_max: the right term falls off entirely
+@example("ex3", [11, 0, 1], 1, 4, 8)
+def test_recurrence_agrees_with_naive_route(kr_profile, ex3_profile, name, beta, r, x_max, q_max):
+    # H(beta) = H(left) + x^gamma_r q^beta_r H(right) with every H summed over
+    # the full box and the weight multiplied out as a product
+    p = kr_profile if name == "kr" else ex3_profile
+    beta, r = tuple(beta[:p.R]), (r - 1) % p.R + 1
+    left, (xe, qe), right = rec_children(p, beta, r)
+    weight = Series({(xe, qe): 1}, x_max, q_max)
+    lhs = naive_eval_H(p, beta, x_max, q_max)
+    rhs = naive_eval_H(p, left, x_max, q_max) + naive_mul(weight, naive_eval_H(p, right, x_max, q_max))
+    assert lhs == rhs
+    assert verify_recurrence_numeric(p, beta, r, x_max, q_max)
 
 
 def test_recurrence_chain_reassembles(ex1_profile):

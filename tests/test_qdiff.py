@@ -94,19 +94,20 @@ def test_solve_equals_walk_product_route(sys, x_max, q_max):
 @st.composite
 def _weigh_cases(draw):
     """K rows drawn from at most K - 1 distinct ones, so some row repeats;
-    rows come as lists or tuples, and every series has its own window."""
+    rows come as lists or tuples, every series has its own window, weights
+    reach two past the largest window, and the shift may be 0."""
     K = draw(st.integers(2, 5))
     row = st.lists(st.integers(0, 1), min_size=K, max_size=K)
     pool = draw(st.lists(row, min_size=1, max_size=K - 1))
     A = [draw(st.sampled_from((list, tuple)))(draw(st.sampled_from(pool))) for _ in range(K)]
-    weights = [(draw(st.integers(0, 3)), draw(st.integers(0, 3))) for _ in range(K)]
+    weights = [(draw(st.integers(0, 6)), draw(st.integers(0, 7))) for _ in range(K)]
     vec = []
     for _ in range(K):
         x_max, q_max = draw(st.integers(0, 4)), draw(st.integers(0, 5))
         terms = draw(st.lists(st.tuples(st.integers(0, x_max), st.integers(0, q_max),
                                         st.integers(-5, 5)), max_size=6))
         vec.append(Series({(m, n): c for m, n, c in terms}, x_max, q_max))
-    return A, weights, vec, draw(st.integers(1, 3))
+    return A, weights, vec, draw(st.integers(0, 3))
 
 
 @given(_weigh_cases())
@@ -117,6 +118,15 @@ def test_weigh_sum_equals_per_row_oracle(case):
     for i, j in combinations(range(len(A)), 2):
         if list(A[i]) == list(A[j]):
             assert out[i] is out[j]
+
+
+def test_weigh_sum_refuses_laurent_weights():
+    # also where the weighed term would fall off the rectangle
+    vec = [Series.one(3, 3), Series.one(3, 3)]
+    with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^5 q\^-1$"):
+        _weigh_sum(((1, 1), (1, 0)), ((0, 0), (5, -1)), vec)
+    with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^1 q\^-2$"):
+        _weigh_sum(((1, 1), (1, 0)), ((0, 0), (1, 1)), vec, -3)
 
 
 def test_solve_rejects_negative_orders(rr_ideal):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_mul
-from spanone.series import Series, TruncationRangeError, series_sum
+from spanone.series import Series, TruncationRangeError, _weigh, series_sum
 
 
 def series_strategy(max_order=7, max_terms=8):
@@ -124,14 +124,23 @@ def test_shift_x_rejects_negative():
         Series({(1, 1): 1}, 3, 3).shift_x(-1)
 
 
-@given(series_strategy(), st.integers(0, 4), st.integers(0, 4))
-def test_times_xq_equals_product_with_monomial(s, m, n):
-    assert s.times_xq(m, n) == naive_mul(s, Series({(m, n): 1}, s.x_max, s.q_max))
+@given(series_strategy(), series_strategy(), st.integers(0, 9), st.integers(0, 9), st.integers(0, 3))
+def test_weigh_equals_product_with_monomial(a, b, m, n, s):
+    # x^m q^n a(x q^s) and that plus b(x q^s), on the common rectangle of a and b
+    one, two = _weigh(((1, 0), (1, 1)), ((m, n), (0, 0)), s, (a, b))
+    assert one == naive_mul(a.shift_x(s), Series({(m, n): 1}, b.x_max, b.q_max))
+    assert two == one + b.shift_x(s)
 
 
-def test_times_xq_rejects_negative():
-    with pytest.raises(ValueError):
-        Series({(1, 1): 1}, 3, 3).times_xq(0, -1)
+def test_weigh_refuses_laurent_weights_and_shifts():
+    # refused also where the weighed terms would all fall off the rectangle
+    s = Series({(1, 1): 1}, 3, 3)
+    with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^0 q\^-1$"):
+        _weigh(((1,),), ((0, -1),), 0, (s,))
+    with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^-1 q\^9$"):
+        _weigh(((0,),), ((-1, 9),), 0, (s,))
+    with pytest.raises(ValueError, match=r"^shift amount must be >= 0, got -1$"):
+        _weigh(((1,),), ((0, 0),), -1, (s,))
 
 
 def test_eq_upto_compares_shared_region():
@@ -209,9 +218,11 @@ def dense_rows(draw):
 
 @given(series_strategy(), series_strategy(), st.integers(0, 3), st.integers(0, 9), dense_rows())
 def test_every_operation_keeps_rows_canonical(a, b, s, n, dense):
-    # m = x_max + 2 is where a slice bound x_max + 1 - m would go negative
-    shifted = [a.times_xq(m, n) for m in range(a.x_max + 3)]
-    for r in (a + b, a - b, a * b, -a, a.shift_x(s), *shifted):
+    # x^m q^n a(x q^s) alone and plus q^m b(x q^s), for m up to two past
+    # a's rectangle
+    weighed = [w for m in range(a.x_max + 3)
+               for w in _weigh(((1, 0), (1, 1)), ((m, n), (0, m)), s, (a, b))]
+    for r in (a + b, a - b, a * b, -a, a.shift_x(s), *weighed):
         assert _canonical(r)
     b = Series(dict(b.terms()), a.x_max, a.q_max)
     assert a + b - b == a and hash(a + b - b) == hash(a)
