@@ -39,6 +39,7 @@ from .prover import (
     FactorizationSystem,
     Leaf,
     SearchExhausted,
+    SearchTable,
     assemble_system,
     check_certs,
     derive_row,

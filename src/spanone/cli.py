@@ -181,7 +181,8 @@ def cmd_qdiff_check(args) -> int:
     """Check solve against the system it solved and, for an ideal file, against
     the walk-product route.  On a bare {A, weights, S} file only the first
     check runs, which cannot fail: it passes for every valid system, so it
-    proves nothing about where the system came from."""
+    proves nothing about where the system came from, and the output says
+    so (independent_route false)."""
     x_max, q_max = _orders(args)
     system, ideal = _load_qdiff_input(args.file)
     F = qdiff.solve(system, x_max, q_max)
@@ -201,6 +202,9 @@ def cmd_qdiff_check(args) -> int:
         ok_routes = all(a.eq_upto(b) for a, b in zip(F, F2))
         lines.append(f"solve agrees with the walk-product route: {ok_routes}")
         payload["routes_agree"] = ok_routes
+    else:
+        lines.append("no independent route ran: a bare system is checked only against itself")
+        payload["independent_route"] = False
     ok = ok_solve and ok_routes is not False
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     payload["ok"] = ok

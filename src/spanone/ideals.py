@@ -26,8 +26,9 @@ monomials.  A finite number of factors suffices at any truncation order,
 since every extra factor only contributes parts larger than q_max.
 
 associated_graph returns this data as a qdiff.QDiffSystem, the package's
-one system type.  The walk products run qdiff's A W(x q^(mS)) step, and
-their closing W(x) is the same step along the rows of the identity.
+one system type.  The walk products run each A W(x q^(mS)) step as the
+series weighing kernel with vertex j weighed by x^a q^(b + a m S), and
+their closing W(x) is the same kernel along the rows of the identity.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from pathlib import Path
 
 from . import jsonin
 from .partitions import Parts, _check_parts, format_partition, parse_partition
-from .qdiff import QDiffSystem, _weigh_sum
-from .series import Series, _check_orders
+from .qdiff import QDiffSystem
+from .series import Series, _check_orders, _weigh
 
 
 class IdealError(ValueError):
@@ -78,13 +79,16 @@ class SpanOneIdeal:
         if len(set(seeds)) != len(seeds):
             problems.append("seed partitions must be distinct")
         for j, linked in enumerate(self.linking, start=1):
+            if type(linked) is not frozenset or any(type(i) is not int for i in linked):
+                problems.append(f"linking_{j}: a linking set must be a frozenset of ints, got {linked!r}")
+                continue
             for i in linked:
                 if not 1 <= i <= K:
                     problems.append(f"linking set of pi_{j} mentions index {i} outside 1..{K}")
             if 1 not in linked:
                 problems.append(f"the empty partition is missing from the linking set of pi_{j}")
-        if K and self.linking and self.linking[0] != frozenset(range(1, K + 1)):
-            problems.append("the empty partition must link to every seed")
+            if j == 1 and K and linked != frozenset(range(1, K + 1)):
+                problems.append("the empty partition must link to every seed")
         max_part = max((p[0] for p in seeds if p), default=0)
         if self.S < 1:
             problems.append(f"span must be >= 1, got {self.S}")
@@ -113,8 +117,9 @@ def _walk_product(
     K = len(A)
     vec = [Series.one(x_max, q_max) if k == start else Series.zero(x_max, q_max) for k in range(K)]
     for m in range(M, 0, -1):
-        vec = _weigh_sum(A, weights, vec, m * S)
-    return _weigh_sum([[i == k for i in range(K)] for k in range(K)], weights, vec)
+        # W(xq^(mS)) weighs vertex j by x^a q^(b + a m S); vec itself is not shifted
+        vec = _weigh(A, [(a, b + a * m * S) for a, b in weights], 0, vec)
+    return _weigh([[i == k for i in range(K)] for k in range(K)], weights, 0, vec)
 
 
 def default_levels(S: int, q_max: int) -> int:

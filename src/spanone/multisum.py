@@ -17,8 +17,14 @@ coordinate r, the two-term relation
     H(beta) = H(beta + A_r e_r) + x^(gamma_r) q^(beta_r) H(beta + alpha_r)
 
 with alpha_r the r-th row of alpha; these relations are the edges of the
-certificate trees built in the prover.  Substituting x -> x q^S simply
-shifts beta by S gamma.
+certificate trees built in the prover.  The relation holds for every
+integer beta and every A, because
+
+    1/(q^A;q^A)_n = q^(An)/(q^A;q^A)_n + 1/(q^A;q^A)_(n-1),
+
+so a certificate's soundness needs none of check_additional's
+divisibility conditions.  Substituting x -> x q^S simply shifts beta by
+S gamma.
 
 eval_H truncates H to x^x_max q^q_max by walking n one coordinate at a
 time and pruning on energy: the cross terms alpha_ij n_i n_j are never

@@ -71,15 +71,18 @@ def expansions(tree: Node) -> int:
 
 
 class SearchTable:
-    """What searches for one profile, target set and budget have solved.
+    """One search: a profile, a target set and a budget, and what searches
+    from any root have solved in it.
 
     best maps each beta reached to (expansions, tree), or to None when it
     has no tree.  An entry depends only on the entries of the beta's
     children, so it is the same whichever root reached the beta, and every
-    root searched in one table shares it.
+    root searched in one table shares it.  Raises ValueError for an empty
+    target set, a negative budget or a target whose rank is not the
+    profile's.
     """
 
-    def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta], max_expansions: int):
+    def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta], max_expansions: int = 64):
         targets = frozenset(targets)
         if not targets:
             raise ValueError("target set must be nonempty")
@@ -95,28 +98,17 @@ class SearchTable:
         self.best: dict[Beta, tuple[int, Node] | None] = {t: (0, Leaf(t)) for t in targets}
 
 
-def derive_row(
-    p: MultisumProfile,
-    root: Beta,
-    targets: frozenset[Beta] | set[Beta],
-    max_expansions: int = 64,
-    table: SearchTable | None = None,
-) -> Node:
-    """Expansion-minimal certificate tree from root into the target set.
+def derive_row(table: SearchTable, root: Beta) -> Node:
+    """Expansion-minimal certificate tree from root into table's target set.
 
-    A table built for the same p, targets and max_expansions is read before
-    expanding and keeps every beta this call solves; assemble_system passes
-    one for all of a system's roots.
+    The table is read before expanding and keeps every beta this call
+    solves; assemble_system passes one for all of a system's roots.
 
     Raises SearchExhausted when no choice function yields a finite tree
-    within max_expansions relation applications, and ValueError for an
-    empty target set, a negative budget, a root or target whose rank is not
-    the profile's, or a table built for another search.
+    within the table's budget of relation applications, and ValueError for
+    a root whose rank is not the profile's.
     """
-    if table is None:
-        table = SearchTable(p, targets, max_expansions)
-    elif (table.p, table.targets, table.max_expansions) != (p, targets, max_expansions):
-        raise ValueError("table was built for another profile, target set or budget")
+    p, max_expansions = table.p, table.max_expansions
     # every beta below is built from root by the relation, so it has root's rank
     _check_beta(p, root)
     best = table.best
@@ -230,7 +222,7 @@ def assemble_system(
     shifted = [shift_beta(p, b, S) for b in betas]
     rank = {t: i for i, t in enumerate(dict.fromkeys(shifted))}  # targets in column order
     table = SearchTable(p, frozenset(rank), max_expansions)
-    certs = {root: derive_row(p, root, table.targets, max_expansions, table) for root in dict.fromkeys(betas)}
+    certs = {root: derive_row(table, root) for root in dict.fromkeys(betas)}
     leaves = {  # ((target, weight), count) by target in column order, then weight
         root: sorted(Counter(leaf_combination(p, tree)).items(), key=lambda leaf: rank[leaf[0][0]])
         for root, tree in certs.items()

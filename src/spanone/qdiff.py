@@ -25,16 +25,15 @@ builds it from an ideal, and a proved factorization F(x) = U V F(xq^S) is
 the same data with A = U and weights = V.  Every right side
 A W(x) F(xq^S) comes from the one weighing kernel in series, which takes
 plain (A, weights), so it also serves matrices that QDiffSystem rejects:
-_weigh_sum runs it as the A W(x q^shift) step of the ideal walk products
-and f_from_g, and check_system compares F with it, as the prover's
-verify_numeric does.  Of this module only solve knows the x-row layout
-of a series: it hands its rows to Series._of_rows.
+the ideal walk products run it as their A W(x q^(mS)) steps, f_from_g
+sums G along the rows of A with it, and check_system compares F with it,
+as the prover's verify_numeric does.  Of this module only solve knows the
+x-row layout of a series: it hands its rows to Series._of_rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import jsonin
 from .series import Series, _check_orders, _rows_hold, _weigh
@@ -76,17 +75,6 @@ class QDiffSystem:
     @property
     def K(self) -> int:
         return len(self.A)
-
-
-def _weigh_sum(
-    A: Sequence[Sequence[int]],
-    weights: Sequence[tuple[int, int]],
-    vec: Sequence[Series],
-    shift: int = 0,
-) -> list[Series]:
-    """A W(x q^shift) vec on the smallest rectangle of vec: the weighing
-    kernel with x^m q^n taken as x^m q^(n + m shift) and vec unshifted."""
-    return _weigh(A, [(m, n + m * shift) for m, n in weights], 0, vec)
 
 
 def solve(sys: QDiffSystem, x_max: int, q_max: int) -> list[Series]:
@@ -132,7 +120,7 @@ def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:
     """F = A G: sum the walk generating functions along adjacency rows."""
     if len(G) != sys.K:
         raise ValueError(f"expected {sys.K} component series, got {len(G)}")
-    return _weigh_sum(sys.A, ((0, 0),) * sys.K, G)
+    return _weigh(sys.A, ((0, 0),) * sys.K, 0, G)
 
 
 def check_system(sys: QDiffSystem, F: list[Series]) -> bool:

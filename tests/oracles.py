@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle recomputes something the library also computes, by a different
-route: dense-array convolution instead of sparse scatter products, a product
-and a sum for every row instead of re-keyed entries and shared row sums,
+route: a per-coefficient gather over the whole window instead of the
+row-by-row scatter product on x-rows, a product and a sum for every row
+instead of row slices summed once per distinct row,
 explicit walk enumeration instead of matrix products, a bijective partition
 counter instead of filtering, a full-box multi-sum enumeration instead of the
 pruned walk, a memoless certificate search instead of the memoized one, a
@@ -51,7 +52,7 @@ def _naive_weigh(s: Series, m: int, n: int) -> Series:
     return naive_mul(s, Series({(m, n): 1}, s.x_max, s.q_max))
 
 
-def naive_weigh_sum(A, weights, vec, shift: int = 0) -> list[Series]:
+def naive_weigh_rows(A, weights, vec, shift: int = 0) -> list[Series]:
     """A W(x q^shift) vec with every row summed on its own.
 
     Entry j is weighed by a naive_mul product with x^(m_j) q^(s_j + m_j shift)

@@ -253,6 +253,31 @@ def test_qdiff_check_system_with_more_x_than_q(run_cli, tmp_path):
     code, out, payload = run_cli(["qdiff", "check", str(spec), "--xmax", "3", "--qmax", "1"])
     assert code == 0
     assert payload["solve_satisfies_system"] is True
+    assert payload["independent_route"] is False
+
+
+def test_bare_qdiff_check_says_no_independent_route_ran(run_cli, tmp_path):
+    # kr's proved system with one U entry flipped is no factorization of the
+    # H vector, yet a bare file can only be checked against itself: it still
+    # passes, and the output says that nothing independent was compared
+    fs = prover.assemble_system(*prover.load_system_spec(spanone.fixture_path("kr_system.json")))
+    U = [list(row) for row in fs.U]
+    U[3][1] ^= 1
+    flipped = prover.FactorizationSystem(fs.profile, fs.S, fs.betas, tuple(map(tuple, U)), fs.V, {})
+    assert not all(prover.verify_numeric(flipped, 12, 12))
+    spec = tmp_path / "flipped.json"
+    spec.write_text(json.dumps({"A": U, "weights": [list(v) for v in fs.V], "S": fs.S}))
+    code, out, payload = run_cli(["qdiff", "check", str(spec), "--qmax", "12"])
+    assert code == 0
+    assert payload["ok"] is True and payload["solve_satisfies_system"] is True
+    assert payload["independent_route"] is False and "routes_agree" not in payload
+    lines = out.splitlines()
+    assert lines[lines.index("result: PASS") - 1] == (
+        "no independent route ran: a bare system is checked only against itself"
+    )
+    # an ideal file runs the walk-product route and carries no such key
+    code, out, payload = run_cli(["qdiff", "check", fx("rr.json"), "--qmax", "10"])
+    assert "independent_route" not in payload and "no independent route" not in out
 
 
 def test_multisum_eval_matches_library(run_cli):

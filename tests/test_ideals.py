@@ -114,6 +114,26 @@ def test_validate_rejects_seeds_that_are_no_tuples_of_ints():
         SpanOneIdeal(pi=((), (1, "2"), (True,)), linking=(frozenset({1, 2, 3}),) * 3, S=0)
 
 
+def test_validate_rejects_linking_sets_that_are_no_frozensets_of_ints():
+    # refused by index, and left out of the other linking checks: no TypeError
+    # from comparing a str with the index range, no complaint about the empty
+    # partition's links when its set has the wrong type, no float accepted
+    pi = ((), (1,))
+    with pytest.raises(IdealError, match=r"^linking_1: a linking set must be a frozenset of ints, got "
+                                         r"frozenset\(\{.*'2'.*\}\)$"):
+        SpanOneIdeal(pi=pi, linking=(frozenset({1, "2"}), frozenset({1})), S=1)
+    with pytest.raises(IdealError, match=re.escape(
+            "linking_1: a linking set must be a frozenset of ints, got [1, 2]; "
+            "linking_2: a linking set must be a frozenset of ints, got [1, 2]")) as info:
+        SpanOneIdeal(pi=pi, linking=([1, 2], [1, 2]), S=1)
+    assert "empty partition" not in str(info.value)
+    with pytest.raises(IdealError,
+                       match=r"^linking_2: .*got frozenset\(\{.*2\.0.*\}\); span must be >= 1, got 0$"):
+        SpanOneIdeal(pi=pi, linking=(frozenset({1, 2}), frozenset({1, 2.0})), S=0)
+    with pytest.raises(IdealError, match=r"^linking_1: .*got frozenset\(\{.*2\.0.*\}\)$"):
+        SpanOneIdeal(pi=pi, linking=(frozenset({1, 2.0}), frozenset({1})), S=1)
+
+
 def test_trivial_ideal_of_empty_partition():
     ideal = SpanOneIdeal(pi=((),), linking=(frozenset({1}),), S=1)
     g = associated_graph(ideal)

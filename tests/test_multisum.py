@@ -321,6 +321,53 @@ def test_recurrence_agrees_with_naive_route(kr_profile, ex3_profile, name, beta,
     assert verify_recurrence_numeric(p, beta, r, x_max, q_max)
 
 
+# profiles, each with a shift at which check_additional fails: a modulus does
+# not divide gamma S, or does not divide an alpha entry
+OFF_DIVISIBILITY = (
+    (MultisumProfile(alpha=((1, 1), (1, 1)), gamma=(1, 1), A=(2, 3)), 1),
+    (MultisumProfile(alpha=((1,),), gamma=(1,), A=(2,)), 2),
+    (MultisumProfile(alpha=((2, 1), (1, 2)), gamma=(1, 2), A=(3, 2)), 3),
+)
+
+
+def test_recurrence_needs_no_divisibility():
+    # 1/(q^A;q^A)_n = q^(An)/(q^A;q^A)_n + 1/(q^A;q^A)_(n-1) for every modulus A,
+    # so the two-term relation holds whether check_additional does or not
+    for p, S in OFF_DIVISIBILITY:
+        assert not check_additional(p, S)
+        for beta in product((1, 2, 3), repeat=p.R):
+            for r in range(1, p.R + 1):
+                assert verify_recurrence_numeric(p, beta, r, 14, 14)
+
+
+@st.composite
+def _free_moduli_cases(draw):
+    """Profiles of rank <= 2 whose moduli are drawn apart from alpha and
+    gamma, and a beta in {1, 2, 3}^R, where every summand is positive."""
+    R = draw(st.integers(1, 2))
+    alpha = [[0] * R for _ in range(R)]
+    for r in range(R):
+        for s in range(r, R):
+            alpha[r][s] = alpha[s][r] = draw(st.integers(0, 3))
+    gamma = tuple(draw(st.integers(1, 2)) for _ in range(R))
+    A = tuple(draw(st.integers(1, 4)) for _ in range(R))
+    p = MultisumProfile(tuple(map(tuple, alpha)), gamma, A)
+    beta = tuple(draw(st.integers(1, 3)) for _ in range(R))
+    return p, beta, draw(st.integers(1, R))
+
+
+@given(_free_moduli_cases())
+@example((OFF_DIVISIBILITY[0][0], (1, 1), 1))
+@example((OFF_DIVISIBILITY[2][0], (3, 1), 2))
+def test_recurrence_holds_for_any_moduli(case):
+    p, beta, r = case
+    assert verify_recurrence_numeric(p, beta, r, 9, 9)
+    left, (xe, qe), right = rec_children(p, beta, r)
+    weight = Series({(xe, qe): 1}, 9, 9)
+    rhs = naive_eval_H(p, left, 9, 9) + naive_mul(weight, naive_eval_H(p, right, 9, 9))
+    assert naive_eval_H(p, beta, 9, 9) == rhs
+
+
 def test_recurrence_chain_reassembles(ex1_profile):
     # H(2) = H(3) + x q^2 H(4), the step taken when peeling smallest parts
     q_max = 20

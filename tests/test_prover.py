@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_min_expansions, naive_weigh_sum, recursive_derive_row
+from oracles import naive_min_expansions, naive_weigh_rows, recursive_derive_row
 from spanone import prover
 from spanone.multisum import MultisumProfile, eval_H, shift_beta
 from spanone.prover import (
@@ -40,12 +40,12 @@ KR_TARGETS = frozenset({(4, 9), (5, 12), (6, 12)})
 
 
 def test_root_in_targets_gives_single_leaf(ex1_profile):
-    tree = derive_row(ex1_profile, (3,), frozenset({(3,), (4,)}))
+    tree = derive_row(SearchTable(ex1_profile, frozenset({(3,), (4,)})), (3,))
     assert tree == Leaf((3,))
 
 
 def test_derive_row_minimal_tree_rank_one(ex1_profile):
-    tree = derive_row(ex1_profile, (1,), frozenset({(3,), (4,)}))
+    tree = derive_row(SearchTable(ex1_profile, frozenset({(3,), (4,)})), (1,))
     assert tree == Expand(
         (1,), 1, Expand((2,), 1, Leaf((3,)), Leaf((4,))), Leaf((3,))
     )
@@ -53,7 +53,7 @@ def test_derive_row_minimal_tree_rank_one(ex1_profile):
 
 
 def test_derive_row_kr_leaf_multisets(kr_profile):
-    tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
+    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
     assert expansions(tree) == 6
     assert leaf_combination(kr_profile, tree) == sorted(
         [
@@ -66,11 +66,11 @@ def test_derive_row_kr_leaf_multisets(kr_profile):
             ((6, 12), (2, 6)),
         ]
     )
-    tree2 = derive_row(kr_profile, (2, 6), KR_TARGETS)
+    tree2 = derive_row(SearchTable(kr_profile, KR_TARGETS), (2, 6))
     assert leaf_combination(kr_profile, tree2) == sorted(
         [((4, 9), (0, 0)), ((4, 9), (1, 2)), ((5, 12), (1, 3)), ((6, 12), (2, 6))]
     )
-    tree3 = derive_row(kr_profile, (3, 6), KR_TARGETS)
+    tree3 = derive_row(SearchTable(kr_profile, KR_TARGETS), (3, 6))
     assert leaf_combination(kr_profile, tree3) == sorted(
         [((4, 9), (0, 0)), ((5, 12), (1, 3)), ((6, 12), (2, 6))]
     )
@@ -78,19 +78,19 @@ def test_derive_row_kr_leaf_multisets(kr_profile):
 
 def test_derive_row_budget_exhaustion(kr_profile):
     with pytest.raises(SearchExhausted, match="within 5 expansions"):
-        derive_row(kr_profile, (1, 3), KR_TARGETS, max_expansions=5)
+        derive_row(SearchTable(kr_profile, KR_TARGETS, max_expansions=5), (1, 3))
 
 
 def test_derive_row_unreachable_targets(ex1_profile):
     with pytest.raises(SearchExhausted):
-        derive_row(ex1_profile, (5,), frozenset({(3,)}))
+        derive_row(SearchTable(ex1_profile, frozenset({(3,)})), (5,))
 
 
 def test_derive_row_checks_the_root_rank(kr_profile):
     # the search builds children without checks, so a root of the wrong rank is refused first
     for root in ((1,), (1, 3, 5)):
         with pytest.raises(ValueError, match=f"beta has rank {len(root)}, profile has rank 2"):
-            derive_row(kr_profile, root, KR_TARGETS)
+            derive_row(SearchTable(kr_profile, KR_TARGETS), root)
 
 
 @st.composite
@@ -129,11 +129,13 @@ def test_derive_row_equals_recursive_search(case):
 
     def outcome(search):
         try:
-            return search(p, root, targets, budget)
+            return search()
         except SearchExhausted:
             return "exhausted"
 
-    assert outcome(derive_row) == outcome(recursive_derive_row)
+    assert outcome(lambda: derive_row(SearchTable(p, targets, budget), root)) == outcome(
+        lambda: recursive_derive_row(p, root, targets, budget)
+    )
 
 
 def _counting_children(monkeypatch, limit: int = 10_000) -> list:
@@ -155,7 +157,7 @@ def test_far_targets_are_refused_without_expanding(ex3_system, monkeypatch):
     p, _, betas = ex3_system
     calls = _counting_children(monkeypatch)
     with pytest.raises(SearchExhausted, match="within 64 expansions"):
-        derive_row(p, (1, 2, 4), frozenset(shift_beta(p, b, 30) for b in betas))
+        derive_row(SearchTable(p, frozenset(shift_beta(p, b, 30) for b in betas)), (1, 2, 4))
     assert calls == []
 
 
@@ -167,7 +169,7 @@ def test_targets_of_another_rank_are_refused_before_expanding(kr_profile, monkey
     message = re.escape(f"target {target} has rank {len(target)}, profile has rank 2")
     for targets in ({target}, KR_TARGETS | {target}):
         with pytest.raises(ValueError, match=message):
-            derive_row(kr_profile, (1, 3), targets)
+            SearchTable(kr_profile, targets)
     assert calls == []
 
 
@@ -183,19 +185,16 @@ def test_shared_search_gives_each_root_its_own_tree(case):
             alone = recursive_derive_row(p, r, targets, budget)
         except SearchExhausted:
             with pytest.raises(SearchExhausted, match=re.escape(f"no certificate for {r} within")):
-                derive_row(p, r, targets, budget, table)
+                derive_row(table, r)
         else:
-            assert derive_row(p, r, targets, budget, table) == alone
+            assert derive_row(table, r) == alone
 
 
 def test_a_table_serves_only_its_own_search(kr_profile):
-    table = SearchTable(kr_profile, KR_TARGETS, 64)
-    for args in ((KR_TARGETS | {(9, 9)}, 64), (KR_TARGETS, 63)):
-        with pytest.raises(ValueError, match="table was built for another"):
-            derive_row(kr_profile, (1, 3), *args, table)
-    assert derive_row(kr_profile, (1, 3), set(KR_TARGETS), 64, table) == derive_row(
-        kr_profile, (1, 3), KR_TARGETS
-    )
+    # a target set given as a set is the same search as the frozenset
+    table = SearchTable(kr_profile, set(KR_TARGETS), 64)
+    assert table.targets == KR_TARGETS and type(table.targets) is frozenset
+    assert derive_row(table, (1, 3)) == derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
 
 
 def test_assembly_names_the_first_exhausted_root(kr_profile):
@@ -222,12 +221,12 @@ def test_memoized_search_is_cost_transparent(ex1_profile, kr_profile):
         (kr_profile, (2, 6), KR_TARGETS),
         (kr_profile, (3, 6), KR_TARGETS),
     ):
-        tree = derive_row(p, root, targets)
+        tree = derive_row(SearchTable(p, targets), root)
         assert expansions(tree) == naive_min_expansions(p, root, targets)
 
 
 def test_tree_monotone_along_paths(kr_profile):
-    tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
+    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -254,7 +253,7 @@ def test_node_by_node_soundness(kr_profile):
     # every expansion is itself a two-term identity; check them all numerically
     from spanone.multisum import verify_recurrence_numeric
 
-    tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
+    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -270,7 +269,7 @@ def test_leaf_combination_telescopes(kr_profile):
     # collecting leaves turns the tree into one series identity for the root
     q_max = 14
     for root in ((1, 3), (2, 6), (3, 6)):
-        tree = derive_row(kr_profile, root, KR_TARGETS)
+        tree = derive_row(SearchTable(kr_profile, KR_TARGETS), root)
         rhs = Series.zero(q_max, q_max)
         for beta, (xe, qe) in leaf_combination(kr_profile, tree):
             rhs = rhs + Series({(xe, qe): 1}, q_max, q_max) * eval_H(kr_profile, beta, q_max, q_max)
@@ -405,7 +404,7 @@ def test_verify_numeric_detects_tampering(kr_system):
 def _oracle_rows(fs, x_max: int, q_max: int) -> list[bool]:
     """verify_numeric's row vector with every row weighed and summed on its own."""
     H = {b: eval_H(fs.profile, b, x_max, q_max) for b in set(fs.betas)}
-    rhs = naive_weigh_sum(fs.U, fs.V, [H[b].shift_x(fs.S) for b in fs.betas])
+    rhs = naive_weigh_rows(fs.U, fs.V, [H[b].shift_x(fs.S) for b in fs.betas])
     return [H[b].eq_upto(r) for b, r in zip(fs.betas, rhs)]
 
 
@@ -518,12 +517,12 @@ def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_syst
 
 
 def test_tree_json_round_trip(kr_profile):
-    tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
+    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
     assert tree_from_json(tree_to_json(tree), kr_profile.R) == tree
 
 
 def test_cert_document_round_trip(kr_profile):
-    tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
+    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
     doc = cert_to_json(kr_profile, 3, tree)
     p2, S2, tree2 = cert_from_json(json.loads(json.dumps(doc)))
     assert (p2, S2, tree2) == (kr_profile, 3, tree)
@@ -534,7 +533,7 @@ def test_cert_document_round_trip(kr_profile):
 
 
 def test_dot_export_structure(kr_profile):
-    tree = derive_row(kr_profile, (1, 3), KR_TARGETS)
+    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
     dot = tree_to_dot(kr_profile, tree)
     assert dot.startswith("digraph certificate {")
     assert dot.count("label=\"H(") == 13  # 6 expansions + 7 leaves

@@ -7,18 +7,17 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import naive_weigh_sum, walk_genfun_matrix
+from oracles import naive_weigh_rows, walk_genfun_matrix
 from spanone.ideals import associated_graph, default_levels, ideal_genfun_vec
 from spanone.qdiff import (
     QDiffSystem,
-    _weigh_sum,
     check_system,
     f_from_g,
     solve,
     system_from_json,
     system_to_json,
 )
-from spanone.series import Series
+from spanone.series import Series, _weigh
 
 
 def test_from_ideal_rr(rr_ideal):
@@ -111,22 +110,24 @@ def _weigh_cases(draw):
 
 
 @given(_weigh_cases())
-def test_weigh_sum_equals_per_row_oracle(case):
+def test_shifted_weigh_equals_per_row_oracle(case):
+    # A W(x q^shift) vec is the kernel with x^m q^n taken as x^m q^(n + m shift), S = 0
     A, weights, vec, shift = case
-    out = _weigh_sum(A, weights, vec, shift)
-    assert out == naive_weigh_sum(A, weights, vec, shift)
+    out = _weigh(A, [(m, n + m * shift) for m, n in weights], 0, vec)
+    assert out == naive_weigh_rows(A, weights, vec, shift)
     for i, j in combinations(range(len(A)), 2):
         if list(A[i]) == list(A[j]):
             assert out[i] is out[j]
 
 
-def test_weigh_sum_refuses_laurent_weights():
+def test_shifted_weigh_refuses_laurent_weights():
     # also where the weighed term would fall off the rectangle
     vec = [Series.one(3, 3), Series.one(3, 3)]
     with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^5 q\^-1$"):
-        _weigh_sum(((1, 1), (1, 0)), ((0, 0), (5, -1)), vec)
+        _weigh(((1, 1), (1, 0)), ((0, 0), (5, -1)), 0, vec)
+    # x q taken at shift -3
     with pytest.raises(ValueError, match=r"^monomial degrees must be >= 0, got x\^1 q\^-2$"):
-        _weigh_sum(((1, 1), (1, 0)), ((0, 0), (1, 1)), vec, -3)
+        _weigh(((1, 1), (1, 0)), ((0, 0), (1, 1 - 3)), 0, vec)
 
 
 def test_solve_rejects_negative_orders(rr_ideal):
