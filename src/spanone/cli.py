@@ -9,6 +9,11 @@ Subcommands mirror the library: ``oracle`` (brute-force partition counts),
 certificate trees it carries) and ``export`` (certificate trees to DOT or
 JSON).
 
+Each command is one row of the table COMMANDS: its help, the function that
+runs it and its arguments, as (name or flag, add_argument keywords) pairs.
+A group row holds its help and a table of its subcommands.  A call builds
+the parser for the one command its argv names.
+
 Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
 check that came back true, 1 a check that came back false, 2 usage or input
@@ -70,10 +75,10 @@ def cmd_oracle(args) -> int:
     else:
         pred = partitions.kr_i1_predicate
         name = "kr-i1"
-    s = partitions.oracle_genfun(pred, x_max, q_max)
+    series = _series_payload(partitions.oracle_genfun(pred, x_max, q_max))
     _emit(
-        [f"oracle {name}  qmax={q_max} xmax={x_max}", f"genfun = {s}"],
-        {"command": "oracle", "predicate": name, "series": _series_payload(s)},
+        [f"oracle {name}  qmax={q_max} xmax={x_max}", f"genfun = {series['text']}"],
+        {"command": "oracle", "predicate": name, "series": series},
     )
     return 0
 
@@ -85,26 +90,22 @@ def cmd_ideal_genfun(args) -> int:
     x_max, q_max = _orders(args)
     ideal = ideals.load_ideal(args.file)
     vec = ideals.ideal_genfun_vec(ideal, x_max, q_max)
-    total = series_sum(vec, x_max, q_max)
+    components = [_series_payload(s) for s in vec]
+    total = _series_payload(series_sum(vec, x_max, q_max))
     lines = [f"ideal {args.file}  K={ideal.K} S={ideal.S}  qmax={q_max} xmax={x_max}"]
-    lines += [f"G_{k + 1} = {s}" for k, s in enumerate(vec)]
-    lines.append(f"total = {total}")
+    lines += [f"G_{k + 1} = {s['text']}" for k, s in enumerate(components)]
+    lines.append(f"total = {total['text']}")
     _emit(
         lines,
-        {
-            "command": "ideal-genfun",
-            "K": ideal.K,
-            "S": ideal.S,
-            "components": [_series_payload(s) for s in vec],
-            "total": _series_payload(total),
-        },
+        {"command": "ideal-genfun", "K": ideal.K, "S": ideal.S, "components": components, "total": total},
     )
     return 0
 
 
 def cmd_ideal_members(args) -> int:
     ideal = ideals.load_ideal(args.file)
-    genfun, members = ideals.enumerate_members(ideal, args.qmax)
+    series, members = ideals.enumerate_members(ideal, args.qmax)
+    genfun = _series_payload(series)
     # format_partition on part tuples, through one text per part: a part is
     # at most its member's size, so at most q_max
     part_text = [str(a) for a in range(args.qmax + 1)].__getitem__
@@ -113,17 +114,9 @@ def cmd_ideal_members(args) -> int:
         f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}",
         # one indented line per member; the empty partition is always one
         "  " + "\n  ".join(rendered),
-        f"genfun = {genfun}",
+        f"genfun = {genfun['text']}",
     ]
-    _emit(
-        lines,
-        {
-            "command": "ideal-members",
-            "count": len(members),
-            "members": rendered,
-            "genfun": _series_payload(genfun),
-        },
-    )
+    _emit(lines, {"command": "ideal-members", "count": len(members), "members": rendered, "genfun": genfun})
     return 0
 
 
@@ -162,18 +155,10 @@ def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, ideals.SpanOneIdeal
 def cmd_qdiff_solve(args) -> int:
     x_max, q_max = _orders(args)
     system, _ = _load_qdiff_input(args.file)
-    F = qdiff.solve(system, x_max, q_max)
+    components = [_series_payload(s) for s in qdiff.solve(system, x_max, q_max)]
     lines = [f"system {args.file}  K={system.K} S={system.S}  qmax={q_max} xmax={x_max}"]
-    lines += [f"F_{k + 1} = {s}" for k, s in enumerate(F)]
-    _emit(
-        lines,
-        {
-            "command": "qdiff-solve",
-            "K": system.K,
-            "S": system.S,
-            "components": [_series_payload(s) for s in F],
-        },
-    )
+    lines += [f"F_{k + 1} = {s['text']}" for k, s in enumerate(components)]
+    _emit(lines, {"command": "qdiff-solve", "K": system.K, "S": system.S, "components": components})
     return 0
 
 
@@ -219,10 +204,10 @@ def cmd_multisum_eval(args) -> int:
     x_max, q_max = _orders(args)
     p = multisum.load_profile(args.file)
     beta = _parse_beta(args.beta)
-    s = multisum.eval_H(p, beta, x_max, q_max)
+    series = _series_payload(multisum.eval_H(p, beta, x_max, q_max))
     _emit(
-        [f"profile {args.file}  qmax={q_max} xmax={x_max}", f"{prover._beta_label(beta)} = {s}"],
-        {"command": "multisum-eval", "beta": list(beta), "series": _series_payload(s)},
+        [f"profile {args.file}  qmax={q_max} xmax={x_max}", f"{prover._beta_label(beta)} = {series['text']}"],
+        {"command": "multisum-eval", "beta": list(beta), "series": series},
     )
     return 0
 
@@ -386,122 +371,75 @@ def cmd_export(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_orders(sp):
-    sp.add_argument("--qmax", type=int, default=CLI_Q_MAX, help="q truncation order")
-    sp.add_argument("--xmax", type=int, default=None, help="x truncation order (default: qmax)")
+# arguments are (name or flag, add_argument keywords) pairs; these two
+# groups are spliced into the commands that take them
+ORDERS = (
+    ("--qmax", dict(type=int, default=CLI_Q_MAX, help="q truncation order")),
+    ("--xmax", dict(type=int, default=None, help="x truncation order (default: qmax)")),
+)
+PROFILE_AND_BETA = (
+    ("file", {}),
+    ("--beta", dict(required=True, help="comma-separated integers; write -1,3 as --beta=-1,3")),
+)
 
-
-def _profile_and_beta(sp):
-    sp.add_argument("file")
-    sp.add_argument("--beta", required=True, help="comma-separated integers; write -1,3 as --beta=-1,3")
-
-
-def _oracle_args(sp):
-    sp.add_argument("predicate", choices=["gap", "kr-i1"])
-    sp.add_argument("--d", type=int, default=None, help="minimum difference")
-    sp.add_argument("--k", type=int, default=None, help="distance at which the difference applies")
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_oracle)
-
-
-def _ideal_genfun_args(sp):
-    sp.add_argument("file")
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_ideal_genfun)
-
-
-def _ideal_members_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--qmax", type=int, default=CLI_Q_MAX)
-    sp.set_defaults(func=cmd_ideal_members)
-
-
-def _ideal_contains_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("partition", help="partition literal, e.g. 6+4+1 or empty")
-    sp.set_defaults(func=cmd_ideal_contains)
-
-
-def _qdiff_solve_args(sp):
-    sp.add_argument("file", help="ideal json or {A, weights, S} json")
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_qdiff_solve)
-
-
-def _qdiff_check_args(sp):
-    sp.add_argument("file")
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_qdiff_check)
-
-
-def _multisum_eval_args(sp):
-    _profile_and_beta(sp)
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_multisum_eval)
-
-
-def _multisum_rec_args(sp):
-    _profile_and_beta(sp)
-    sp.add_argument("--coord", type=int, required=True)
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_multisum_rec)
-
-
-def _multisum_shift_args(sp):
-    _profile_and_beta(sp)
-    sp.add_argument("--shift", type=int, required=True)
-    sp.set_defaults(func=cmd_multisum_shift)
-
-
-def _multisum_check_args(sp):
-    _profile_and_beta(sp)
-    sp.add_argument("--shift", type=int, default=None)
-    sp.set_defaults(func=cmd_multisum_check)
-
-
-def _prove_args(sp):
-    sp.add_argument("file", help="json with profile, S and betas")
-    sp.add_argument("--max-expansions", type=int, default=64)
-    sp.add_argument("--out", default=None, help="directory for certificates and matrices")
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_prove)
-
-
-def _verify_args(sp):
-    sp.add_argument("file", help="system spec or prove output json")
-    _add_orders(sp)
-    sp.set_defaults(func=cmd_verify)
-
-
-def _export_args(sp):
-    sp.add_argument("file", help="certificate json written by prove --out")
-    sp.add_argument("--format", choices=["dot", "json"], required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_export)
-
-
-# name -> (help, function adding the command's arguments, or a table of its subcommands)
+# name -> (help, function, arguments) for a command, (help, table of its subcommands) for a group
 COMMANDS = {
-    "oracle": ("brute-force partition generating functions", _oracle_args),
+    "oracle": ("brute-force partition generating functions", cmd_oracle, (
+        ("predicate", dict(choices=["gap", "kr-i1"])),
+        ("--d", dict(type=int, default=None, help="minimum difference")),
+        ("--k", dict(type=int, default=None, help="distance at which the difference applies")),
+        *ORDERS,
+    )),
     "ideal": ("span-one linked partition ideals", {
-        "genfun": ("matrix-product generating function vector", _ideal_genfun_args),
-        "members": ("enumerate members up to a size bound", _ideal_members_args),
-        "contains": ("membership test with chain decomposition", _ideal_contains_args),
+        "genfun": ("matrix-product generating function vector", cmd_ideal_genfun, (("file", {}), *ORDERS)),
+        "members": ("enumerate members up to a size bound", cmd_ideal_members, (
+            ("file", {}),
+            ("--qmax", dict(type=int, default=CLI_Q_MAX)),
+        )),
+        "contains": ("membership test with chain decomposition", cmd_ideal_contains, (
+            ("file", {}),
+            ("partition", dict(help="partition literal, e.g. 6+4+1 or empty")),
+        )),
     }),
     "qdiff": ("q-difference systems of ideals and digraphs", {
-        "solve": ("unique power-series solution", _qdiff_solve_args),
+        "solve": ("unique power-series solution", cmd_qdiff_solve, (
+            ("file", dict(help="ideal json or {A, weights, S} json")),
+            *ORDERS,
+        )),
         "check": ("consistency of solve and the walk product (ideal files); "
-                  "on a bare {A, weights, S} file it cannot fail", _qdiff_check_args),
+                  "on a bare {A, weights, S} file it cannot fail", cmd_qdiff_check, (("file", {}), *ORDERS)),
     }),
     "multisum": ("Nahm-type multi-sum series", {
-        "eval": ("truncated evaluation of H(beta)", _multisum_eval_args),
-        "rec": ("two-term relation at a coordinate", _multisum_rec_args),
-        "shift": ("beta after substituting x -> x q^S", _multisum_shift_args),
-        "check": ("positivity and divisibility conditions", _multisum_check_args),
+        "eval": ("truncated evaluation of H(beta)", cmd_multisum_eval, (*PROFILE_AND_BETA, *ORDERS)),
+        "rec": ("two-term relation at a coordinate", cmd_multisum_rec, (
+            *PROFILE_AND_BETA,
+            ("--coord", dict(type=int, required=True)),
+            *ORDERS,
+        )),
+        "shift": ("beta after substituting x -> x q^S", cmd_multisum_shift, (
+            *PROFILE_AND_BETA,
+            ("--shift", dict(type=int, required=True)),
+        )),
+        "check": ("positivity and divisibility conditions", cmd_multisum_check, (
+            *PROFILE_AND_BETA,
+            ("--shift", dict(type=int, default=None)),
+        )),
     }),
-    "prove": ("derive certificates and assemble U, V", _prove_args),
-    "verify": ("numeric check of a (proved) factorization", _verify_args),
-    "export": ("certificate tree to DOT or JSON", _export_args),
+    "prove": ("derive certificates and assemble U, V", cmd_prove, (
+        ("file", dict(help="json with profile, S and betas")),
+        ("--max-expansions", dict(type=int, default=prover.MAX_EXPANSIONS)),
+        ("--out", dict(default=None, help="directory for certificates and matrices")),
+        *ORDERS,
+    )),
+    "verify": ("numeric check of a (proved) factorization", cmd_verify, (
+        ("file", dict(help="system spec or prove output json")),
+        *ORDERS,
+    )),
+    "export": ("certificate tree to DOT or JSON", cmd_export, (
+        ("file", dict(help="certificate json written by prove --out")),
+        ("--format", dict(choices=["dot", "json"], required=True)),
+        ("--out", dict(default=None)),
+    )),
 }
 
 
@@ -528,12 +466,15 @@ def _add_commands(parser, table, path, dests=("command", "subcommand")) -> None:
     metavar = None if path is None else "{" + ",".join(table) + "}"
     sub = parser.add_subparsers(dest=dests[0], required=True, metavar=metavar)
     for name in table if path is None else path[:1]:
-        help_text, spec = table[name]
+        help_text, spec, *rest = table[name]
         sp = sub.add_parser(name, help=help_text)
         if isinstance(spec, dict):
             _add_commands(sp, spec, None if path is None else path[1:], dests[1:])
         else:
-            spec(sp)
+            (arguments,) = rest
+            for flag, keywords in arguments:
+                sp.add_argument(flag, **keywords)
+            sp.set_defaults(func=spec)
 
 
 @functools.cache
@@ -570,8 +511,9 @@ def main(argv=None) -> int:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # jsonin.load, its error messages and the tree walks recurse once per level of nesting
-        print("error: input is nested too deeply for the recursion limit", file=sys.stderr)
+        # jsonin.load, its error messages and the tree walks recurse once per level of
+        # nesting; the oracle's walk, the one other recursion, is bounded by its window
+        print(f"error: {args.file}: input is nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

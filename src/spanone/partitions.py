@@ -19,6 +19,10 @@ from .series import Series, _check_orders
 
 Parts = tuple[int, ...]
 
+# the most partitions oracle_genfun walks; the full window q^63 x^63 holds
+# 10,566,509 and is refused, q^62 x^62 is walked
+ORACLE_MAX_PARTITIONS = 10**7
+
 
 def _check_parts(parts: Parts) -> None:
     """Raise ValueError unless parts is weakly decreasing and positive."""
@@ -77,6 +81,32 @@ def partitions_of(n: int) -> Iterator[Parts]:
     return gen(n, n)
 
 
+def window_partitions(x_max: int, q_max: int, bound: int) -> int:
+    """The number of partitions of size <= q_max with at most x_max parts,
+    or some larger number once that passes bound.
+
+    q_max + 1 partitions have at most one part, and (q_max // 2) *
+    ((q_max + 1) // 2) more have two, so a large q_max passes the bound
+    before anything is counted.  Otherwise, by conjugation, count the
+    partitions of each n <= q_max into parts no larger than x_max, adding
+    one part size at a time until the total passes bound.
+    """
+    k = min(x_max, q_max)
+    if k < 2:
+        return q_max + 1 if k else 1
+    total = (q_max // 2) * ((q_max + 1) // 2) + q_max + 1
+    if total > bound:
+        return total
+    counts = [1] * (q_max + 1)
+    for part in range(2, k + 1):
+        for n in range(part, q_max + 1):
+            counts[n] += counts[n - part]
+        total = sum(counts)
+        if total > bound:
+            break
+    return total
+
+
 def oracle_genfun(pred: Callable[[Parts], bool], x_max: int, q_max: int) -> Series:
     """Sum of x^(number of parts) q^(size) over all partitions of n <= q_max
     that satisfy pred.  Exhaustive, hence slow but authoritative.
@@ -85,8 +115,19 @@ def oracle_genfun(pred: Callable[[Parts], bool], x_max: int, q_max: int) -> Seri
     most x_max parts exactly once: each step appends a part no larger than
     the last one and no larger than what is left of q_max.  Each visited
     part tuple is passed to pred as it is.
+
+    A window of more than ORACLE_MAX_PARTITIONS partitions is refused
+    before the walk starts.  A window within it cannot reach the recursion
+    limit: with m = min(x_max, q_max) it holds every partition of n <= m,
+    and those alone pass the bound at m = 63, so the walk, one level per
+    part, stays below 63 levels.
     """
     _check_orders(x_max, q_max)
+    if window_partitions(x_max, q_max, ORACLE_MAX_PARTITIONS) > ORACLE_MAX_PARTITIONS:
+        raise ValueError(
+            f"the oracle window q_max={q_max} x_max={x_max} holds more than {ORACLE_MAX_PARTITIONS:,} "
+            "partitions; lower --qmax or --xmax"
+        )
     coeffs: dict[tuple[int, int], int] = {}
 
     def walk(parts: Parts, size: int, cap: int) -> None:

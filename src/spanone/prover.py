@@ -39,6 +39,10 @@ from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, pr
 from .series import _rows_hold
 
 
+# the default expansion budget of a certificate search, on the command line too
+MAX_EXPANSIONS = 64
+
+
 class SearchExhausted(RuntimeError):
     """No certificate exists within the expansion budget (not a refutation)."""
 
@@ -82,7 +86,8 @@ class SearchTable:
     profile's.
     """
 
-    def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta], max_expansions: int = 64):
+    def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta],
+                 max_expansions: int = MAX_EXPANSIONS):
         targets = frozenset(targets)
         if not targets:
             raise ValueError("target set must be nonempty")
@@ -201,7 +206,7 @@ def assemble_system(
     p: MultisumProfile,
     S: int,
     betas: list[Beta] | tuple[Beta, ...],
-    max_expansions: int = 64,
+    max_expansions: int = MAX_EXPANSIONS,
 ) -> FactorizationSystem:
     """Derive certificates for every distinct root and pin down U and V.
 

@@ -47,6 +47,20 @@ def test_oracle_gap_rejects_distance_below_one(k, capsys):
     assert "--k must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--d", "2", "--k", "1", "--qmax", "1000"],
+    ["kr-i1", "--qmax", "1000", "--xmax", "5"],
+    ["kr-i1", "--qmax", "100000000"],
+], ids=" ".join)
+def test_oracle_refuses_a_window_past_its_bound(argv, capsys):
+    # a large window used to end in a RecursionError reported as nested input
+    code = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "holds more than 10,000,000 partitions; lower --qmax or --xmax" in captured.err
+    assert "nested too deeply" not in captured.err
+
+
 def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
     assert build_parser() is build_parser()
     assert build_parser(("oracle",)) is build_parser(("oracle",))
@@ -70,7 +84,7 @@ def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
 
 
 def _leaf_paths(table=cli.COMMANDS, prefix=()):
-    for name, (_, spec) in table.items():
+    for name, (_, spec, *_) in table.items():
         if isinstance(spec, dict):
             yield from _leaf_paths(spec, prefix + (name,))
         else:
@@ -829,7 +843,7 @@ def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
     capsys.readouterr()
     code = main(["verify", str(sysfile), "--qmax", "12"])
     assert code == 2
-    assert "nested too deeply" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {sysfile}: input is nested too deeply for the recursion limit\n"
 
 
 def _verify_cert_edited(tmp_path, run_cli, edit) -> tuple[int, str, dict]:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import count_gap2, oplus, phi, s_tail
+from spanone import partitions
 from spanone.partitions import (
+    ORACLE_MAX_PARTITIONS,
     _check_parts,
     format_partition,
     kr_i1_predicate,
@@ -16,6 +19,7 @@ from spanone.partitions import (
     parse_partition,
     partitions_of,
     satisfies_gap,
+    window_partitions,
 )
 
 partition_strategy = st.lists(st.integers(1, 12), max_size=8).map(
@@ -182,6 +186,52 @@ def test_oracle_genfun_calls_pred_once_per_partition(x_max):
             assert s.coeff(m, n) == sum(
                 1 for p in every if len(p) == m and sum(p) == n and satisfies_gap(p, 2, 1)
             ), (m, n)
+
+
+def _window_count(x_max: int, q_max: int) -> int:
+    return sum(1 for n in range(q_max + 1) for p in partitions_of(n) if len(p) <= x_max)
+
+
+def test_window_partitions_is_exact_up_to_its_bound():
+    for x_max in range(9):
+        for q_max in range(12):
+            exact = _window_count(x_max, q_max)
+            for bound in range(exact + 3):
+                got = window_partitions(x_max, q_max, bound)
+                assert got == exact if exact <= bound else got > bound, (x_max, q_max, bound)
+
+
+def test_window_partitions_of_the_documented_windows():
+    assert window_partitions(30, 30, ORACLE_MAX_PARTITIONS) == 28_629
+    assert window_partitions(40, 40, ORACLE_MAX_PARTITIONS) == 215_308
+    assert window_partitions(62, 62, ORACLE_MAX_PARTITIONS) == 9_061_010
+    assert window_partitions(63, 63, ORACLE_MAX_PARTITIONS) > ORACLE_MAX_PARTITIONS
+    assert window_partitions(63, 63, 10**8) == 10_566_509
+    assert window_partitions(1, 10**7 - 1, ORACLE_MAX_PARTITIONS) == ORACLE_MAX_PARTITIONS
+
+
+@pytest.mark.parametrize("x_max, q_max", [(4, 9), (9, 4), (6, 6)])
+def test_oracle_refuses_a_window_one_partition_over_its_bound(x_max, q_max, monkeypatch):
+    seen = []
+    exact = _window_count(x_max, q_max)
+    monkeypatch.setattr(partitions, "ORACLE_MAX_PARTITIONS", exact - 1)
+    with pytest.raises(ValueError, match="lower --qmax or --xmax"):
+        oracle_genfun(seen.append, x_max, q_max)
+    assert seen == []
+    monkeypatch.setattr(partitions, "ORACLE_MAX_PARTITIONS", exact)
+    oracle_genfun(seen.append, x_max, q_max)
+    assert len(seen) == exact
+
+
+@pytest.mark.parametrize("x_max, q_max", [(10**8, 10**8), (1, 10**7), (5, 1000), (1000, 1000), (63, 63)])
+def test_oracle_refuses_a_large_window_at_once(x_max, q_max):
+    def walked(p):
+        raise AssertionError("the window was walked")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"q_max={q_max} x_max={x_max} holds more than 10,000,000"):
+        oracle_genfun(walked, x_max, q_max)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_oracle_counts_match_bijective_recurrence():
