@@ -318,12 +318,11 @@ def cmd_prove(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         sysfile = outdir / "system.json"
-        sysfile.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
+        sysfile.write_text(prover.json_text(result))
         written = [str(sysfile)]
         for root, tree in sorted(fs.certs.items()):
-            doc = prover.cert_to_json(p, S, tree)
             base = outdir / f"cert_{'_'.join(map(str, root))}"
-            (base.with_suffix(".cert.json")).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            (base.with_suffix(".cert.json")).write_text(prover.json_text(prover.cert_to_json(p, S, tree)))
             (base.with_suffix(".dot")).write_text(prover.tree_to_dot(p, tree))
             written += [str(base.with_suffix(".cert.json")), str(base.with_suffix(".dot"))]
         lines += [f"wrote {w}" for w in written]
@@ -356,7 +355,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         text = prover.tree_to_dot(p, tree)
     else:
-        text = json.dumps(prover.cert_to_json(p, S, tree), sort_keys=True, indent=1) + "\n"
+        text = prover.json_text(prover.cert_to_json(p, S, tree))
     if args.out:
         Path(args.out).write_text(text)
         _emit(

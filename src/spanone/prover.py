@@ -16,20 +16,25 @@ Each beta value expands through the same coordinate at every occurrence,
 so a certificate is a choice function on beta vectors and the tree is its
 unfolding.  We pick one minimizing the expansions of the unfolded tree (ties
 to the smallest coordinate) by dynamic programming over the betas collected
-from the root.  A beta is expanded only when some target lies a run of at
-most max_expansions left moves away: a tree's leftmost leaf is such a run,
-and a tree within the budget has no subtree over it.  Both moves are
+from the root.  A beta is in reach when some target lies a run of at most
+max_expansions left moves away: a tree's leftmost leaf is such a run, and
+a tree within the budget has no subtree over it.  The root is expanded only
+when it is in reach, a coordinate is offered at a beta only when both its
+children are, and only the children of offered coordinates are expanded in
+turn, so a beta out of reach is never expanded.  Both moves are
 componentwise non-decreasing and a left move raises one coordinate, so
 descending coordinate sum solves every child before its parent, except for
 a right move along an all-zero alpha row: a self-loop, never counted.  The
-solved betas go into a SearchTable that assemble_system shares among all
-roots of a system, so each beta is expanded and solved once per system.
+expanded betas are recorded in a SearchTable that assemble_system shares
+among all roots of a system, so each beta is expanded and solved once per
+system.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Union
 
@@ -78,12 +83,13 @@ class SearchTable:
     """One search: a profile, a target set and a budget, and what searches
     from any root have solved in it.
 
-    best maps each beta reached to (expansions, tree), or to None when it
-    has no tree.  An entry depends only on the entries of the beta's
-    children, so it is the same whichever root reached the beta, and every
-    root searched in one table shares it.  Raises ValueError for an empty
-    target set, a negative budget or a target whose rank is not the
-    profile's.
+    best maps each target to its leaf, and each beta a search expanded to
+    (expansions, tree), or to None when it has no tree.  A beta out of
+    reach of every target is neither expanded nor recorded.  An entry
+    depends only on the entries of the beta's children, so it is the same
+    whichever root reached the beta, and every root searched in one table
+    shares it.  Raises ValueError for an empty target set, a negative
+    budget or a target whose rank is not the profile's.
     """
 
     def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta],
@@ -116,24 +122,30 @@ def derive_row(table: SearchTable, root: Beta) -> Node:
     p, max_expansions = table.p, table.max_expansions
     # every beta below is built from root by the relation, so it has root's rank
     _check_beta(p, root)
-    best = table.best
-    children: dict[Beta, list[tuple[Beta, Beta]]] = {}
-    stack = [root]
+    best, targets = table.best, table.targets
+    # beta -> its options (r, left, right): the coordinates whose children
+    # both have a target in reach, as only those can end in a tree; every
+    # beta pushed is such a child, or the root
+    children: dict[Beta, list[tuple[int, Beta, Beta]]] = {}
+    stack = [root] if _reaches_target(p, root, targets, max_expansions) else []
     while stack:
         beta = stack.pop()
         if beta in children or beta in best:
             continue
-        # a beta with no target in reach gets no options
-        reach = _reaches_target(p, beta, table.targets, max_expansions)
-        children[beta] = [_children(p, beta, i) for i in range(p.R)] if reach else []
-        stack.extend(b for pair in children[beta] for b in pair)
+        options = children[beta] = []
+        for i in range(p.R):
+            left, right = _children(p, beta, i)
+            if (_reaches_target(p, left, targets, max_expansions)
+                    and _reaches_target(p, right, targets, max_expansions)):
+                options.append((i + 1, left, right))
+                stack += left, right
 
     for beta in sorted(children, key=sum, reverse=True):
         # beta is not in best yet, so its self-loop (a right move along a
         # zero alpha row) never counts; ties go to the smallest coordinate
         options = [
             (1 + best[left][0] + best[right][0], r, left, right)
-            for r, (left, right) in enumerate(children[beta], 1)
+            for r, left, right in children[beta]
             if best.get(left) is not None and best.get(right) is not None
         ]
         if options:
@@ -141,11 +153,12 @@ def derive_row(table: SearchTable, root: Beta) -> Node:
             best[beta] = (cost, Expand(beta, r, best[left][1], best[right][1]))
         else:
             best[beta] = None
-    if best[root] is None or best[root][0] > max_expansions:
+    found = best.get(root)
+    if found is None or found[0] > max_expansions:
         raise SearchExhausted(
             f"no certificate for {root} within {max_expansions} expansions"
         )
-    return best[root][1]
+    return found[1]
 
 
 def _reaches_target(p: MultisumProfile, beta: Beta, targets: frozenset[Beta], max_expansions: int) -> bool:
@@ -358,6 +371,61 @@ def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:
         "root": list(tree.beta),
         "tree": tree_to_json(tree),
     }
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1) + "\n", byte for byte.
+
+    obj is built of dicts with str keys, lists, tuples, strs, ints, bools
+    and None.  json.dumps falls back to its pure-Python encoder when given
+    an indent; this writer appends the same pieces to one list and joins
+    them once.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append obj's text to out; nl is a newline and the indent of obj's line."""
+    kind = type(obj)
+    if kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
