@@ -54,9 +54,16 @@ def _parse_beta(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _order(flag: str, value: int) -> int:
+    # the library checks its orders too, but its message cannot name the flag
+    if value < 0:
+        raise ValueError(f"{flag}: truncation orders must be >= 0, got {value}")
+    return value
+
+
 def _orders(args) -> tuple[int, int]:
-    q_max = args.qmax
-    x_max = args.xmax if args.xmax is not None else q_max
+    q_max = _order("--qmax", args.qmax)
+    x_max = q_max if args.xmax is None else _order("--xmax", args.xmax)
     return x_max, q_max
 
 
@@ -104,7 +111,7 @@ def cmd_ideal_genfun(args) -> int:
 
 def cmd_ideal_members(args) -> int:
     ideal = ideals.load_ideal(args.file)
-    series, members = ideals.enumerate_members(ideal, args.qmax)
+    series, members = ideals.enumerate_members(ideal, _order("--qmax", args.qmax))
     genfun = _series_payload(series)
     # format_partition on part tuples, through one text per part: a part is
     # at most its member's size, so at most q_max
@@ -184,7 +191,8 @@ def cmd_qdiff_check(args) -> int:
     if ideal is not None:
         G = ideals.ideal_genfun_vec(ideal, x_max, q_max)
         F2 = qdiff.f_from_g(system, G)
-        ok_routes = all(a.eq_upto(b) for a, b in zip(F, F2))
+        # both routes live on (x_max, q_max)
+        ok_routes = F == F2
         lines.append(f"solve agrees with the walk-product route: {ok_routes}")
         payload["routes_agree"] = ok_routes
     else:

@@ -72,18 +72,23 @@ class MultisumProfile:
         R = len(self.alpha)
         if len(self.gamma) != R or len(self.A) != R:
             raise ValueError("alpha, gamma and A must share one rank")
+        # every row is checked for its length first, so alpha[j][i] exists
         for i, row in enumerate(self.alpha):
             if len(row) != R:
-                raise ValueError("alpha must be square")
+                raise ValueError(f"alpha must be square, got {len(row)} entries in alpha row {i + 1} for rank {R}")
+        for i, row in enumerate(self.alpha):
             for j, e in enumerate(row):
                 if e < 0:
-                    raise ValueError(f"alpha entries must be >= 0, got {e}")
+                    raise ValueError(f"alpha entries must be >= 0, got {e} in alpha row {i + 1}, column {j + 1}")
                 if self.alpha[j][i] != e:
-                    raise ValueError("alpha must be symmetric")
-        if any(g < 1 for g in self.gamma):
-            raise ValueError("gamma entries must be >= 1")
-        if any(a < 1 for a in self.A):
-            raise ValueError("Pochhammer moduli must be >= 1")
+                    raise ValueError(f"alpha must be symmetric, got {e} in alpha row {i + 1}, column {j + 1} "
+                                     f"and {self.alpha[j][i]} in row {j + 1}, column {i + 1}")
+        for r, g in enumerate(self.gamma):
+            if g < 1:
+                raise ValueError(f"gamma entries must be >= 1, got {g} in gamma entry {r + 1}")
+        for r, a in enumerate(self.A):
+            if a < 1:
+                raise ValueError(f"Pochhammer moduli must be >= 1, got {a} in A entry {r + 1}")
 
     @property
     def R(self) -> int:

@@ -53,15 +53,18 @@ class QDiffSystem:
             raise ValueError("A is empty: the system needs at least one vertex")
         if len(self.weights) != K:
             raise ValueError("need one weight pair per vertex")
-        for row in self.A:
+        for k, row in enumerate(self.A):
             if len(row) != K:
-                raise ValueError("adjacency matrix must be square")
-            if any(e not in (0, 1) for e in row):
-                raise ValueError("adjacency entries must be 0 or 1")
+                raise ValueError(f"adjacency matrix must be square, got {len(row)} entries in A row {k + 1} "
+                                 f"for {K} vertices")
+            for j, e in enumerate(row):
+                if e not in (0, 1):
+                    raise ValueError(f"adjacency entries must be 0 or 1, got {e} in A row {k + 1}, column {j + 1}")
             if row[0] != 1:
-                raise ValueError("first adjacency column must be all ones")
-        if any(e != 1 for e in self.A[0]):
-            raise ValueError("first adjacency row must be all ones")
+                raise ValueError(f"first adjacency column must be all ones, got {row[0]} in A row {k + 1}")
+        for j, e in enumerate(self.A[0]):
+            if e != 1:
+                raise ValueError(f"first adjacency row must be all ones, got {e} in A row 1, column {j + 1}")
         if self.weights[0] != (0, 0):
             raise ValueError("vertex 1 must be weightless")
         for k in range(1, K):

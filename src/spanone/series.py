@@ -15,13 +15,19 @@ rows of a series are never mutated afterwards, so series may share them.
 No other module reads them: every right side A W(x) F(x q^S) the package
 builds comes from _weigh, and every check of F against one from _rows_hold.
 
+_weigh is the one kernel of the arithmetic.  It reads A's entries as
+integer coefficients, so each operator is a one-row system handed to it:
+a + b is the row (1, 1), a - b the row (1, -1), -a the row (-1),
+a.shift_x(s) the row (1) with shift s, series_sum one all-ones row, and
+a * b one row holding b's coefficients, with b's monomials as the weights.
+
 A series only ever *knows* coefficients inside its truncation rectangle.
 Asking for a coefficient outside the rectangle is a programming error and
 raises :class:`TruncationRangeError` rather than returning 0, because a
-truncated series carries no information out there.  Binary operations on
-series with different rectangles are fine: the result lives on the
-intersection (componentwise minimum of the orders), which is exactly the
-region where both operands are meaningful.
+truncated series carries no information out there.  Operations on series
+with different rectangles are fine: _common, the one rule that picks a
+rectangle, puts the result on the intersection (componentwise minimum of
+the orders), which is exactly the region where every operand is meaningful.
 """
 
 from __future__ import annotations
@@ -115,32 +121,26 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return series_sum((self, other), self.x_max, self.q_max)
+        return _weigh(((1, 1),), ((0, 0),) * 2, 0, (self, other))[0]
 
     def __neg__(self) -> "Series":
-        # negating keeps every row's length and which rows are zero
-        return Series._of_rows([[-c for c in row] for row in self._rows], self.x_max, self.q_max)
+        return _weigh(((-1,),), ((0, 0),), 0, (self,))[0]
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return self + (-other)
+        return _weigh(((1, -1),), ((0, 0),) * 2, 0, (self, other))[0]
 
     def __mul__(self, other: "Series") -> "Series":
+        """The sum of c x^m q^n self over other's terms c x^m q^n.  The two
+        operands lead, weighed by 0, so that both rectangles enter _common
+        even when other has no terms."""
         if not isinstance(other, Series):
             return NotImplemented
-        x_max = min(self.x_max, other.x_max)
-        q_max = min(self.q_max, other.q_max)
-        size = max(0, min(x_max + 1, len(self._rows) + len(other._rows) - 1))
-        out = [[0] * (q_max + 1) for _ in range(size)]
-        for m1, r1 in enumerate(self._rows[:size]):
-            for m2, r2 in enumerate(other._rows[:size - m1]):
-                dst = out[m1 + m2]
-                for n1, c1 in enumerate(r1[:q_max + 1]):
-                    if c1:
-                        dst[n1:] = [d + c1 * c2 for d, c2 in zip(dst[n1:], r2)]
-        # size rows of q_max + 1 ints, at most x_max + 1 of them
-        return Series._of_rows(out, x_max, q_max)
+        terms = other.terms()
+        return _weigh(((0, 0, *(c for _, c in terms)),),
+                      ((0, 0), (0, 0), *(mn for mn, _ in terms)), 0,
+                      (self, other, *(self,) * len(terms)))[0]
 
     def shift_x(self, s: int) -> "Series":
         """Substitute x -> x q^s, sending x^m q^n to x^m q^(n + m s).
@@ -148,13 +148,7 @@ class Series:
         Terms pushed past q_max fall off the rectangle.  s = 0 is the
         identity; negative s would create Laurent terms and is rejected.
         """
-        if s < 0:
-            raise ValueError(f"shift amount must be >= 0, got {s}")
-        q = self.q_max
-        # row m moves right by m s <= q and keeps q + 1 ints; rows with
-        # m s > q vanish, and for s > 0 they are all the rows past some m
-        rows = [[0] * (m * s) + row[:q + 1 - m * s] for m, row in enumerate(self._rows) if m * s <= q]
-        return Series._of_rows(rows, self.x_max, q)
+        return _weigh(((1,),), ((0, 0),), s, (self,))[0]
 
     # -- comparison ------------------------------------------------------
 
@@ -212,21 +206,11 @@ def _term_body(c: int, m: int, n: int) -> str:
 
 
 def series_sum(terms: Iterable[Series], x_max: int, q_max: int) -> Series:
-    """Sum a (possibly empty) collection of series, row by row.  The result
-    lives on the intersection of the given rectangle with every term's."""
-    terms = list(terms)
-    for t in terms:
-        x_max, q_max = min(x_max, t.x_max), min(q_max, t.q_max)
-    out: list[list[int]] = []
-    for t in terms:
-        for m, row in enumerate(t._rows[:x_max + 1]):
-            if m < len(out):
-                out[m] = list(map(add, out[m], row))
-            else:
-                out.append(row if len(row) == q_max + 1 else row[:q_max + 1])
-    # every row is a term's row cut to q_max + 1 ints or a sum of such rows,
-    # and a term's rows are never mutated, so sharing one is safe
-    return Series._of_rows(out, x_max, q_max)
+    """Sum a (possibly empty) collection of series.  The result lives on the
+    intersection of the given rectangle with every term's: the zero series
+    on the given rectangle is one more term."""
+    F = (Series.zero(x_max, q_max), *terms)
+    return _weigh(((1,) * len(F),), ((0, 0),) * len(F), 0, F)[0]
 
 
 def _common(F: Sequence[Series]) -> tuple[int, int, list[list[list[int]]]]:
@@ -245,10 +229,12 @@ def _common(F: Sequence[Series]) -> tuple[int, int, list[list[list[int]]]]:
 def _weigh(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
            F: Sequence[Series]) -> list[Series]:
     """Per row k of A, sum_j A_kj x^(m_j) q^(n_j) F_j(x q^S) on the common
-    rectangle of F, A's entries read by truthiness.  x^m q^n sends
-    F_j(x q^S)'s x^a q^d to x^(a + m) q^(n + a S + d), so a right side is a
-    sum of row slices, built once per distinct row of A and shared by equal
-    rows: a factorization's rows repeat (ex3 has 23 rows, 4 distinct)."""
+    rectangle of F, A's entries being integer coefficients (a bool counts as
+    0 or 1).  x^m q^n sends F_j(x q^S)'s x^a q^d to x^(a + m) q^(n + a S + d),
+    so a right side is a sum of row slices, built once per distinct row of A
+    and shared by equal rows: a factorization's rows repeat (ex3 has 23
+    rows, 4 distinct).  This is the one loop that sums x-rows: every
+    operator of Series, and series_sum, is one call to it."""
     # Laurent weights are refused, also where all their terms would fall off
     if S < 0:
         raise ValueError(f"shift amount must be >= 0, got {S}")
@@ -265,7 +251,9 @@ def _weigh(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: in
         out = [[0] * (q_max + 1) for _ in range(height)]
         for j in js:
             m, n = weights[j]
-            for a, src in enumerate(cols[j]):
+            # an entry other than 1 scales F_j's rows as the loop reaches them
+            e = row[j]
+            for a, src in enumerate(cols[j] if e == 1 else ([e * c for c in r] for r in cols[j])):
                 d = n + a * S
                 if a + m > x_max or d > q_max:
                     break

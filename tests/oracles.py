@@ -2,8 +2,9 @@
 
 Each oracle recomputes something the library also computes, by a different
 route: a per-coefficient gather over the whole window instead of the
-row-by-row scatter product on x-rows, a product and a sum for every row
-instead of row slices summed once per distinct row,
+row slices of the one weighing kernel behind every Series operator (for
+products, sums and the shift x -> x q^s alike), a product and a sum for
+every row instead of row slices summed once per distinct row,
 explicit walk enumeration instead of matrix products, a bijective partition
 counter instead of filtering, a full-box multi-sum enumeration instead of the
 pruned walk, a memoless certificate search instead of the memoized one, a
@@ -47,29 +48,50 @@ def naive_mul(a: Series, b: Series) -> Series:
     return Series(coeffs, x_max, q_max)
 
 
+def naive_add(*terms: Series) -> Series:
+    """The sum of terms, coefficient by coefficient, over their common window."""
+    x_max = min(s.x_max for s in terms)
+    q_max = min(s.q_max for s in terms)
+    coeffs: dict[tuple[int, int], int] = {}
+    for s in terms:
+        for (m, n), c in s.terms():
+            if m <= x_max and n <= q_max:
+                coeffs[m, n] = coeffs.get((m, n), 0) + c
+    return Series(coeffs, x_max, q_max)
+
+
+def naive_shift_x(a: Series, s: int) -> Series:
+    """a(x q^s) for s >= 0, gathering each coefficient of x^m q^n from a's
+    x^m q^(n - m s)."""
+    return Series({(m, n): a.coeff(m, n - m * s)
+                   for m in range(a.x_max + 1) for n in range(m * s, a.q_max + 1)}, a.x_max, a.q_max)
+
+
 @lru_cache(maxsize=1024)
-def _naive_weigh(s: Series, m: int, n: int) -> Series:
-    return naive_mul(s, Series({(m, n): 1}, s.x_max, s.q_max))
+def _naive_weigh(s: Series, c: int, m: int, n: int) -> Series:
+    return naive_mul(s, Series({(m, n): c}, s.x_max, s.q_max))
 
 
 def naive_weigh_rows(A, weights, vec, shift: int = 0) -> list[Series]:
     """A W(x q^shift) vec with every row summed on its own.
 
-    Entry j is weighed by a naive_mul product with x^(m_j) q^(s_j + m_j shift)
-    and no row sum is shared, not even between equal rows.  The products are
+    A nonzero entry c in column j is weighed by a naive_mul product with
+    c x^(m_j) q^(s_j + m_j shift), and the products are summed by naive_add;
+    no row sum is shared, not even between equal rows.  The products are
     cached by (series, monomial), so that checking many mutants of one
     system stays quick.
     """
     x_max = min(s.x_max for s in vec)
     q_max = min(s.q_max for s in vec)
+    zero = Series({}, x_max, q_max)
     out = []
     for row in A:
-        total = Series({}, x_max, q_max)
+        weighed = []
         for j, e in enumerate(row):
             if e:
                 m, n = weights[j]
-                total = total + _naive_weigh(vec[j], m, n + m * shift)
-        out.append(total)
+                weighed.append(_naive_weigh(vec[j], int(e), m, n + m * shift))
+        out.append(naive_add(zero, *weighed))
     return out
 
 

@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracles import enumerate_walks, walk_genfun_matrix
+from oracles import enumerate_walks, naive_add, naive_mul, walk_genfun_matrix
 
 from spanone.ideals import associated_graph, enumerate_members, ideal_genfun_vec
 from spanone.multisum import eval_H, shift_beta, verify_recurrence_numeric
@@ -152,7 +152,7 @@ def _telescoped_ok(p, root, tree, x_max: int, q_max: int) -> bool:
     for leaf, (xe, qe) in leaf_combination(p, tree):
         if leaf not in cache:
             cache[leaf] = eval_H(p, leaf, x_max, q_max)
-        acc = acc + Series({(xe, qe): 1}, x_max, q_max) * cache[leaf]
+        acc = naive_add(acc, naive_mul(Series({(xe, qe): 1}, x_max, q_max), cache[leaf]))
     return eval_H(p, root, x_max, q_max).eq_upto(acc)
 
 

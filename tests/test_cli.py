@@ -13,6 +13,7 @@ from spanone import cli, multisum, prover
 from spanone.cli import _series_payload, build_parser, main
 from spanone.multisum import eval_H
 from spanone.partitions import kr_i1_predicate, oracle_genfun
+from spanone.series import Series
 
 
 def fx(name: str) -> str:
@@ -563,6 +564,102 @@ def test_ideal_contains_outputs_are_byte_identical(argv, capsys):
     code = main([a.replace("<FIXTURES>", fixtures) for a in argv])
     out = capsys.readouterr().out.replace(fixtures, "<FIXTURES>")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == CONTAINS_DIGESTS[argv]
+
+
+# perfbench's tracer wraps these by name; the library reaches its series
+# arithmetic through series._weigh and series_sum only
+TRACED_ONLY = ("__mul__", "__add__", "__sub__", "__neg__", "shift_x", "eq_upto")
+
+
+def test_no_pinned_command_calls_the_traced_only_operators(tmp_path, capsys, monkeypatch):
+    for name in TRACED_ONLY:
+        def refuse(*args, name=name):
+            raise AssertionError(f"Series.{name} called")
+        monkeypatch.setattr(Series, name, refuse)
+    # a memo hit would skip the walk behind eval_H
+    multisum._walk_H.cache_clear()
+    for system, digests in PROOF_DIGESTS.items():
+        assert _proof_digests(system, tmp_path, capsys) == digests
+    fixtures = str(spanone.fixture_path(""))
+    for argv, pin in [*((a, (0, d)) for a, d in ENUMERATION_DIGESTS.items()), *CONTAINS_DIGESTS.items()]:
+        code = main([a.replace("<FIXTURES>", fixtures) for a in argv])
+        out = capsys.readouterr().out.replace(fixtures, "<FIXTURES>")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == pin
+
+
+# a runnable argv for each command path that takes --qmax
+ORDER_ARGVS = {
+    ("oracle",): ["oracle", "kr-i1"],
+    ("ideal", "genfun"): ["ideal", "genfun", fx("rr.json")],
+    ("ideal", "members"): ["ideal", "members", fx("rr.json")],
+    ("qdiff", "solve"): ["qdiff", "solve", fx("rr.json")],
+    ("qdiff", "check"): ["qdiff", "check", fx("rr.json")],
+    ("multisum", "eval"): ["multisum", "eval", fx("kr_profile.json"), "--beta", "1,3"],
+    ("multisum", "rec"): ["multisum", "rec", fx("kr_profile.json"), "--beta", "1,3", "--coord", "1"],
+    ("prove",): ["prove", fx("kr_system.json")],
+    ("verify",): ["verify", fx("kr_system.json")],
+}
+
+
+def _flags(path) -> set[str]:
+    table = cli.COMMANDS
+    for name in path[:-1]:
+        table = table[name][1]
+    return {flag for flag, _ in table[path[-1]][2]}
+
+
+def test_order_argvs_cover_every_command_with_qmax():
+    assert set(ORDER_ARGVS) == {path for path in _leaf_paths() if "--qmax" in _flags(path)}
+
+
+@pytest.mark.parametrize("path, flag", [(path, flag) for path in ORDER_ARGVS
+                                        for flag in ("--qmax", "--xmax") if flag in _flags(path)],
+                         ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_a_negative_order_is_refused_by_its_flag(path, flag, capsys):
+    code = main([*ORDER_ARGVS[path], "--qmax", "4", flag, "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {flag}: truncation orders must be >= 0, got -1\n"
+
+
+def _kr_spec(edit) -> dict:
+    d = json.loads(open(fx("kr_system.json")).read())
+    edit(d["profile"])
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [2, 0]], "weights": [[0, 0], [1, 1]], "S": 1},
+         "adjacency entries must be 0 or 1, got 2 in A row 2, column 1"),
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [1]], "weights": [[0, 0], [1, 1]], "S": 1},
+         "adjacency matrix must be square, got 1 entries in A row 2 for 2 vertices"),
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [0, 1]], "weights": [[0, 0], [1, 1]], "S": 1},
+         "first adjacency column must be all ones, got 0 in A row 2"),
+        (["qdiff", "solve", "@"], {"A": [[1, 0], [1, 1]], "weights": [[0, 0], [1, 1]], "S": 1},
+         "first adjacency row must be all ones, got 0 in A row 1, column 2"),
+        (["prove", "@"], _kr_spec(lambda p: p["A"].__setitem__(1, 0)),
+         "Pochhammer moduli must be >= 1, got 0 in A entry 2"),
+        (["prove", "@"], _kr_spec(lambda p: p["gamma"].__setitem__(0, 0)),
+         "gamma entries must be >= 1, got 0 in gamma entry 1"),
+        (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][0].__setitem__(1, 5))["profile"],
+         "alpha must be symmetric, got 5 in alpha row 1, column 2 and 3 in row 2, column 1"),
+        (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][1].__setitem__(1, -1))["profile"],
+         "alpha entries must be >= 0, got -1 in alpha row 2, column 2"),
+        # an empty row used to end in an index error, read before its length was checked
+        (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][1].clear())["profile"],
+         "alpha must be square, got 0 entries in alpha row 2 for rank 2"),
+    ],
+    ids=["adjacency-2", "adjacency-not-square", "first-column", "first-row", "zero-modulus", "zero-gamma",
+         "asymmetric-alpha", "negative-alpha", "alpha-not-square"],
+)
+def test_structural_errors_name_the_entry(tmp_path, capsys, argv, data, message):
+    path = _written(tmp_path, json.dumps(data))
+    code = main([path if a == "@" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
 
 
 def _verify_edited(tmp_path, capsys, edit) -> tuple[int, str]:

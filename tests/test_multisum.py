@@ -23,7 +23,7 @@ from spanone.multisum import (
 from spanone.partitions import kr_i1_predicate, oracle_genfun, satisfies_gap
 from spanone.series import Series
 
-from oracles import naive_eval_H, naive_mul
+from oracles import naive_add, naive_eval_H, naive_mul
 
 
 def test_profile_validation():
@@ -316,7 +316,7 @@ def test_recurrence_agrees_with_naive_route(kr_profile, ex3_profile, name, beta,
     left, (xe, qe), right = rec_children(p, beta, r)
     weight = Series({(xe, qe): 1}, x_max, q_max)
     lhs = naive_eval_H(p, beta, x_max, q_max)
-    rhs = naive_eval_H(p, left, x_max, q_max) + naive_mul(weight, naive_eval_H(p, right, x_max, q_max))
+    rhs = naive_add(naive_eval_H(p, left, x_max, q_max), naive_mul(weight, naive_eval_H(p, right, x_max, q_max)))
     assert lhs == rhs
     assert verify_recurrence_numeric(p, beta, r, x_max, q_max)
 
@@ -364,7 +364,7 @@ def test_recurrence_holds_for_any_moduli(case):
     assert verify_recurrence_numeric(p, beta, r, 9, 9)
     left, (xe, qe), right = rec_children(p, beta, r)
     weight = Series({(xe, qe): 1}, 9, 9)
-    rhs = naive_eval_H(p, left, 9, 9) + naive_mul(weight, naive_eval_H(p, right, 9, 9))
+    rhs = naive_add(naive_eval_H(p, left, 9, 9), naive_mul(weight, naive_eval_H(p, right, 9, 9)))
     assert naive_eval_H(p, beta, 9, 9) == rhs
 
 

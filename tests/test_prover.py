@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_min_expansions, naive_weigh_rows, recursive_derive_row
+from oracles import naive_min_expansions, naive_shift_x, naive_weigh_rows, recursive_derive_row
 from spanone import prover
 from spanone.multisum import MultisumProfile, eval_H, shift_beta
 from spanone.prover import (
@@ -404,7 +404,8 @@ def test_verify_numeric_detects_tampering(kr_system):
 def _oracle_rows(fs, x_max: int, q_max: int) -> list[bool]:
     """verify_numeric's row vector with every row weighed and summed on its own."""
     H = {b: eval_H(fs.profile, b, x_max, q_max) for b in set(fs.betas)}
-    rhs = naive_weigh_rows(fs.U, fs.V, [H[b].shift_x(fs.S) for b in fs.betas])
+    shifted = {b: naive_shift_x(h, fs.S) for b, h in H.items()}
+    rhs = naive_weigh_rows(fs.U, fs.V, [shifted[b] for b in fs.betas])
     return [H[b].eq_upto(r) for b, r in zip(fs.betas, rhs)]
 
 

@@ -93,10 +93,11 @@ def test_solve_equals_walk_product_route(sys, x_max, q_max):
 @st.composite
 def _weigh_cases(draw):
     """K rows drawn from at most K - 1 distinct ones, so some row repeats;
-    rows come as lists or tuples, every series has its own window, weights
-    reach two past the largest window, and the shift may be 0."""
+    rows come as lists or tuples of integer coefficients, bools among them,
+    every series has its own window, weights reach two past the largest
+    window, and the shift may be 0."""
     K = draw(st.integers(2, 5))
-    row = st.lists(st.integers(0, 1), min_size=K, max_size=K)
+    row = st.lists(st.integers(-2, 2) | st.booleans(), min_size=K, max_size=K)
     pool = draw(st.lists(row, min_size=1, max_size=K - 1))
     A = [draw(st.sampled_from((list, tuple)))(draw(st.sampled_from(pool))) for _ in range(K)]
     weights = [(draw(st.integers(0, 6)), draw(st.integers(0, 7))) for _ in range(K)]
@@ -110,6 +111,10 @@ def _weigh_cases(draw):
 
 
 @given(_weigh_cases())
+# drawn windows are small and drawn weights large, so most weighed terms
+# fall off; here every coefficient other than 1 lands inside
+@example(([[1, 2, -1], (1, 2, -1), [True, 0, 3]], [(0, 0), (1, 0), (0, 2)],
+          [Series.one(4, 5), Series({(0, 1): 1, (2, 1): -3}, 4, 5), Series({(1, 1): 2}, 5, 5)], 1))
 def test_shifted_weigh_equals_per_row_oracle(case):
     # A W(x q^shift) vec is the kernel with x^m q^n taken as x^m q^(n + m shift), S = 0
     A, weights, vec, shift = case

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_mul
+from oracles import naive_add, naive_mul, naive_shift_x
 from spanone.series import Series, TruncationRangeError, _weigh, series_sum
 
 
@@ -124,12 +124,24 @@ def test_shift_x_rejects_negative():
         Series({(1, 1): 1}, 3, 3).shift_x(-1)
 
 
-@given(series_strategy(), series_strategy(), st.integers(0, 9), st.integers(0, 9), st.integers(0, 3))
-def test_weigh_equals_product_with_monomial(a, b, m, n, s):
-    # x^m q^n a(x q^s) and that plus b(x q^s), on the common rectangle of a and b
-    one, two = _weigh(((1, 0), (1, 1)), ((m, n), (0, 0)), s, (a, b))
-    assert one == naive_mul(a.shift_x(s), Series({(m, n): 1}, b.x_max, b.q_max))
-    assert two == one + b.shift_x(s)
+@given(series_strategy(), series_strategy(), st.integers(0, 9), st.integers(0, 9), st.integers(0, 3),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_weigh_equals_product_with_monomial(a, b, m, n, s, c, d):
+    # c x^m q^n a(x q^s) and that plus d b(x q^s), on the common rectangle of a and b
+    one, two = _weigh(((c, 0), (c, d)), ((m, n), (0, 0)), s, (a, b))
+    assert one == naive_mul(naive_shift_x(a, s), Series({(m, n): c}, b.x_max, b.q_max))
+    assert two == naive_add(one, naive_mul(naive_shift_x(b, s), Series({(0, 0): d}, a.x_max, a.q_max)))
+
+
+@given(series_strategy(), series_strategy(), st.integers(0, 3), st.integers(0, 9), st.integers(0, 9))
+def test_operators_equal_per_coefficient_oracles(a, b, s, x_max, q_max):
+    minus_one = Series({(0, 0): -1}, 9, 9)
+    assert a + b == naive_add(a, b)
+    assert a - b == naive_add(a, naive_mul(minus_one, b))
+    assert -a == naive_mul(minus_one, a)
+    assert a * b == naive_mul(a, b)
+    assert a.shift_x(s) == naive_shift_x(a, s)
+    assert series_sum((a, b, a), x_max, q_max) == naive_add(a, b, a, Series.zero(x_max, q_max))
 
 
 def test_weigh_refuses_laurent_weights_and_shifts():
