@@ -28,12 +28,25 @@ a right move along an all-zero alpha row: a self-loop, never counted.  The
 expanded betas are recorded in a SearchTable that assemble_system shares
 among all roots of a system, so each beta is expanded and solved once per
 system.
+
+verify_numeric checks a system row by row to a truncation order.  A batch
+of checks in one process (the acceptance suite, a run over many mutated
+systems) asks for the same rows again and again, so the check of one row is
+kept in a bounded LRU memo, _row_holds, keyed on the profile, S, the root
+beta_k, the (beta_j, U_kj, V_j) of the columns the row selects, and the
+window.  That is every value the row's equation reads, so a system with
+one U entry changed checks only its new row, and one with V_j moved only
+the rows that select column j.  A miss runs the row as a one-row system
+through series' row check, on H values from eval_H's memo, and stores only
+the bool; a check that raises stores nothing.  The memo holds at most
+_ROW_MEMO_SIZE rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Union
@@ -41,11 +54,15 @@ from typing import Union
 from . import jsonin
 from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
                        profile_to_json, rec_children, shift_beta)
-from .series import _rows_hold
+from .series import _check_weighing, _rows_hold
 
 
 # the default expansion budget of a certificate search, on the command line too
 MAX_EXPANSIONS = 64
+
+# distinct (profile, S, root, selected columns, x_max, q_max) whose row check
+# verify_numeric keeps
+_ROW_MEMO_SIZE = 512
 
 
 class SearchExhausted(RuntimeError):
@@ -127,6 +144,11 @@ def derive_row(table: SearchTable, root: Beta) -> Node:
     # both have a target in reach, as only those can end in a tree; every
     # beta pushed is such a child, or the root
     children: dict[Beta, list[tuple[int, Beta, Beta]]] = {}
+
+    def in_reach(beta: Beta) -> bool:
+        # a beta in best or children was in reach when it got there
+        return beta in best or beta in children or _reaches_target(p, beta, targets, max_expansions)
+
     stack = [root] if _reaches_target(p, root, targets, max_expansions) else []
     while stack:
         beta = stack.pop()
@@ -135,8 +157,7 @@ def derive_row(table: SearchTable, root: Beta) -> Node:
         options = children[beta] = []
         for i in range(p.R):
             left, right = _children(p, beta, i)
-            if (_reaches_target(p, left, targets, max_expansions)
-                    and _reaches_target(p, right, targets, max_expansions)):
+            if in_reach(left) and in_reach(right):
                 options.append((i + 1, left, right))
                 stack += left, right
 
@@ -277,10 +298,38 @@ def assemble_system(
 
 
 def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool]:
-    """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma) by
-    series' row check with A = U and weights = V; each distinct H is evaluated once."""
-    H = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
-    return _rows_hold(fs.U, fs.V, fs.S, [H[b] for b in fs.betas])
+    """Row-by-row truncated check of H(beta_k) = sum_j U_kj V_j H(beta_j + S gamma).
+
+    Each distinct H is evaluated first and S and V are checked as series'
+    row check checks them, so a refused system raises what the check of the
+    whole system at once would raise first.  Row k depends only on beta_k
+    and the (beta_j, U_kj, V_j) of the columns it selects, so each distinct
+    (beta_k, U row) is looked up once per call in _row_holds' memo, which
+    checks a row once per process while it stays among the last
+    _ROW_MEMO_SIZE checked; see the module docstring.
+    """
+    p, S, V = fs.profile, fs.S, fs.V
+    for b in dict.fromkeys(fs.betas):
+        eval_H(p, b, x_max, q_max)
+    _check_weighing(V, S)
+    keys = list(zip(fs.betas, map(tuple, fs.U)))
+    checked = {
+        (b, row): _row_holds(p, S, b, tuple((fs.betas[j], e, V[j]) for j, e in enumerate(row) if e),
+                             x_max, q_max)
+        for b, row in dict.fromkeys(keys)
+    }
+    return [checked[key] for key in keys]
+
+
+@lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _row_holds(p: MultisumProfile, S: int, root: Beta, terms: tuple[tuple[Beta, int, tuple[int, int]], ...],
+               x_max: int, q_max: int) -> bool:
+    """Does H(root) equal the sum over terms (beta, e, (m, n)) of
+    e x^m q^n H(beta)(x q^S)?  A one-row system through series' row check."""
+    betas = (root, *(b for b, _, _ in terms))
+    H = {b: eval_H(p, b, x_max, q_max) for b in dict.fromkeys(betas)}
+    return _rows_hold(((0, *(e for _, e, _ in terms)),), ((0, 0), *(w for _, _, w in terms)), S,
+                      [H[b] for b in betas])[0]
 
 
 def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:

@@ -226,6 +226,16 @@ def _common(F: Sequence[Series]) -> tuple[int, int, list[list[list[int]]]]:
     return x_max, q_max, [cut.get(id(s), s._rows) for s in F]
 
 
+def _check_weighing(weights: Sequence[tuple[int, int]], S: int) -> None:
+    """_weigh's check of its arguments: a negative shift is refused, then the
+    first Laurent weight, also where all of its terms would fall off."""
+    if S < 0:
+        raise ValueError(f"shift amount must be >= 0, got {S}")
+    for m, n in weights:
+        if m < 0 or n < 0:
+            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
+
+
 def _weigh(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
            F: Sequence[Series]) -> list[Series]:
     """Per row k of A, sum_j A_kj x^(m_j) q^(n_j) F_j(x q^S) on the common
@@ -235,12 +245,7 @@ def _weigh(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: in
     and shared by equal rows: a factorization's rows repeat (ex3 has 23
     rows, 4 distinct).  This is the one loop that sums x-rows: every
     operator of Series, and series_sum, is one call to it."""
-    # Laurent weights are refused, also where all their terms would fall off
-    if S < 0:
-        raise ValueError(f"shift amount must be >= 0, got {S}")
-    for m, n in weights:
-        if m < 0 or n < 0:
-            raise ValueError(f"monomial degrees must be >= 0, got x^{m} q^{n}")
+    _check_weighing(weights, S)
     x_max, q_max, cols = _common(F)
     keys = list(map(tuple, A))
     sums: dict[tuple[int, ...], Series] = {}

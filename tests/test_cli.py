@@ -401,37 +401,53 @@ def test_verify_detects_broken_matrix(run_cli, tmp_path):
 
 
 def test_verify_batch_is_the_same_with_a_warm_memo(tmp_path, capsys):
-    """Every U-mutant of kr verified in one process: the memo of H(beta)
-    carried from op to op changes no exit code and no byte of stdout."""
+    """Every U-mutant and V-mutant of kr verified in one process: the memos
+    of H(beta) and of row checks carried from op to op change no exit code
+    and no byte of stdout."""
     outdir = tmp_path / "kr"
     assert main(["prove", fx("kr_system.json"), "--qmax", "12", "--out", str(outdir)]) == 0
     capsys.readouterr()
     data = json.loads((outdir / "system.json").read_text())
-    files = []
+    mutants = []
     for i, row in enumerate(data["U"]):
         for j in range(len(row)):
-            mutant = {**data, "U": [list(r) for r in data["U"]]}
-            mutant["U"][i][j] ^= 1
-            f = tmp_path / f"u_{i}_{j}.json"
-            f.write_text(json.dumps(mutant))
-            files.append(str(f))
+            U = [list(r) for r in data["U"]]
+            U[i][j] ^= 1
+            mutants.append((f"u_{i}_{j}", {**data, "U": U}))
+    for j, v in enumerate(data["V"]):
+        for e in range(2):
+            for step in (1, -1):
+                if v[e] + step >= 0:
+                    V = [list(w) for w in data["V"]]
+                    V[j][e] += step
+                    mutants.append((f"v_{j}_{e}_{step}", {**data, "V": V}))
+    files = []
+    for name, mutant in mutants:
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(mutant))
+        files.append(str(f))
+
+    def clear() -> None:
+        multisum._walk_H.cache_clear()
+        prover._row_holds.cache_clear()
 
     def run(cold: bool) -> list[tuple[int, str]]:
         results = []
         for f in files:
             if cold:
-                multisum._walk_H.cache_clear()
+                clear()
             code = main(["verify", f, "--qmax", "12"])
             results.append((code, capsys.readouterr().out))
         return results
 
     passes = []
     for _ in range(2):
-        multisum._walk_H.cache_clear()
+        clear()
         passes.append(run(cold=False))
-    assert multisum._walk_H.cache_info().hits > 0
+    assert prover._row_holds.cache_info().hits > 0
     cold = run(cold=True)
     assert passes[0] == passes[1] == cold
+    assert len(cold) == 49 + 26
     assert all(code == 1 and "result: FAIL" in out for code, out in cold)
 
 
@@ -576,8 +592,9 @@ def test_no_pinned_command_calls_the_traced_only_operators(tmp_path, capsys, mon
         def refuse(*args, name=name):
             raise AssertionError(f"Series.{name} called")
         monkeypatch.setattr(Series, name, refuse)
-    # a memo hit would skip the walk behind eval_H
+    # a memo hit would skip the walk behind eval_H or a row check
     multisum._walk_H.cache_clear()
+    prover._row_holds.cache_clear()
     for system, digests in PROOF_DIGESTS.items():
         assert _proof_digests(system, tmp_path, capsys) == digests
     fixtures = str(spanone.fixture_path(""))

@@ -34,7 +34,7 @@ from spanone.prover import (
     verify_numeric,
 )
 from spanone.qdiff import QDiffSystem, check_system, solve
-from spanone.series import Series
+from spanone.series import Series, _rows_hold
 
 KR_TARGETS = frozenset({(4, 9), (5, 12), (6, 12)})
 
@@ -211,6 +211,21 @@ def test_one_search_table_serves_every_root(ex3_system, monkeypatch):
     fs = assemble_system(*ex3_system)
     assert len(fs.certs) == 4
     assert len(calls) == 465
+
+
+def test_children_in_reach_are_not_tested_again(ex3_system, monkeypatch):
+    # a child already solved or expanded was in reach when it got there: ex3's
+    # search makes 551 reach tests, where testing every child makes 877
+    calls = []
+    reaches = prover._reaches_target
+
+    def counted(*args):
+        calls.append(args[1])
+        return reaches(*args)
+
+    monkeypatch.setattr(prover, "_reaches_target", counted)
+    assemble_system(*ex3_system)
+    assert len(calls) == 551
 
 
 def test_memoized_search_is_cost_transparent(ex1_profile, kr_profile):
@@ -486,6 +501,101 @@ def test_verify_numeric_tells_equal_u_rows_apart_by_beta(kr_system):
     rows = verify_numeric(mutant, 12, 12)
     assert rows == [True, True, True, False, True, True, True]
     assert rows == _oracle_rows(mutant, 12, 12)
+
+
+@pytest.fixture()
+def cold_rows():
+    """verify_numeric's row memo, emptied before and after the test."""
+    prover._row_holds.cache_clear()
+    yield prover._row_holds
+    prover._row_holds.cache_clear()
+
+
+def _batch_rows(fs, x_max: int, q_max: int) -> list[bool]:
+    """verify_numeric's row vector from one row check of the whole system, no row memo."""
+    H = {b: eval_H(fs.profile, b, x_max, q_max) for b in dict.fromkeys(fs.betas)}
+    return _rows_hold(fs.U, fs.V, fs.S, [H[b] for b in fs.betas])
+
+
+def _rows(fs, x_max: int, q_max: int) -> str:
+    rows = verify_numeric(fs, x_max, q_max)
+    assert rows == _batch_rows(fs, x_max, q_max)
+    return "".join("1" if ok else "0" for ok in rows)
+
+
+def test_row_memo_keeps_each_window_apart(kr_system, cold_rows):
+    # V_5 moved to x^2 q^4 and V_6 to x^3 q^4: each term falls off one
+    # window only, so the same rows hold there and fail on q^12 x^12
+    fs = assemble_system(*kr_system)
+    for j, w, window in ((4, (2, 4), (1, 12)), (5, (3, 4), (12, 3))):
+        mutant = _with(fs, V=fs.V[:j] + (w,) + fs.V[j + 1:])
+        assert _rows(mutant, *window) == "1111111"
+        assert _rows(mutant, 12, 12) == "0001011"
+    # three distinct rows per window, but rows 4 and 7 select neither moved
+    # column, so at x^12 q^12 the second mutant checks only row 1 anew
+    assert cold_rows.cache_info()[:2] == (2, 3 + 3 + 3 + 1)
+
+
+def test_row_memo_keeps_each_profile_and_shift_apart(kr_system, cold_rows):
+    fs = assemble_system(*kr_system)
+    other = MultisumProfile(alpha=((2, 1), (1, 2)), gamma=(1, 1), A=(1, 1))
+    assert _rows(fs, 12, 12) == "1111111"
+    assert _rows(replace(fs, profile=other), 12, 12) == "0000000"
+    assert _rows(replace(fs, S=4), 12, 12) == "0000000"
+
+
+def test_row_memo_keeps_each_root_weight_and_entry_apart(kr_system, cold_rows):
+    fs = assemble_system(*kr_system)
+    assert _rows(fs, 12, 12) == "1111111"
+    # row 4, for H(2,6), with row 1's U row, which H(1,3) holds with
+    U = list(fs.U)
+    U[3] = U[0]
+    assert _rows(_with(fs, U=tuple(U)), 12, 12) == "1110111"
+    # V_2 one power of q up, in the rows that select column 2
+    assert _rows(_with(fs, V=fs.V[:1] + ((1, 2),) + fs.V[2:]), 12, 12) == "0001011"
+    # an entry 2 where row 1 selects column 2 once
+    assert _rows(_with(fs, U=((1, 2, 1, 1, 1, 1, 1),) + fs.U[1:]), 12, 12) == "0111111"
+
+
+def test_row_memo_is_bounded(ex1_system, cold_rows):
+    # ex1 has two distinct (beta, U row) pairs, so each window adds two rows
+    fs = assemble_system(*ex1_system)
+    for q_max in range(prover._ROW_MEMO_SIZE // 2 + 20):
+        assert verify_numeric(fs, 1, q_max) == [True] * 3
+    assert cold_rows.cache_info().currsize == prover._ROW_MEMO_SIZE
+    # the oldest rows were dropped and are checked again
+    misses = cold_rows.cache_info().misses
+    verify_numeric(fs, 1, 0)
+    assert cold_rows.cache_info().misses == misses + 2
+
+
+def test_row_memo_raises_the_first_negative_summand_every_time(kr_system, cold_rows):
+    # H(-3, 6) and H(-2, 3) both have a negative summand; betas name H(-3, 6) first
+    fs = assemble_system(*kr_system)
+    for betas, named in (
+        (fs.betas[:3] + ((-2, 3),) + fs.betas[4:], "n=(1, 0) of H(beta=(-2, 3)) has negative q-exponent -2"),
+        (fs.betas[:1] + ((-3, 6),) + fs.betas[2:3] + ((-2, 3),) + fs.betas[4:],
+         "n=(1, 0) of H(beta=(-3, 6)) has negative q-exponent -3"),
+    ):
+        bad = replace(fs, betas=betas)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            _batch_rows(bad, 12, 12)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                verify_numeric(bad, 12, 12)
+    assert cold_rows.cache_info().currsize == 0
+
+
+def test_row_memo_agrees_with_the_batch_check_on_every_mutant(kr_system, ex3_system, cold_rows):
+    for spec in (kr_system, ex3_system):
+        fs = assemble_system(*spec)
+        systems = [fs, *_mutants(fs)]
+        expected = [_batch_rows(mutant, 12, 12) for mutant in systems]
+        assert [verify_numeric(mutant, 12, 12) for mutant in systems] == expected
+        # the second pass is all hits
+        misses = cold_rows.cache_info().misses
+        assert [verify_numeric(mutant, 12, 12) for mutant in systems] == expected
+        assert cold_rows.cache_info().misses == misses
 
 
 def test_check_system_agrees_with_verify_numeric(ex1_system, kr_system, ex3_system):

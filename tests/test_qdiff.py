@@ -94,25 +94,26 @@ def test_solve_equals_walk_product_route(sys, x_max, q_max):
 def _weigh_cases(draw):
     """K rows drawn from at most K - 1 distinct ones, so some row repeats;
     rows come as lists or tuples of integer coefficients, bools among them,
-    every series has its own window, weights reach two past the largest
-    window, and the shift may be 0."""
+    every series has its own window, weights lie inside the smallest
+    window, so that weighed terms land on the common rectangle, and the
+    shift may be 0."""
     K = draw(st.integers(2, 5))
     row = st.lists(st.integers(-2, 2) | st.booleans(), min_size=K, max_size=K)
     pool = draw(st.lists(row, min_size=1, max_size=K - 1))
     A = [draw(st.sampled_from((list, tuple)))(draw(st.sampled_from(pool))) for _ in range(K)]
-    weights = [(draw(st.integers(0, 6)), draw(st.integers(0, 7))) for _ in range(K)]
     vec = []
     for _ in range(K):
         x_max, q_max = draw(st.integers(0, 4)), draw(st.integers(0, 5))
         terms = draw(st.lists(st.tuples(st.integers(0, x_max), st.integers(0, q_max),
                                         st.integers(-5, 5)), max_size=6))
         vec.append(Series({(m, n): c for m, n, c in terms}, x_max, q_max))
+    x_max, q_max = min(s.x_max for s in vec), min(s.q_max for s in vec)
+    weights = [(draw(st.integers(0, x_max)), draw(st.integers(0, q_max))) for _ in range(K)]
     return A, weights, vec, draw(st.integers(0, 3))
 
 
 @given(_weigh_cases())
-# drawn windows are small and drawn weights large, so most weighed terms
-# fall off; here every coefficient other than 1 lands inside
+# every coefficient other than 1 lands inside the common rectangle
 @example(([[1, 2, -1], (1, 2, -1), [True, 0, 3]], [(0, 0), (1, 0), (0, 2)],
           [Series.one(4, 5), Series({(0, 1): 1, (2, 1): -3}, 4, 5), Series({(1, 1): 2}, 5, 5)], 1))
 def test_shifted_weigh_equals_per_row_oracle(case):
