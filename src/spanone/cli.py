@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -33,6 +34,32 @@ from . import ideals, jsonin, multisum, partitions, prover, qdiff
 from .series import Series, series_sum
 
 CLI_Q_MAX = 25
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text to path, creating the file with mode 0o666 less the umask:
+    the bytes and mode Path.write_text gives, written over the old bytes.
+
+    The file is opened without O_TRUNC.  Truncating a file that holds data
+    to zero frees its blocks, so writing it again allocates them anew, and
+    prove rewrites the same files on every rerun into the same directory.
+    Only a file left longer than the text is cut to the text's length
+    after the write: ftruncate fails with EINVAL on a device such as
+    /dev/null, whose size reads 0.  A write interrupted part way leaves
+    the new text followed by the tail of the old file, where an O_TRUNC
+    write would leave a cut-off file; read back as JSON, either is
+    refused with exit 2.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _emit(lines: list[str], payload: dict) -> None:
@@ -77,8 +104,9 @@ def cmd_oracle(args) -> int:
             raise ValueError("gap oracle needs --d and --k")
         if args.k < 1:
             raise ValueError(f"--k must be >= 1, got {args.k}")
-        pred = lambda p: partitions.satisfies_gap(p, args.d, args.k)
-        name = f"gap(d={args.d}, k={args.k})"
+        d, k = args.d, args.k
+        pred = lambda p: partitions.satisfies_gap(p, d, k)
+        name = f"gap(d={d}, k={k})"
     else:
         pred = partitions.kr_i1_predicate
         name = "kr-i1"
@@ -324,15 +352,18 @@ def cmd_prove(args) -> int:
 
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        sysfile = outdir / "system.json"
-        sysfile.write_text(prover.json_text(result))
-        written = [str(sysfile)]
+        docs = {outdir / "system.json": prover.json_text(result)}
         for root, tree in sorted(fs.certs.items()):
             base = outdir / f"cert_{'_'.join(map(str, root))}"
-            (base.with_suffix(".cert.json")).write_text(prover.json_text(prover.cert_to_json(p, S, tree)))
-            (base.with_suffix(".dot")).write_text(prover.tree_to_dot(p, tree))
-            written += [str(base.with_suffix(".cert.json")), str(base.with_suffix(".dot"))]
+            docs[base.with_suffix(".cert.json")] = prover.json_text(prover.cert_to_json(p, S, tree))
+            docs[base.with_suffix(".dot")] = prover.tree_to_dot(p, tree)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for path, text in docs.items():
+                _write_text(path, text)
+        except OSError as exc:
+            raise ValueError(f"--out: {exc}") from None
+        written = [str(path) for path in docs]
         lines += [f"wrote {w}" for w in written]
         payload["written"] = written
 
@@ -365,7 +396,10 @@ def cmd_export(args) -> int:
     else:
         text = prover.json_text(prover.cert_to_json(p, S, tree))
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            _write_text(args.out, text)
+        except OSError as exc:
+            raise ValueError(f"--out: {exc}") from None
         _emit(
             [f"wrote {args.out}"],
             {"command": "export", "format": args.format, "out": args.out},

@@ -17,7 +17,10 @@ walk products out as the full walk-matrix, a form only the tests need, so
 that enumerate_walks can check every entry of it.  Nor are the partition
 moves phi, oplus and s_tail: they are the definitions the paper builds
 members from, which the tests use to rebuild and split partitions.  Like
-the library, they take and return partitions as plain part tuples.
+the library, they take and return partitions as plain part tuples.  The
+two predicate definitions, gap_reference and kr_i1_reference, are the
+library's predicates written as generators over indices, checked against
+its faster loops.
 """
 
 from __future__ import annotations
@@ -183,6 +186,21 @@ def oplus(p: Parts, r: Parts) -> Parts:
 def s_tail(p: Parts, s: int) -> Parts:
     """The sub-partition of parts that are <= s."""
     return tuple(a for a in p if a <= s)
+
+
+def gap_reference(p: Parts, d: int, k: int) -> bool:
+    """Every pair of parts at distance k >= 1 differs by at least d."""
+    if k < 1:
+        raise ValueError(f"gap distance k must be >= 1, got {k}")
+    return all(p[i] - p[i + k] >= d for i in range(len(p) - k))
+
+
+def kr_i1_reference(p: Parts) -> bool:
+    """Difference at least 3 at distance 2, and any two consecutive parts
+    that differ by at most 1 sum to a multiple of 3."""
+    return gap_reference(p, 3, 2) and all(
+        p[i] - p[i + 1] > 1 or (p[i] + p[i + 1]) % 3 == 0 for i in range(len(p) - 1)
+    )
 
 
 def walk_genfun_matrix(A, weights, M: int, S: int, x_max: int, q_max: int) -> list[list[Series]]:

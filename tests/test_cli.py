@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 
 import pytest
@@ -1013,6 +1014,64 @@ def test_export_dot_and_json(run_cli, tmp_path):
     code, _, _ = run_cli(["export", str(cert), "--format", "json", "--out", str(again)])
     assert code == 0
     assert again.read_text() == cert.read_text()
+
+
+@pytest.mark.parametrize("old", [b"#" * 100_000, b"#"], ids=["shrink", "grow"])
+def test_prove_rewrites_existing_files_to_their_new_bytes(old, tmp_path, capsys):
+    # prove writes over the old bytes in place: a longer file is cut to the
+    # new text, a shorter one grows to it
+    outdir = tmp_path / "ex1"
+    outdir.mkdir()
+    for name in ("system.json", "cert_1.cert.json", "cert_1.dot"):
+        (outdir / name).write_bytes(old)
+    assert _proof_digests("ex1", tmp_path, capsys) == PROOF_DIGESTS["ex1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_export_writes_to_dev_null(tmp_path, capsys):
+    # /dev/null cannot be truncated, and is not asked to be
+    assert main(["prove", fx("ex1_system.json"), "--qmax", "8", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["export", str(tmp_path / "cert_1.cert.json"), "--format", "dot", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out.startswith("wrote /dev/null\n")
+
+
+def test_written_files_get_the_mode_write_text_gives(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        (tmp_path / "reference").write_text("")
+        assert main(["prove", fx("ex1_system.json"), "--qmax", "8", "--out", str(tmp_path / "out")]) == 0
+        assert main(["export", str(tmp_path / "out" / "cert_1.cert.json"), "--format", "json",
+                     "--out", str(tmp_path / "cert.json")]) == 0
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    mode = (tmp_path / "reference").stat().st_mode
+    assert mode & 0o777 == 0o644
+    written = [*(tmp_path / "out").iterdir(), tmp_path / "cert.json"]
+    assert len(written) == 6 and all(f.stat().st_mode == mode for f in written)
+
+
+@pytest.mark.parametrize("case", ["prove-file", "prove-dir", "export-dir"])
+def test_unwritable_out_is_named_by_its_flag(case, tmp_path, capsys):
+    assert main(["prove", fx("ex1_system.json"), "--qmax", "8", "--out", str(tmp_path / "ex1")]) == 0
+    capsys.readouterr()
+    cert = str(tmp_path / "ex1" / "cert_1.cert.json")
+    if case == "prove-file":
+        # the directory named by --out is a regular file
+        out, errno = tmp_path / "file", "[Errno 17] File exists"
+        out.write_text("x")
+    else:
+        # the file to write is a directory
+        out, errno = tmp_path / "dir", "[Errno 21] Is a directory"
+        (out / "system.json").mkdir(parents=True)
+    argv = (["prove", fx("ex1_system.json"), "--qmax", "8", "--out", str(out)] if case.startswith("prove")
+            else ["export", cert, "--format", "dot", "--out", str(out)])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: --out: {errno}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_prove_exhaustion_exit_code(run_cli):

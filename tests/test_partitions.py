@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_gap2, oplus, phi, s_tail
+from oracles import count_gap2, gap_reference, kr_i1_reference, oplus, phi, s_tail
 from spanone import partitions
 from spanone.partitions import (
     ORACLE_MAX_PARTITIONS,
@@ -112,6 +112,15 @@ def test_kr_predicate_cases():
     assert kr_i1_predicate(parse_partition("6+4+1"))
     assert not kr_i1_predicate(parse_partition("3+2+1"))  # distance-2 gap is 2
     assert kr_i1_predicate(())
+
+
+@given(partition_strategy)
+def test_predicates_agree_with_reference_definitions(p):
+    # every distance up to one past the last pair, and differences around the parts' range
+    for k in range(1, len(p) + 2):
+        for d in range(-2, 14):
+            assert satisfies_gap(p, d, k) == gap_reference(p, d, k)
+    assert kr_i1_predicate(p) == kr_i1_reference(p)
 
 
 @given(partition_strategy, st.integers(0, 4), st.integers(1, 4), st.integers(1, 3))
