@@ -18,9 +18,8 @@ that enumerate_walks can check every entry of it.  Nor are the partition
 moves phi, oplus and s_tail: they are the definitions the paper builds
 members from, which the tests use to rebuild and split partitions.  Like
 the library, they take and return partitions as plain part tuples.  The
-two predicate definitions, gap_reference and kr_i1_reference, are the
-library's predicates written as generators over indices, checked against
-its faster loops.
+predicates gap_reference and kr_i1_reference restate the library's two
+predicates over indices, where the library loops over zipped pairs.
 """
 
 from __future__ import annotations
@@ -197,10 +196,13 @@ def gap_reference(p: Parts, d: int, k: int) -> bool:
 
 def kr_i1_reference(p: Parts) -> bool:
     """Difference at least 3 at distance 2, and any two consecutive parts
-    that differ by at most 1 sum to a multiple of 3."""
-    return gap_reference(p, 3, 2) and all(
-        p[i] - p[i + 1] > 1 or (p[i] + p[i + 1]) % 3 == 0 for i in range(len(p) - 1)
-    )
+    that differ by at most 1 must sum to a multiple of 3."""
+    if not gap_reference(p, 3, 2):
+        return False
+    for i in range(len(p) - 1):
+        if p[i] - p[i + 1] <= 1 and (p[i] + p[i + 1]) % 3 != 0:
+            return False
+    return True
 
 
 def walk_genfun_matrix(A, weights, M: int, S: int, x_max: int, q_max: int) -> list[list[Series]]:
