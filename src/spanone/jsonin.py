@@ -10,8 +10,11 @@ import json
 
 
 def load(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:  # JSON is UTF-8 (RFC 8259), whatever the locale
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
     if type(data) is not dict:
         raise ValueError(f"{path}: the top level must be a JSON object, got {json.dumps(data)}")
     return data

@@ -34,8 +34,7 @@ def _check_parts(parts: Parts) -> None:
 
 
 def parse_partition(text: str) -> Parts:
-    """Parse the literal syntax ``a+b+c`` (weakly decreasing) or ``empty``."""
-    text = text.strip()
+    """Parse the literal syntax ``a+b+c`` (weakly decreasing) or ``empty``, no spaces."""
     if text == "empty":
         return ()
     if not re.fullmatch(r"[0-9]+(\+[0-9]+)*", text):

@@ -14,7 +14,9 @@ m_1 = s_1 = 0 and m_j >= 1 otherwise),
 The j >= 2 terms only involve strictly smaller x-degrees, so within each n
 only f_1(n) is implicit; its own equation has the shape
 (1 - q^(nS)) f_1(n) = known, and 1/(1 - q^(nS)) is a unit in Z[[q]].  That
-makes the solution with integer coefficients unique.  When every weight has
+makes the solution with integer coefficients unique, and it gives equal rows
+of A equal components: row k's equation reads only row k, lower x-degrees
+and f_1(n), so solve works once per distinct row.  When every weight has
 s_j >= m_j the coefficient of x^n sits at q-order >= n, since each x picked
 up along a walk comes with at least one q; that holds for the system of
 every ideal (a link pi has |pi| >= len(pi)), but a weight such as x^2 q
@@ -34,6 +36,7 @@ x-row layout of a series: it hands its rows to Series._of_rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import jsonin
 from .series import Series, _check_orders, _rows_hold, _weigh
@@ -83,40 +86,42 @@ class QDiffSystem:
 def solve(sys: QDiffSystem, x_max: int, q_max: int) -> list[Series]:
     """The unique solution of F(x) = A W(x) F(xq^S) with F_k(0) = 1.
 
-    Works x-degree by x-degree on dense q-rows: for each n the known j >= 2
-    terms are scattered into one row per component, row 1 is divided in
-    place by the unit 1 - q^(nS), and q^(nS) f_1(n) is added to the others.
-    Every x-degree up to x_max is solved: a weight with m_j > s_j puts x^n
-    below q-order n.
+    Equal rows of A give equal components: at x-degree n the j >= 2 terms
+    of row k read only row k and lower degrees, and every row k >= 2 adds
+    q^(nS) f_1(n), which row 1's equation fixes; so a row equal to row 1
+    yields f_1, and two equal rows yield equal f.  Works x-degree by
+    x-degree on one dense q-row per distinct row of A, row 1's first: the
+    known j >= 2 terms are scattered into them, row 1's is divided in place
+    by the unit 1 - q^(nS), q^(nS) f_1(n) is added to the others, and each
+    vertex gets the series of its row (ex3's 23 are 4 distinct series).
     """
     _check_orders(x_max, q_max)
-    K, S = sys.K, sys.S
-    # f[k][n][d]: coefficient of x^n q^d in F_{k+1}
-    f = [[[1] + [0] * q_max] for _ in range(K)]
+    rows_A = list(dict.fromkeys(map(tuple, sys.A)))
+    of = [rows_A.index(tuple(row)) for row in sys.A]
+    # f[c][n][d]: coefficient of x^n q^d in the components of class c
+    f = [[[1] + [0] * q_max] for _ in rows_A]
     for n in range(1, x_max + 1):
-        rows = [[0] * (q_max + 1) for _ in range(K)]
-        for j in range(1, K):
+        rows = [[0] * (q_max + 1) for _ in rows_A]
+        for j in range(1, sys.K):
             m, s = sys.weights[j]
-            e = s + (n - m) * S
+            e = s + (n - m) * sys.S
             if n < m or e > q_max:
                 continue
-            src = f[j][n - m]
-            for k in range(K):
-                if sys.A[k][j]:
-                    row = rows[k]
-                    for d in range(q_max + 1 - e):
-                        row[e + d] += src[d]
-        step = n * S
+            src = f[of[j]][n - m]
+            for row, a in zip(rows, rows_A):
+                if a[j]:
+                    row[e:] = map(add, row[e:], src)
+        step = n * sys.S
         f1 = rows[0]
         for i in range(step, q_max + 1):
             f1[i] += f1[i - step]
         for row in rows[1:]:
-            for i in range(step, q_max + 1):
-                row[i] += f1[i - step]
-        for fk, row in zip(f, rows):
-            fk.append(row)
-    # f[k] holds x_max + 1 fresh rows of q_max + 1 ints that nothing else keeps
-    return [Series._of_rows(fk, x_max, q_max) for fk in f]
+            row[step:] = map(add, row[step:], f1)
+        for fc, row in zip(f, rows):
+            fc.append(row)
+    # f[c] holds x_max + 1 fresh rows of q_max + 1 ints that nothing else keeps
+    F = [Series._of_rows(fc, x_max, q_max) for fc in f]
+    return [F[c] for c in of]
 
 
 def f_from_g(sys: QDiffSystem, G: list[Series]) -> list[Series]:

@@ -215,15 +215,12 @@ def series_sum(terms: Iterable[Series], x_max: int, q_max: int) -> Series:
 
 def _common(F: Sequence[Series]) -> tuple[int, int, list[list[list[int]]]]:
     """The common rectangle of F and each entry's x-rows on it.  Rows are
-    read as they are; a series with a larger rectangle is cut (and trimmed)
-    to it, once however often it occurs in F."""
+    read as they are; an entry on a larger rectangle is cut (and trimmed)
+    to it."""
     x_max = min((s.x_max for s in F), default=0)
     q_max = min((s.q_max for s in F), default=0)
-    cut: dict[int, list[list[int]]] = {}
-    for s in F:
-        if (s.x_max, s.q_max) != (x_max, q_max) and id(s) not in cut:
-            cut[id(s)] = _trim([row[:q_max + 1] for row in s._rows[:x_max + 1]])
-    return x_max, q_max, [cut.get(id(s), s._rows) for s in F]
+    return x_max, q_max, [s._rows if (s.x_max, s.q_max) == (x_max, q_max)
+                          else _trim([row[:q_max + 1] for row in s._rows[:x_max + 1]]) for s in F]
 
 
 def _check_weighing(weights: Sequence[tuple[int, int]], S: int) -> None:
@@ -272,9 +269,5 @@ def _weigh(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: in
 def _rows_hold(A: Sequence[Sequence[int]], weights: Sequence[tuple[int, int]], S: int,
                F: Sequence[Series]) -> list[bool]:
     """Per row k of A: does F_k equal _weigh's right side k on the common
-    rectangle of F?  Compared once per distinct (row of A, F_k) pair."""
-    sums = _weigh(A, weights, S, F)
-    keys = [(id(r), id(f)) for r, f in zip(sums, F)]
-    pairs = dict(zip(keys, zip(sums, _common(F)[2])))
-    ok = {key: r._rows == col for key, (r, col) in pairs.items()}
-    return [ok[key] for key in keys]
+    rectangle of F?"""
+    return [r._rows == col for r, col in zip(_weigh(A, weights, S, F), _common(F)[2])]

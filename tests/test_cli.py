@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -250,6 +251,41 @@ def test_ideal_contains_nonmember_exit_one(run_cli):
 def test_ideal_contains_rejects_a_literal_that_is_no_partition(literal, message, capsys):
     assert main(["ideal", "contains", fx("rr.json"), literal]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("literal", [" 1", "1 "])
+def test_a_partition_literal_is_plain_digits(literal, tmp_path, capsys):
+    # a literal used to be stripped first, so " 1" was read as 1
+    assert main(["ideal", "contains", fx("rr.json"), literal]) == 2
+    assert capsys.readouterr() == ("", f"error: bad partition literal {literal!r}\n")
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"S": 2, "pi": ["empty", literal], "linking": [[1, 2], [1, 2]]}))
+    assert main(["ideal", "members", str(path), "--qmax", "6"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: malformed ideal description: pi entry 2: bad partition literal {literal!r}\n")
+
+
+@pytest.mark.parametrize("content", [b'{"profile": 1}\n#junk\n', b"\xff{}"], ids=["trailing-junk", "not-utf-8"])
+def test_a_file_that_is_not_json_is_named(content, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+
+
+def test_a_utf8_file_is_read_whatever_the_locale(tmp_path):
+    # a fresh process under the C locale, where open() without an encoding reads ASCII
+    data = json.loads(open(fx("rr.json")).read())
+    data["note"] = "\u0663"
+    path = tmp_path / "rr.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "spanone.cli", "ideal", "genfun", str(path), "--qmax", "4"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_qdiff_solve_and_check(run_cli):

@@ -33,7 +33,7 @@ def test_literal_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("3+x", "1_0", "1_0+2", "+3", "3 + 1", "٣"):
+    for text in ("3+x", "1_0", "1_0+2", "+3", "3 + 1", "٣", " 1", "1 ", "empty "):
         with pytest.raises(ValueError):
             parse_partition(text)
     with pytest.raises(ValueError):

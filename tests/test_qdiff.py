@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from oracles import naive_weigh_rows, walk_genfun_matrix
 from spanone.ideals import associated_graph, default_levels, ideal_genfun_vec
+from spanone.prover import assemble_system
 from spanone.qdiff import (
     QDiffSystem,
     check_system,
@@ -83,11 +84,25 @@ def _systems(draw):
 @given(_systems(), st.integers(0, 9), st.integers(0, 9))
 @example(QDiffSystem(A=((1, 1), (1, 1)), weights=((0, 0), (2, 1)), S=1), 3, 1)
 @example(QDiffSystem(A=((1, 1), (1, 0)), weights=((0, 0), (3, 1)), S=2), 9, 0)
+# two equal rows other than row 1, so a class holds vertices 2 and 4 only
+@example(QDiffSystem(A=((1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1)),
+                     weights=((0, 0), (1, 1), (1, 2), (2, 3)), S=1), 6, 9)
+# rows given as lists are classed by their entries
+@example(QDiffSystem(A=[[1, 1, 1], [1, 0, 1], [1, 0, 1]], weights=((0, 0), (1, 2), (1, 1)), S=2), 5, 9)
 def test_solve_equals_walk_product_route(sys, x_max, q_max):
     # weights with m_j > s_j put x^n below q-order n once x_max > q_max
     M = default_levels(sys.S, q_max)
     G = [row[0] for row in walk_genfun_matrix(sys.A, sys.weights, M, sys.S, x_max, q_max)]
     assert solve(sys, x_max, q_max) == f_from_g(sys, G)
+
+
+def test_solve_shares_one_series_per_distinct_row(ex3_system):
+    # ex3's 23 components are 4 distinct H(beta), one per distinct row of U
+    fs = assemble_system(*ex3_system)
+    F = solve(QDiffSystem(A=fs.U, weights=fs.V, S=fs.S), 12, 12)
+    assert len(F) == 23 and len({id(f) for f in F}) == 4
+    for (i, a), (j, b) in combinations(enumerate(fs.U), 2):
+        assert (F[i] is F[j]) == (a == b)
 
 
 @st.composite
