@@ -11,8 +11,10 @@ JSON).
 
 Each command is one row of the table COMMANDS: its help, the function that
 runs it and its arguments, as (name or flag, add_argument keywords) pairs.
-A group row holds its help and a table of its subcommands.  A call builds
-the parser for the one command its argv names.
+A group row holds its help and a table of its subcommands.  A well-formed
+argv is read straight from its command's row, with no parser built;
+argparse, with every command, is built only for help, usage errors and the
+forms the reader leaves to it.
 
 Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
@@ -190,7 +192,10 @@ def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, ideals.SpanOneIdeal
 def cmd_qdiff_solve(args) -> int:
     x_max, q_max = _orders(args)
     system, _ = _load_qdiff_input(args.file)
-    components = [_series_payload(s) for s in qdiff.solve(system, x_max, q_max)]
+    F = qdiff.solve(system, x_max, q_max)
+    # one payload per distinct component: vertices with equal rows of A share one
+    payloads = {s: _series_payload(s) for s in dict.fromkeys(F)}
+    components = [payloads[s] for s in F]
     lines = [f"system {args.file}  K={system.K} S={system.S}  qmax={q_max} xmax={x_max}"]
     lines += [f"F_{k + 1} = {s['text']}" for k, s in enumerate(components)]
     _emit(lines, {"command": "qdiff-solve", "K": system.K, "S": system.S, "components": components})
@@ -499,18 +504,70 @@ def _command_path(argv) -> tuple[str, ...] | None:
     return None
 
 
-def _add_commands(parser, table, path, dests=("command", "subcommand")) -> None:
-    """Subparsers for table under parser: all of them when path is None,
-    else only the chain path names, listed with the full choice list."""
-    # a pruned parser would list only its one name in usage lines; the full
-    # tree keeps argparse's default, which names an invalid choice by dest
-    metavar = None if path is None else "{" + ",".join(table) + "}"
-    sub = parser.add_subparsers(dest=dests[0], required=True, metavar=metavar)
-    for name in table if path is None else path[:1]:
-        help_text, spec, *rest = table[name]
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace build_parser() returns for argv, read straight from the
+    COMMANDS row argv names, or None wherever argparse must decide: -h or
+    --, an unknown, abbreviated or repeated flag, a token or separate value
+    starting with -, a missing or extra positional, a missing required flag,
+    or a value its type or choices refuse.  So help and every usage error
+    come from argparse, and a well-formed argv builds no parser."""
+    path = _command_path(argv)
+    if path is None:
+        return None
+    table = COMMANDS
+    for name in path[:-1]:
+        table = table[name][1]
+    _, func, arguments = table[path[-1]]
+    values = dict(zip(("command", "subcommand"), path), func=func)
+    flags, positionals = {}, []
+    for name, keywords in arguments:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            flags[name] = dest, keywords
+            values[dest] = keywords.get("default")
+        else:
+            positionals.append((name, keywords))
+    seen = set()
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            if flag not in flags or flag in seen:
+                return None
+            seen.add(flag)
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":
+                # some python versions drop it, leaving no value
+                return None
+            dest, keywords = flags[flag]
+        elif positionals:
+            (dest, keywords), value = positionals.pop(0), token
+        else:
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if positionals or any(keywords.get("required") and flag not in seen for flag, (_, keywords) in flags.items()):
+        return None
+    return argparse.Namespace(**values)
+
+
+def _add_commands(parser, table, dests=("command", "subcommand")) -> None:
+    """A subparser under parser for each row of table, and below a group's
+    its subcommands'."""
+    sub = parser.add_subparsers(dest=dests[0], required=True)
+    for name, (help_text, spec, *rest) in table.items():
         sp = sub.add_parser(name, help=help_text)
         if isinstance(spec, dict):
-            _add_commands(sp, spec, None if path is None else path[1:], dests[1:])
+            _add_commands(sp, spec, dests[1:])
         else:
             (arguments,) = rest
             for flag, keywords in arguments:
@@ -519,33 +576,32 @@ def _add_commands(parser, table, path, dests=("command", "subcommand")) -> None:
 
 
 @functools.cache
-def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
-    """The argument parser for one command path of COMMANDS, built once
-    per process and path.
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every command of COMMANDS, built once per
+    process.
 
-    main passes the path its argv starts with, so a call builds the top
-    parser and that one chain of subparsers, not the parsers of every
-    command.  Any other argv (none, -h, an unknown or incomplete command)
-    gets path None, the full tree, so its help and errors list every
-    command.  For the argvs it is built for, a chain prints the same help
-    and errors and returns the same namespace as the full tree.  The
-    module's imports stay eager: a deferred import would only move their
-    cost into the call that needs them.  parse_args starts every call from
-    a fresh namespace, so nothing carries over between calls.
+    main builds it only for the argvs _read_argv leaves to argparse: help,
+    usage errors and forms such as an abbreviated or repeated flag.  Its
+    help and errors list every command.  The module's imports stay eager: a
+    deferred import would only move their cost into the call that needs
+    them.  parse_args starts every call from a fresh namespace, so nothing
+    carries over between calls.
     """
     parser = argparse.ArgumentParser(
         prog="spanone",
         description="generating functions and factorization certificates "
         "for span-one linked partition ideals",
     )
-    _add_commands(parser, COMMANDS, path)
+    _add_commands(parser, COMMANDS)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(_command_path(argv)).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except prover.SearchExhausted as exc:

@@ -132,15 +132,17 @@ class Series:
         return _weigh(((1, -1),), ((0, 0),) * 2, 0, (self, other))[0]
 
     def __mul__(self, other: "Series") -> "Series":
-        """The sum of c x^m q^n self over other's terms c x^m q^n.  The two
-        operands lead, weighed by 0, so that both rectangles enter _common
-        even when other has no terms."""
+        """The sum of c x^m q^n self over other's terms c x^m q^n, on the
+        common rectangle.  Both operands are cut to it first, once: self
+        enters _weigh once per term of other.  other leads, weighed by 0,
+        so that the rectangle holds even when other has no terms."""
         if not isinstance(other, Series):
             return NotImplemented
-        terms = other.terms()
-        return _weigh(((0, 0, *(c for _, c in terms)),),
-                      ((0, 0), (0, 0), *(mn for mn, _ in terms)), 0,
-                      (self, other, *(self,) * len(terms)))[0]
+        x_max, q_max, cut = _common((self, other))
+        a, b = (Series._of_rows(rows, x_max, q_max) for rows in cut)
+        terms = b.terms()
+        return _weigh(((0, *(c for _, c in terms)),), ((0, 0), *(mn for mn, _ in terms)), 0,
+                      (b, *(a,) * len(terms)))[0]
 
     def shift_x(self, s: int) -> "Series":
         """Substitute x -> x q^s, sending x^m q^n to x^m q^(n + m s).

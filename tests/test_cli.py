@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spanone
 from spanone import cli, multisum, prover
@@ -66,8 +69,6 @@ def test_oracle_refuses_a_window_past_its_bound(argv, capsys):
 
 def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
     assert build_parser() is build_parser()
-    assert build_parser(("oracle",)) is build_parser(("oracle",))
-    assert build_parser(("oracle",)) is not build_parser(("ideal", "genfun"))
     code, _, _ = run_cli(["oracle", "gap", "--d", "2", "--k", "1", "--qmax", "4"])
     assert code == 0
     code = main(["oracle", "gap", "--qmax", "4"])
@@ -81,9 +82,10 @@ def test_parser_reuse_leaks_nothing_between_calls(run_cli, capsys):
     # back on the first path after another one, nothing of the other shows
     code, out, payload = run_cli(["oracle", "kr-i1", "--qmax", "4"])
     assert code == 0 and payload["series"]["x_max"] == 4
-    args = build_parser(("oracle",)).parse_args(["oracle", "kr-i1"])
-    assert vars(args) == {"command": "oracle", "predicate": "kr-i1", "d": None, "k": None,
-                          "qmax": 25, "xmax": None, "func": cli.cmd_oracle}
+    expect = {"command": "oracle", "predicate": "kr-i1", "d": None, "k": None,
+              "qmax": 25, "xmax": None, "func": cli.cmd_oracle}
+    assert vars(build_parser().parse_args(["oracle", "kr-i1"])) == expect
+    assert vars(cli._read_argv(["oracle", "kr-i1"])) == expect
 
 
 def _leaf_paths(table=cli.COMMANDS, prefix=()):
@@ -173,18 +175,97 @@ def test_usage_errors_name_every_command(argv, err, capsys, monkeypatch):
 
 @pytest.mark.parametrize("path", list(SAMPLE_ARGVS), ids=" ".join)
 def test_each_path_builds_one_chain_with_the_full_tree_namespace(path, capsys, monkeypatch):
+    # the reader builds no parser and returns the full tree's namespace; help
+    # builds the full tree, once
     argv = SAMPLE_ARGVS[path]
-    parser = build_parser(path)
-    for name in path:
-        (sub,) = parser._subparsers._group_actions
-        assert list(sub.choices) == [name]
-        parser = sub.choices[name]
-    assert parser._subparsers is None
-    assert _parse(build_parser(path).parse_args, argv, capsys) == _parse(build_parser().parse_args, argv, capsys)
+    assert vars(cli._read_argv(argv)) == _parse(build_parser().parse_args, argv, capsys)[0]
     built = []
-    monkeypatch.setattr(cli, "build_parser", lambda path=None: built.append(path) or build_parser(path))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(path) or build_parser())
     assert _parse(main, [*path, "--help"], capsys)[0] == 0
     assert built == [path]
+
+
+def test_sample_argvs_build_no_parser(capsys, monkeypatch, tmp_path):
+    # f.json does not exist, so each command but the oracle stops at its first read
+    monkeypatch.chdir(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or build_parser())
+    codes = [main(argv) for argv in SAMPLE_ARGVS.values()]
+    assert codes == [0] + [2] * (len(SAMPLE_ARGVS) - 1)
+    assert "usage:" not in capsys.readouterr().err
+    assert built == []
+
+
+def _arguments(path):
+    table = cli.COMMANDS
+    for name in path[:-1]:
+        table = table[name][1]
+    return table[path[-1]][2]
+
+
+# values for the drawn arguments: mostly ones argparse takes, and some it
+# refuses or that start with - (-1,3 is a beta argparse reads as a value)
+INTS = st.sampled_from([*map(str, range(-3, 13)), "x", "1.5", "", " 7", "1_0", "--"])
+TEXTS = st.sampled_from(["f.json", "no/such.json", "1,3", "-1,3", "6+4+1", "", "a=b", "a b", "-", "--"])
+EXTRAS = st.sampled_from(["f.json", "-h", "--help", "--", "--bogus", "-1", "--qmax", "--qmax=3", "--beta", "--out"])
+
+
+@st.composite
+def argvs(draw):
+    """An argv down a drawn COMMANDS path: its arguments in any order, a
+    flag as two tokens or with =, sometimes abbreviated, left out or
+    repeated, a value sometimes refused, and extra tokens inserted."""
+    path = draw(st.sampled_from(list(SAMPLE_ARGVS)))
+    chunks = []
+    for name, keywords in _arguments(path):
+        if "choices" in keywords:
+            value = draw(st.sampled_from([*keywords["choices"], "bogus"]))
+        else:
+            value = draw(INTS if "type" in keywords else TEXTS)
+        if not name.startswith("-"):
+            chunks.append([value])
+        elif keywords.get("required") or draw(st.booleans()):
+            flag = name[:-1] if draw(st.integers(0, 9)) == 0 else name
+            chunks.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    chunks = draw(st.permutations(chunks))
+    if chunks and draw(st.integers(0, 9)) == 0:
+        del chunks[draw(st.integers(0, len(chunks) - 1))]
+    if chunks and draw(st.integers(0, 9)) == 0:
+        chunks.append(chunks[draw(st.integers(0, len(chunks) - 1))])
+    tokens = [token for chunk in chunks for token in chunk]
+    if draw(st.integers(0, 6)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(EXTRAS))
+    return [*path, *tokens]
+
+
+def _outcome(run, argv):
+    """(result or exit code, stdout, stderr) of run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = run(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500)
+@given(argv=argvs())
+@example(argv=["verify", "f.json", "--qmax=12"])
+@example(argv=["verify", "f.json", "--qm", "12"])
+@example(argv=["verify", "f.json", "--qmax", "-1"])
+@example(argv=["multisum", "eval", "f.json", "--beta=-1,3", "--qmax", "4"])
+@example(argv=["prove", "f.json", "--out=--"])
+@example(argv=["prove", "f.json", "--out="])
+@example(argv=["export", "f.json", "--format", "dot", "--out"])
+def test_reader_returns_the_full_tree_namespace_or_leaves_argv_to_it(argv):
+    read = cli._read_argv(argv)
+    full = _outcome(lambda a: vars(build_parser().parse_args(a)), argv)
+    if read is not None:
+        assert full == (vars(read), "", "")
+    elif not isinstance(full[0], dict):
+        # help or a usage error: main prints and exits as the full tree does
+        assert _outcome(main, argv) == full
 
 
 def test_ideal_genfun_report(run_cli):

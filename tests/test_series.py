@@ -88,6 +88,23 @@ def test_mul_truncates_to_shared_window():
     assert [c.coeff(0, n) for n in range(6)] == [1, 2, 3, 4, 5, 6]
 
 
+def test_mul_cuts_the_larger_left_operand_once():
+    class Rows(list):
+        """x-rows that count the slices taken of them, one per cut."""
+        cuts = 0
+
+        def __getitem__(self, index):
+            Rows.cuts += isinstance(index, slice)
+            return super().__getitem__(index)
+
+    dense = Series({(m, n): m + n + 1 for m in range(41) for n in range(41)}, 40, 40)
+    a = Series._of_rows(Rows(dense._rows), 40, 40)
+    b = Series({(m, n): 1 for m in range(13) for n in range(13)}, 12, 12)
+    assert len(b.terms()) == 169
+    assert a * b == dense * b
+    assert Rows.cuts == 1
+
+
 def test_one_minus_q_times_geom_inverse_is_one():
     for j in range(1, 9):
         one_minus = Series({(0, 0): 1}, 0, 20) - Series({(0, j): 1}, 0, 20)
