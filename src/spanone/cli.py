@@ -489,6 +489,10 @@ COMMANDS = {
 }
 
 
+# the namespace keys that name a command path's first and second command
+PATH_DESTS = ("command", "subcommand")
+
+
 def _command_path(argv) -> tuple[str, ...] | None:
     """The command names leading argv down to a leaf of COMMANDS, or None
     when argv does not start with a complete, known path."""
@@ -518,7 +522,7 @@ def _read_argv(argv) -> argparse.Namespace | None:
     for name in path[:-1]:
         table = table[name][1]
     _, func, arguments = table[path[-1]]
-    values = dict(zip(("command", "subcommand"), path), func=func)
+    values = dict(zip(PATH_DESTS, path), func=func)
     flags, positionals = {}, []
     for name, keywords in arguments:
         if name.startswith("-"):
@@ -560,9 +564,9 @@ def _read_argv(argv) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
-def _add_commands(parser, table, dests=("command", "subcommand")) -> None:
-    """A subparser under parser for each row of table, and below a group's
-    its subcommands'."""
+def _add_commands(parser, table, dests=PATH_DESTS) -> None:
+    """A subparser under parser for each row of table, with a group's
+    subcommands below its own."""
     sub = parser.add_subparsers(dest=dests[0], required=True)
     for name, (help_text, spec, *rest) in table.items():
         sp = sub.add_parser(name, help=help_text)

@@ -170,7 +170,7 @@ def test_full_tree_matches_the_pin():
 
 @pytest.mark.parametrize("path", [path for path in SURFACE if cli._command_path(path) == path], ids=" ".join)
 def test_each_chain_ends_in_the_pinned_command(path):
-    # the chain of parsers the full tree leads path down
+    # the full tree's parser at the end of path
     leaf = dict(_parsers(cli.build_parser()))[path]
     assert _surface(leaf) == SURFACE[path]
     assert leaf.get_default("func") is getattr(cli, "cmd_" + "_".join(path))
