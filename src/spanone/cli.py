@@ -11,10 +11,11 @@ JSON).
 
 Each command is one row of the table COMMANDS: its help, the function that
 runs it and its arguments, as (name or flag, add_argument keywords) pairs.
-A group row holds its help and a table of its subcommands.  A well-formed
-argv is read straight from its command's row, with no parser built;
-argparse, with every command, is built only for help, usage errors and the
-forms the reader leaves to it.
+A group row holds its help and a table of its subcommands.  An argv of
+positionals and --flag value pairs is read straight from its command's
+row, with no parser built; argparse, with every command, is built only for
+help, usage errors, --flag=value and the other forms the reader leaves to
+it.
 
 Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
@@ -147,13 +148,11 @@ def cmd_ideal_members(args) -> int:
     # at most its member's size, so at most q_max
     part_text = [str(a) for a in range(args.qmax + 1)].__getitem__
     rendered = ["+".join(map(part_text, parts)) if parts else "empty" for parts in members]
-    lines = [
-        f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}",
-        # one indented line per member; the empty partition is always one
-        "  " + "\n  ".join(rendered),
-        f"genfun = {genfun['text']}",
-    ]
-    _emit(lines, {"command": "ideal-members", "count": len(members), "members": rendered, "genfun": genfun})
+    # the members are listed once, in the JSON
+    _emit(
+        [f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}", f"genfun = {genfun['text']}"],
+        {"command": "ideal-members", "count": len(members), "members": rendered, "genfun": genfun},
+    )
     return 0
 
 
@@ -508,45 +507,41 @@ def _command_path(argv) -> tuple[str, ...] | None:
     return None
 
 
-def _read_argv(argv) -> argparse.Namespace | None:
-    """The namespace build_parser() returns for argv, read straight from the
-    COMMANDS row argv names, or None wherever argparse must decide: -h or
-    --, an unknown, abbreviated or repeated flag, a token or separate value
-    starting with -, a missing or extra positional, a missing required flag,
-    or a value its type or choices refuse.  So help and every usage error
-    come from argparse, and a well-formed argv builds no parser."""
-    path = _command_path(argv)
-    if path is None:
-        return None
+def _leaf(path) -> tuple:
+    """The function of a command path's COMMANDS row, its flags as
+    {flag: (namespace key, keywords)} and its positionals in order."""
     table = COMMANDS
     for name in path[:-1]:
         table = table[name][1]
     _, func, arguments = table[path[-1]]
-    values = dict(zip(PATH_DESTS, path), func=func)
-    flags, positionals = {}, []
-    for name, keywords in arguments:
-        if name.startswith("-"):
-            dest = name.lstrip("-").replace("-", "_")
-            flags[name] = dest, keywords
-            values[dest] = keywords.get("default")
-        else:
-            positionals.append((name, keywords))
+    flags = {name: (name.lstrip("-").replace("-", "_"), keywords) for name, keywords in arguments if name.startswith("-")}
+    return func, flags, [(name, keywords) for name, keywords in arguments if not name.startswith("-")]
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace build_parser() returns for argv, read straight from the
+    COMMANDS row argv names, when argv is positionals and --flag value
+    pairs.  It is None wherever argparse must decide: a token holding =,
+    -h or --, an unknown, abbreviated or repeated flag, a token or separate
+    value starting with -, a missing or extra positional, a missing
+    required flag, or a value its type or choices refuse.  So help, every
+    usage error and every --flag=value come from argparse."""
+    path = _command_path(argv)
+    if path is None or any("=" in token for token in argv):
+        return None
+    func, flags, positionals = _leaf(path)
+    values = dict(zip(PATH_DESTS, path), func=func, **{dest: keywords.get("default") for dest, keywords in flags.values()})
     seen = set()
     tokens = iter(argv[len(path):])
     for token in tokens:
         if token.startswith("-"):
-            flag, eq, value = token.partition("=")
-            if flag not in flags or flag in seen:
+            if token not in flags or token in seen:
                 return None
-            seen.add(flag)
-            if not eq:
-                value = next(tokens, "-")
-                if value.startswith("-"):
-                    return None
-            elif value == "--":
-                # some python versions drop it, leaving no value
+            seen.add(token)
+            value = next(tokens, "-")
+            if value.startswith("-"):
                 return None
-            dest, keywords = flags[flag]
+            dest, keywords = flags[token]
         elif positionals:
             (dest, keywords), value = positionals.pop(0), token
         else:
@@ -582,14 +577,12 @@ def _add_commands(parser, table, dests=PATH_DESTS) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for every command of COMMANDS, built once per
-    process.
-
-    main builds it only for the argvs _read_argv leaves to argparse: help,
-    usage errors and forms such as an abbreviated or repeated flag.  Its
-    help and errors list every command.  The module's imports stay eager: a
-    deferred import would only move their cost into the call that needs
-    them.  parse_args starts every call from a fresh namespace, so nothing
-    carries over between calls.
+    process and only for the argvs _read_argv leaves to argparse: help,
+    usage errors, --flag=value and forms such as an abbreviated or repeated
+    flag.  Its help and errors list every command.  The module's imports
+    stay eager: a deferred import would only move their cost into the call
+    that needs them.  parse_args starts every call from a fresh namespace,
+    so nothing carries over between calls.
     """
     parser = argparse.ArgumentParser(
         prog="spanone",
@@ -606,6 +599,12 @@ def main(argv=None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+        path = [vars(args)[dest] for dest in PATH_DESTS if dest in vars(args)]
+        for flag, (dest, _) in _leaf(path)[1].items():
+            # --flag=-- is stored as [] by python 3.10-3.12 and as "--" by 3.13;
+            # argparse refuses the bare flag: "expected one argument", exit 2
+            if getattr(args, dest) in ([], "--"):
+                build_parser().parse_args([*path, flag])
     try:
         return args.func(args)
     except prover.SearchExhausted as exc:

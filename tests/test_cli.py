@@ -258,8 +258,14 @@ def _outcome(run, argv):
 @example(argv=["prove", "f.json", "--out=--"])
 @example(argv=["prove", "f.json", "--out="])
 @example(argv=["export", "f.json", "--format", "dot", "--out"])
+@example(argv=["oracle", "gap", "--d", "2", "--k", "1", "--xmax=--"])
+@example(argv=["multisum", "eval", "f.json", "--beta=--"])
+@example(argv=["export", "f.json", "--format=dot"])
 def test_reader_returns_the_full_tree_namespace_or_leaves_argv_to_it(argv):
     read = cli._read_argv(argv)
+    if any("=" in token for token in argv):
+        # argparse is the one reader of --flag=value
+        assert read is None
     full = _outcome(lambda a: vars(build_parser().parse_args(a)), argv)
     if read is not None:
         assert full == (vars(read), "", "")
@@ -282,6 +288,13 @@ def test_ideal_members_report(run_cli):
     code, out, payload = run_cli(["ideal", "members", fx("kr_i1.json"), "--qmax", "3"])
     assert code == 0
     assert payload["members"] == ["empty", "1", "2", "2+1", "3"]
+    # each member is listed once, in the JSON: the report is a header, the
+    # genfun line, a blank line and the JSON, whatever the number of members
+    header, genfun, blank, _ = out.splitlines()
+    assert header.endswith("members of size <= 3: 5")
+    assert (genfun, blank) == (f"genfun = {payload['genfun']['text']}", "")
+    code, out, payload = run_cli(["ideal", "members", fx("kr_i1.json"), "--qmax", "40"])
+    assert (code, payload["count"], len(out.splitlines())) == (0, 5461, 4)
 
 
 @pytest.mark.parametrize(
@@ -632,13 +645,13 @@ def test_proof_outputs_are_byte_identical(system, tmp_path, capsys):
 # series of the matrix routes fails here
 ENUMERATION_DIGESTS = {
     ("ideal", "members", "<FIXTURES>/rr.json", "--qmax", "40"):
-        "fbc40beee0095672fc427f1d67d9ca9971ea9d3415bb21f07b61d57a9dac6c5e",
+        "f63426e87e0c3463089c8b1f972d1c711fd1d01f5c9ea8587ab6525cbb09c1d9",
     ("ideal", "members", "<FIXTURES>/kr_i1.json", "--qmax", "40"):
-        "99579e8553116a4ebc0aee1cb398695aa15701b1fae1d370e4cba4b2ff5e2524",
+        "d95432488684c5537b6102e68968a4010b01f031de393be8df0f56f0664f5879",
     ("ideal", "members", "<FIXTURES>/rr.json", "--qmax", "60"):
-        "3f57dff3460e4fb213c78d996b6c3b48c5aceb365b0dc264d2abbdcff6d39c61",
+        "7df9da34c26996cc3a749fe54a37c1dd1a62ce9bc55f75ee88abf7d245be7095",
     ("ideal", "members", "<FIXTURES>/kr_i1.json", "--qmax", "60"):
-        "0f69c2301f0190ebed4205d2e7950fab06f06c2d33b9dc5db49adeab7e8aeeb0",
+        "95eb72bb48045f24edc8fb3d8bfde17b832d2f65e189470efd1c47442ac9efac",
     ("oracle", "gap", "--d", "2", "--k", "1", "--qmax", "30"):
         "73156f29db4d20ed45a08d64c86d5868d261a4ac24569614b7ddca2dc18ec694",
     ("oracle", "kr-i1", "--qmax", "30"):
@@ -1237,6 +1250,21 @@ def test_malformed_input_exit_code(run_cli, tmp_path):
 def test_missing_file_exit_code(run_cli):
     code, _, _ = run_cli(["ideal", "genfun", "/nonexistent/nowhere.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "gap", "--d", "2", "--k", "1", "--xmax=--"], "--xmax"),
+    (["multisum", "eval", fx("kr_profile.json"), "--beta=--"], "--beta"),
+    (["prove", fx("kr_system.json"), "--out=--"], "--out"),
+], ids=["xmax", "beta", "out"])
+def test_a_flag_given_a_bare_separator_is_a_usage_error(argv, flag, tmp_path, monkeypatch):
+    # python 3.10-3.12 used to store [] and end in a traceback or write nothing
+    # with exit 0, and 3.13 stored "--" and wrote a directory named --
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _outcome(main, argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exits_two():
