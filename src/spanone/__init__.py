@@ -1,8 +1,6 @@
 """Span-one linked partition ideals, their generating functions, and
 machine-checkable factorizations of the attached q-difference systems."""
 
-from importlib import resources
-
 from .series import Series, TruncationRangeError
 from .partitions import (
     format_partition,
@@ -55,4 +53,6 @@ from .prover import (
 
 def fixture_path(name: str):
     """Path to one of the bundled example definitions (json files)."""
-    return resources.files(__name__) / "fixtures" / name
+    from pathlib import Path
+
+    return Path(__file__).parent / "fixtures" / name

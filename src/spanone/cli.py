@@ -13,9 +13,9 @@ Each command is one row of the table COMMANDS: its help, the function that
 runs it and its arguments, as (name or flag, add_argument keywords) pairs.
 A group row holds its help and a table of its subcommands.  An argv of
 positionals and --flag value pairs is read straight from its command's
-row, with no parser built; argparse, with every command, is built only for
-help, usage errors, --flag=value and the other forms the reader leaves to
-it.
+row, with no parser built; argparse, with every command, is imported and
+built only for help, usage errors, --flag=value and the other forms the
+reader leaves to it, and pathlib only for prove --out.
 
 Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
@@ -25,13 +25,12 @@ errors, 3 certificate search exhaustion.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import ideals, jsonin, multisum, partitions, prover, qdiff
 from .series import Series, series_sum
@@ -39,7 +38,7 @@ from .series import Series, series_sum
 CLI_Q_MAX = 25
 
 
-def _write_text(path: str | Path, text: str) -> None:
+def _write_text(path: str | os.PathLike, text: str) -> None:
     """Write text to path, creating the file with mode 0o666 less the umask:
     the bytes and mode Path.write_text gives, written over the old bytes.
 
@@ -355,6 +354,8 @@ def cmd_prove(args) -> int:
     }
 
     if args.out:
+        from pathlib import Path
+
         outdir = Path(args.out)
         docs = {outdir / "system.json": prover.json_text(result)}
         for root, tree in sorted(fs.certs.items()):
@@ -518,10 +519,10 @@ def _leaf(path) -> tuple:
     return func, flags, [(name, keywords) for name, keywords in arguments if not name.startswith("-")]
 
 
-def _read_argv(argv) -> argparse.Namespace | None:
-    """The namespace build_parser() returns for argv, read straight from the
-    COMMANDS row argv names, when argv is positionals and --flag value
-    pairs.  It is None wherever argparse must decide: a token holding =,
+def _read_argv(argv) -> SimpleNamespace | None:
+    """A namespace with the attributes build_parser() gives argv, read
+    straight from the COMMANDS row argv names, when argv is positionals and
+    --flag value pairs.  It is None wherever argparse must decide: a token holding =,
     -h or --, an unknown, abbreviated or repeated flag, a token or separate
     value starting with -, a missing or extra positional, a missing
     required flag, or a value its type or choices refuse.  So help, every
@@ -556,7 +557,7 @@ def _read_argv(argv) -> argparse.Namespace | None:
         values[dest] = value
     if positionals or any(keywords.get("required") and flag not in seen for flag, (_, keywords) in flags.items()):
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _add_commands(parser, table, dests=PATH_DESTS) -> None:
@@ -575,15 +576,19 @@ def _add_commands(parser, table, dests=PATH_DESTS) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argument parser for every command of COMMANDS, built once per
     process and only for the argvs _read_argv leaves to argparse: help,
     usage errors, --flag=value and forms such as an abbreviated or repeated
-    flag.  Its help and errors list every command.  The module's imports
-    stay eager: a deferred import would only move their cost into the call
-    that needs them.  parse_args starts every call from a fresh namespace,
-    so nothing carries over between calls.
+    flag.  Its help and errors list every command.  argparse is imported
+    here and nowhere else: with what it imports it costs a cold process
+    about as much as the rest of the package, and an argv the reader takes
+    never needs it, so only help, usage errors and the forms left to
+    argparse pay for it.  parse_args starts every call from a fresh
+    namespace, so nothing carries over between calls.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="spanone",
         description="generating functions and factorization certificates "

@@ -34,10 +34,8 @@ their closing W(x) is the same kernel along the rows of the identity.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import ceil
-from pathlib import Path
 
 from . import jsonin
 from .partitions import Parts, _check_parts, format_partition, parse_partition
@@ -49,35 +47,35 @@ class IdealError(ValueError):
     """Structural violation in an ideal or digraph definition."""
 
 
-@dataclass(frozen=True)
-class SpanOneIdeal:
+class SpanOneIdeal(namedtuple("SpanOneIdeal", "pi linking S")):
     """Seed partitions, linking sets (1-based index sets), and span; an
     invalid ideal cannot be built."""
 
-    pi: tuple[Parts, ...]
-    linking: tuple[frozenset[int], ...]
-    S: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, pi: tuple[Parts, ...], linking: tuple[frozenset[int], ...], S: int):
         """Check the structural requirements, reporting every violation found."""
+        self = super().__new__(cls, pi, linking, S)
         problems: list[str] = []
         K = self.K
         if K == 0 or self.pi[0] != ():
             problems.append("pi_1 must be the empty partition")
-        seeds = []  # the seeds that are tuples of ints, which hash and compare
+        seeds = []  # (j, pi_j) for the seeds that are tuples of ints, which hash and compare
         for j, p in enumerate(self.pi, start=1):
             if type(p) is not tuple or any(type(a) is not int for a in p):
                 problems.append(f"pi_{j}: a seed must be a tuple of ints, got {p!r}")
                 continue
-            seeds.append(p)
+            seeds.append((j, p))
             try:
                 _check_parts(p)
             except ValueError as exc:
                 problems.append(f"pi_{j}: {exc}")
         if len(self.linking) != K:
             problems.append(f"need one linking set per seed, got {len(self.linking)} for {K}")
-        if len(set(seeds)) != len(seeds):
-            problems.append("seed partitions must be distinct")
+        first: dict[Parts, int] = {}
+        repeats = [f"pi_{j} repeats pi_{first[p]}" for j, p in seeds if first.setdefault(p, j) != j]
+        if repeats:
+            problems.append(f"seed partitions must be distinct, got {', '.join(repeats)}")
         for j, linked in enumerate(self.linking, start=1):
             if type(linked) is not frozenset or any(type(i) is not int for i in linked):
                 problems.append(f"linking_{j}: a linking set must be a frozenset of ints, got {linked!r}")
@@ -89,13 +87,14 @@ class SpanOneIdeal:
                 problems.append(f"the empty partition is missing from the linking set of pi_{j}")
             if j == 1 and K and linked != frozenset(range(1, K + 1)):
                 problems.append("the empty partition must link to every seed")
-        max_part = max((p[0] for p in seeds if p), default=0)
+        max_part = max((p[0] for _, p in seeds if p), default=0)
         if self.S < 1:
             problems.append(f"span must be >= 1, got {self.S}")
         elif self.S < max_part:
             problems.append(f"span {self.S} is smaller than the largest seed part {max_part}")
         if problems:
             raise IdealError("; ".join(problems))
+        return self
 
     @property
     def K(self) -> int:
@@ -259,5 +258,5 @@ def ideal_to_json(ideal: SpanOneIdeal) -> dict:
     }
 
 
-def load_ideal(path: str | Path) -> SpanOneIdeal:
+def load_ideal(path: str) -> SpanOneIdeal:
     return ideal_from_json(jsonin.load(path))

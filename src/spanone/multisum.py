@@ -40,18 +40,18 @@ A batch of checks in one process (the acceptance suite, a run over many
 mutated factorizations) asks for the same few H again and again, so eval_H
 keeps a bounded LRU memo keyed on (profile, tuple(beta), x_max, q_max).
 Handing one result to many callers is safe: a Series and its rows are
-never mutated once built, the series row check only reads rows and copies any
-it cuts, and MultisumProfile is frozen and hashable.  A walk that raises
-stores nothing, so a negative summand raises again on every call.  The
-memo holds at most _MEMO_SIZE series; a miss runs the walk above.
+never mutated once built, the series row check only reads rows and copies
+any it cuts, and MultisumProfile is an immutable namedtuple, hashed and
+compared as the tuple of its fields.  A walk that raises stores nothing, so
+a negative summand raises again on every call.  The memo holds at most
+_MEMO_SIZE series; a miss runs the walk above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add
-from pathlib import Path
 
 from . import jsonin
 from .series import Series, _check_orders, _rows_hold
@@ -62,13 +62,11 @@ Beta = tuple[int, ...]
 _MEMO_SIZE = 256
 
 
-@dataclass(frozen=True)
-class MultisumProfile:
-    alpha: tuple[tuple[int, ...], ...]
-    gamma: tuple[int, ...]
-    A: tuple[int, ...]
+class MultisumProfile(namedtuple("MultisumProfile", "alpha gamma A")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, alpha: tuple[tuple[int, ...], ...], gamma: tuple[int, ...], A: tuple[int, ...]):
+        self = super().__new__(cls, alpha, gamma, A)
         R = len(self.alpha)
         if len(self.gamma) != R or len(self.A) != R:
             raise ValueError("alpha, gamma and A must share one rank")
@@ -89,6 +87,7 @@ class MultisumProfile:
         for r, a in enumerate(self.A):
             if a < 1:
                 raise ValueError(f"Pochhammer moduli must be >= 1, got {a} in A entry {r + 1}")
+        return self
 
     @property
     def R(self) -> int:
@@ -132,11 +131,12 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     prefix.  Cross terms alpha_sr n_s n_r are >= 0, so every completion of a
     prefix has energy >= prefix energy + the sum over the remaining r of
     lb_r = min over 0 <= k <= x_max // gamma_r of alpha_rr k(k-1)/2 + beta_r k.
-    That bound holds for any integer beta; a k whose bound exceeds q_max is
-    skipped, and the k-loop stops once its energy increment is >= 0 as well,
-    since the energy is convex in k.  Every pruned summand has
-    E(n) > q_max >= 0, so the first negative summand in traversal order, and
-    the error it raises, is the same as for the full enumeration.
+    That bound holds for any integer beta.  The k-loop stops at the first k
+    whose bound exceeds q_max: a later k could come back under it only if
+    beta_r < 0, and then the walk has already raised at n = e_r.  Every
+    pruned summand has E(n) > q_max >= 0, so the first negative summand in
+    traversal order, and the error it raises, is the same as for the full
+    enumeration.
 
     Each (p, beta, x_max, q_max) is walked once per process while it stays
     among the last _MEMO_SIZE distinct ones asked for; see the module
@@ -188,9 +188,7 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
                     c[i] += c[i - step]
                 e += a * (k - 1) + slope
             if e + rest > q_max:
-                if a * k + slope >= 0:
-                    break
-                continue
+                break
             walk(r + 1, n + (k,), xdeg + k * g, e, c)
 
     walk(0, (), 0, 0, [1] + [0] * q_max)
@@ -265,5 +263,5 @@ def profile_to_json(p: MultisumProfile) -> dict:
     return {"alpha": [list(r) for r in p.alpha], "gamma": list(p.gamma), "A": list(p.A)}
 
 
-def load_profile(path: str | Path) -> MultisumProfile:
+def load_profile(path: str) -> MultisumProfile:
     return profile_from_json(jsonin.load(path))

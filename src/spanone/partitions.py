@@ -13,7 +13,7 @@ are checked against.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .series import Series, _check_orders
 

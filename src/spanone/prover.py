@@ -44,12 +44,9 @@ _ROW_MEMO_SIZE rows.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Union
 
 from . import jsonin
 from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
@@ -73,20 +70,10 @@ class AssemblyError(ValueError):
     """Certificates found, but they do not assemble into a factorization."""
 
 
-@dataclass(frozen=True)
-class Leaf:
-    beta: Beta
-
-
-@dataclass(frozen=True)
-class Expand:
-    beta: Beta
-    coord: int  # 1-based coordinate of the relation applied at this node
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Expand]
+Leaf = namedtuple("Leaf", "beta")
+# coord: the 1-based coordinate of the relation applied at this node
+Expand = namedtuple("Expand", "beta coord left right")
+Node = Leaf | Expand
 
 
 def expansions(tree: Node) -> int:
@@ -220,16 +207,11 @@ def leaf_combination(p: MultisumProfile, tree: Node) -> list[tuple[Beta, tuple[i
     return sorted(out)
 
 
-@dataclass
-class FactorizationSystem:
-    """A proved factorization F(x) = U V F(xq^S) for F_k = H(betas[k])."""
+class FactorizationSystem(namedtuple("FactorizationSystem", "profile S betas U V certs")):
+    """A proved factorization F(x) = U V F(xq^S) for F_k = H(betas[k]), with
+    certs mapping each root beta to its certificate tree."""
 
-    profile: MultisumProfile
-    S: int
-    betas: tuple[Beta, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, int], ...]
-    certs: dict[Beta, Node]
+    __slots__ = ()
 
     @property
     def K(self) -> int:
@@ -492,7 +474,7 @@ def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
     return p, S, tree
 
 
-def load_cert(path: str | Path) -> tuple[MultisumProfile, int, Node]:
+def load_cert(path: str) -> tuple[MultisumProfile, int, Node]:
     return cert_from_json(jsonin.load(path))
 
 
@@ -555,7 +537,7 @@ def system_spec_from_json(data: dict) -> tuple[MultisumProfile, int, list[Beta]]
     return p, S, betas
 
 
-def load_system_spec(path: str | Path) -> tuple[MultisumProfile, int, list[Beta]]:
+def load_system_spec(path: str) -> tuple[MultisumProfile, int, list[Beta]]:
     return system_spec_from_json(jsonin.load(path))
 
 
@@ -578,12 +560,13 @@ def _certs_from_json(data: dict, betas: list, R: int) -> dict:
     return certs
 
 
-def load_factorization(path: str | Path) -> FactorizationSystem:
+def load_factorization(path: str) -> FactorizationSystem:
     """A proved system (U, V and optional certs beside the spec), or a bare
-    spec, which is assembled here."""
+    spec, which is assembled here.  A file holding any of U, V or certs is a
+    proved system, so it needs both U and V."""
     data = jsonin.load(path)
     p, S, betas = system_spec_from_json(data)
-    if "U" not in data and "V" not in data:
+    if not {"U", "V", "certs"} & data.keys():
         return assemble_system(p, S, betas)
     K = len(betas)
     U, V = (jsonin.field(data, key, "a proved system needs both U and V, but ") for key in "UV")

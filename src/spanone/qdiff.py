@@ -35,27 +35,25 @@ x-row layout of a series: it hands its rows to Series._of_rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from . import jsonin
 from .series import Series, _check_orders, _rows_hold, _weigh
 
 
-@dataclass(frozen=True)
-class QDiffSystem:
+class QDiffSystem(namedtuple("QDiffSystem", "A weights S")):
     """Adjacency matrix, vertex monomial exponents (m, s) per vertex, shift."""
 
-    A: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[int, int], ...]
-    S: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, A: tuple[tuple[int, ...], ...], weights: tuple[tuple[int, int], ...], S: int):
+        self = super().__new__(cls, A, weights, S)
         K = len(self.A)
         if K == 0:
             raise ValueError("A is empty: the system needs at least one vertex")
         if len(self.weights) != K:
-            raise ValueError("need one weight pair per vertex")
+            raise ValueError(f"need one weight pair per vertex, got {len(self.weights)} weights for {K} vertices")
         for k, row in enumerate(self.A):
             if len(row) != K:
                 raise ValueError(f"adjacency matrix must be square, got {len(row)} entries in A row {k + 1} "
@@ -77,6 +75,7 @@ class QDiffSystem:
                 raise ValueError(f"vertex {k + 1} needs q-degree >= 1 in its weight")
         if self.S < 1:
             raise ValueError(f"shift must be >= 1, got {self.S}")
+        return self
 
     @property
     def K(self) -> int:

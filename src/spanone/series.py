@@ -32,8 +32,8 @@ the orders), which is exactly the region where every operand is meaningful.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 
 class TruncationRangeError(LookupError):

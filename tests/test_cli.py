@@ -382,6 +382,21 @@ def test_a_utf8_file_is_read_whatever_the_locale(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_verify_loads_no_module_that_only_help_or_annotations_need():
+    # a fresh process without site, so every module loaded is one the package imported
+    unused = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources", "argparse")
+    script = ("import sys; from spanone.cli import main; code = main(sys.argv[1:]); "
+              f"print(code, [m for m in {unused!r} if m in sys.modules], file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
+    run = lambda *argv: subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                                       env=env, capture_output=True, text=True)
+    proc = run("verify", fx("kr_system.json"), "--qmax", "12")
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n")
+    proc = run("verify", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: spanone verify")
+
+
 def test_qdiff_solve_and_check(run_cli):
     code, _, payload = run_cli(["qdiff", "solve", fx("rr.json"), "--qmax", "10"])
     assert code == 0
@@ -798,9 +813,26 @@ def _kr_spec(edit) -> dict:
         # an empty row used to end in an index error, read before its length was checked
         (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][1].clear())["profile"],
          "alpha must be square, got 0 entries in alpha row 2 for rank 2"),
+        (["ideal", "genfun", "@"], {"S": 1, "pi": ["empty", "1"], "linking": [[1, 2]]},
+         "need one linking set per seed, got 1 for 2"),
+        (["ideal", "genfun", "@"], {"S": 1, "pi": ["empty", "1", "1"], "linking": [[1, 2, 3], [1], [1]]},
+         "seed partitions must be distinct, got pi_3 repeats pi_2"),
+        (["ideal", "genfun", "@"], {"S": 1, "pi": ["empty", "1"], "linking": [[1, 2], [1, 3]]},
+         "linking set of pi_2 mentions index 3 outside 1..2"),
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [1, 0]], "weights": [[0, 0]], "S": 1},
+         "need one weight pair per vertex, got 1 weights for 2 vertices"),
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [1, 0]], "weights": [[0, 0], [1, 0]], "S": 1},
+         "vertex 2 needs q-degree >= 1 in its weight"),
+        (["qdiff", "solve", "@"], {"A": 5, "weights": [[0, 0]], "S": 1},
+         "malformed q-difference system description: A must be a list of rows, got 5"),
+        (["verify", "@", "--qmax", "6"],
+         {**_kr_spec(lambda p: None), "U": [[1] * 7] * 7, "V": [[0, 0]] * 7,
+          "certs": [{"root": [1, 3], "tree": {"beta": [1, 3]}}] * 2},
+         "certs entry 2 repeats root [1, 3]"),
     ],
     ids=["adjacency-2", "adjacency-not-square", "first-column", "first-row", "zero-modulus", "zero-gamma",
-         "asymmetric-alpha", "negative-alpha", "alpha-not-square"],
+         "asymmetric-alpha", "negative-alpha", "alpha-not-square", "linking-count", "repeated-seed",
+         "linking-index", "weights-count", "zero-q-degree", "rows-not-a-list", "repeated-cert-root"],
 )
 def test_structural_errors_name_the_entry(tmp_path, capsys, argv, data, message):
     path = _written(tmp_path, json.dumps(data))
@@ -878,6 +910,15 @@ def test_verify_rejects_u_without_v(tmp_path, capsys):
     code, err = _verify_edited(tmp_path, capsys, edit)
     assert code == 2
     assert "V is missing" in err
+
+
+def test_verify_reads_certs_beside_a_bare_spec_as_a_proved_system(tmp_path, capsys):
+    # certs with neither U nor V used to be set aside, and the spec proved afresh
+    path = _written(tmp_path, json.dumps({**_kr_spec(lambda p: None), "certs": "garbage"}))
+    code = main(["verify", path, "--qmax", "6"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: a proved system needs both U and V, but U is missing\n"
 
 
 def test_verify_rejects_empty_betas(tmp_path, capsys):
@@ -1144,6 +1185,16 @@ def test_export_dot_and_json(run_cli, tmp_path):
     code, _, _ = run_cli(["export", str(cert), "--format", "json", "--out", str(again)])
     assert code == 0
     assert again.read_text() == cert.read_text()
+
+
+@pytest.mark.parametrize("fmt, name", [("dot", "cert_1_3.dot"), ("json", "cert_1_3.cert.json")])
+def test_export_without_out_prints_the_document_prove_wrote(fmt, name, tmp_path, capsys):
+    outdir = tmp_path / "kr"
+    assert main(["prove", fx("kr_system.json"), "--qmax", "8", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    assert main(["export", str(outdir / "cert_1_3.cert.json"), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((outdir / name).read_text(), "")
 
 
 @pytest.mark.parametrize("old", [b"#" * 100_000, b"#"], ids=["shrink", "grow"])

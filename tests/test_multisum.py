@@ -237,6 +237,7 @@ RANK_THREE = MultisumProfile(
 @example((ZERO_DIAGONAL, (1, 1), 8, 8))
 @example((RANK_THREE, (-1, 0, 2), 6, 9))  # negative beta reaches a negative summand
 @example((RANK_THREE, (2, -1, 1), 1, 9))  # negative beta on a coordinate x_max rules out
+@example((RANK_THREE, (3, 1, -1), 6, 2))  # negative beta on a coordinate that can still grow
 @example((RANK_THREE, (1, 2, 1), 4, 0))
 def test_eval_h_matches_naive_enumeration(case):
     p, beta, x_max, q_max = case
