@@ -37,7 +37,6 @@ from .prover import (
     FactorizationSystem,
     Leaf,
     SearchExhausted,
-    SearchTable,
     assemble_system,
     check_certs,
     derive_row,

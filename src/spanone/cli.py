@@ -90,6 +90,13 @@ def _order(flag: str, value: int) -> int:
     return value
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    # as _order: the library's message names its parameter, not the flag
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _orders(args) -> tuple[int, int]:
     q_max = _order("--qmax", args.qmax)
     x_max = q_max if args.xmax is None else _order("--xmax", args.xmax)
@@ -110,6 +117,9 @@ def cmd_oracle(args) -> int:
         pred = lambda p: partitions.satisfies_gap(p, d, k)
         name = f"gap(d={d}, k={k})"
     else:
+        for flag, value in (("--d", args.d), ("--k", args.k)):
+            if value is not None:
+                raise ValueError(f"the kr-i1 oracle takes no {flag}")
         pred = partitions.kr_i1_predicate
         name = "kr-i1"
     series = _series_payload(partitions.oracle_genfun(pred, x_max, q_max))
@@ -255,6 +265,8 @@ def cmd_multisum_rec(args) -> int:
     x_max, q_max = _orders(args)
     p = multisum.load_profile(args.file)
     beta = _parse_beta(args.beta)
+    if not 1 <= args.coord <= p.R:
+        raise ValueError(f"--coord must be in 1..{p.R}, got {args.coord}")
     left, (xe, qe), right = multisum.rec_children(p, beta, args.coord)
     ok = multisum.verify_recurrence_numeric(p, beta, args.coord, x_max, q_max)
     lab, weight = prover._beta_label, prover._weight_label(xe, qe)
@@ -278,6 +290,7 @@ def cmd_multisum_rec(args) -> int:
 
 
 def cmd_multisum_shift(args) -> int:
+    _nonnegative("--shift", args.shift)
     p = multisum.load_profile(args.file)
     beta = _parse_beta(args.beta)
     shifted = multisum.shift_beta(p, beta, args.shift)
@@ -294,6 +307,8 @@ def cmd_multisum_shift(args) -> int:
 
 
 def cmd_multisum_check(args) -> int:
+    if args.shift is not None:
+        _nonnegative("--shift", args.shift)
     p = multisum.load_profile(args.file)
     beta = _parse_beta(args.beta)
     pos = multisum.check_positivity(p, beta)
@@ -323,8 +338,9 @@ def _checked_rows(fs: prover.FactorizationSystem, x_max: int, q_max: int) -> tup
 
 def cmd_prove(args) -> int:
     x_max, q_max = _orders(args)
+    budget = _nonnegative("--max-expansions", args.max_expansions)
     p, S, betas = prover.load_system_spec(args.file)
-    fs = prover.assemble_system(p, S, betas, args.max_expansions)
+    fs = prover.assemble_system(p, S, betas, budget)
     _, rows_ok = _checked_rows(fs, x_max, q_max)
 
     positivity = {b: multisum.check_positivity(p, b) for b in sorted(set(fs.betas))}
@@ -493,30 +509,24 @@ COMMANDS = {
 PATH_DESTS = ("command", "subcommand")
 
 
-def _command_path(argv) -> tuple[str, ...] | None:
-    """The command names leading argv down to a leaf of COMMANDS, or None
-    when argv does not start with a complete, known path."""
+def _command(argv) -> tuple | None:
+    """The command names leading argv down to a leaf of COMMANDS, with that
+    row's function, its flags as {flag: (namespace key, keywords)} and its
+    positionals in order; None when argv does not start with a complete,
+    known path."""
     table, path = COMMANDS, ()
     for token in argv:
         if token not in table:
             return None
         path += (token,)
-        spec = table[token][1]
+        _, spec, *rest = table[token]
         if not isinstance(spec, dict):
-            return path
+            (arguments,) = rest
+            flags = {name: (name.lstrip("-").replace("-", "_"), keywords)
+                     for name, keywords in arguments if name.startswith("-")}
+            return path, spec, flags, [(name, keywords) for name, keywords in arguments if not name.startswith("-")]
         table = spec
     return None
-
-
-def _leaf(path) -> tuple:
-    """The function of a command path's COMMANDS row, its flags as
-    {flag: (namespace key, keywords)} and its positionals in order."""
-    table = COMMANDS
-    for name in path[:-1]:
-        table = table[name][1]
-    _, func, arguments = table[path[-1]]
-    flags = {name: (name.lstrip("-").replace("-", "_"), keywords) for name, keywords in arguments if name.startswith("-")}
-    return func, flags, [(name, keywords) for name, keywords in arguments if not name.startswith("-")]
 
 
 def _read_argv(argv) -> SimpleNamespace | None:
@@ -527,10 +537,10 @@ def _read_argv(argv) -> SimpleNamespace | None:
     value starting with -, a missing or extra positional, a missing
     required flag, or a value its type or choices refuse.  So help, every
     usage error and every --flag=value come from argparse."""
-    path = _command_path(argv)
-    if path is None or any("=" in token for token in argv):
+    command = _command(argv)
+    if command is None or any("=" in token for token in argv):
         return None
-    func, flags, positionals = _leaf(path)
+    path, func, flags, positionals = command
     values = dict(zip(PATH_DESTS, path), func=func, **{dest: keywords.get("default") for dest, keywords in flags.values()})
     seen = set()
     tokens = iter(argv[len(path):])
@@ -605,7 +615,7 @@ def main(argv=None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
         path = [vars(args)[dest] for dest in PATH_DESTS if dest in vars(args)]
-        for flag, (dest, _) in _leaf(path)[1].items():
+        for flag, (dest, _) in _command(path)[2].items():
             # --flag=-- is stored as [] by python 3.10-3.12 and as "--" by 3.13;
             # argparse refuses the bare flag: "expected one argument", exit 2
             if getattr(args, dest) in ([], "--"):

@@ -16,18 +16,17 @@ Each beta value expands through the same coordinate at every occurrence,
 so a certificate is a choice function on beta vectors and the tree is its
 unfolding.  We pick one minimizing the expansions of the unfolded tree (ties
 to the smallest coordinate) by dynamic programming over the betas collected
-from the root.  A beta is in reach when some target lies a run of at most
+from the roots.  A beta is in reach when some target lies a run of at most
 max_expansions left moves away: a tree's leftmost leaf is such a run, and
-a tree within the budget has no subtree over it.  The root is expanded only
+a tree within the budget has no subtree over it.  A root is expanded only
 when it is in reach, a coordinate is offered at a beta only when both its
 children are, and only the children of offered coordinates are expanded in
 turn, so a beta out of reach is never expanded.  Both moves are
 componentwise non-decreasing and a left move raises one coordinate, so
 descending coordinate sum solves every child before its parent, except for
-a right move along an all-zero alpha row: a self-loop, never counted.  The
-expanded betas are recorded in a SearchTable that assemble_system shares
-among all roots of a system, so each beta is expanded and solved once per
-system.
+a right move along an all-zero alpha row: a self-loop, never counted.
+derive_row collects the betas of all of a system's roots in one pass, so
+each beta is expanded and solved once per system, whichever roots reach it.
 
 verify_numeric checks a system row by row to a truncation order.  A batch
 of checks in one process (the acceptance suite, a run over many mutated
@@ -83,60 +82,43 @@ def expansions(tree: Node) -> int:
     return 1 + expansions(tree.left) + expansions(tree.right)
 
 
-class SearchTable:
-    """One search: a profile, a target set and a budget, and what searches
-    from any root have solved in it.
+def derive_row(p: MultisumProfile, roots: list[Beta] | tuple[Beta, ...], targets: frozenset[Beta] | set[Beta],
+               max_expansions: int = MAX_EXPANSIONS) -> dict[Beta, Node | None]:
+    """Expansion-minimal certificate tree from each root into targets, as
+    root -> tree, or None when no choice function yields a finite tree
+    within max_expansions relation applications.
 
-    best maps each target to its leaf, and each beta a search expanded to
-    (expansions, tree), or to None when it has no tree.  A beta out of
-    reach of every target is neither expanded nor recorded.  An entry
-    depends only on the entries of the beta's children, so it is the same
-    whichever root reached the beta, and every root searched in one table
-    shares it.  Raises ValueError for an empty target set, a negative
-    budget or a target whose rank is not the profile's.
+    One pass serves every root: a beta's tree depends only on its
+    children's, so it is the same whichever root reached the beta.  The
+    target set, the budget and the rank of every target and root are
+    checked before anything is expanded: ValueError for an empty target
+    set, a negative budget or a rank that is not the profile's.
     """
-
-    def __init__(self, p: MultisumProfile, targets: frozenset[Beta] | set[Beta],
-                 max_expansions: int = MAX_EXPANSIONS):
-        targets = frozenset(targets)
-        if not targets:
-            raise ValueError("target set must be nonempty")
-        if max_expansions < 0:
-            raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
-        # a target of another rank would be compared on a truncated prefix
-        for t in targets:
-            if len(t) != p.R:
-                raise ValueError(f"target {t} has rank {len(t)}, profile has rank {p.R}")
-        self.p = p
-        self.targets = targets
-        self.max_expansions = max_expansions
-        self.best: dict[Beta, tuple[int, Node] | None] = {t: (0, Leaf(t)) for t in targets}
-
-
-def derive_row(table: SearchTable, root: Beta) -> Node:
-    """Expansion-minimal certificate tree from root into table's target set.
-
-    The table is read before expanding and keeps every beta this call
-    solves; assemble_system passes one for all of a system's roots.
-
-    Raises SearchExhausted when no choice function yields a finite tree
-    within the table's budget of relation applications, and ValueError for
-    a root whose rank is not the profile's.
-    """
-    p, max_expansions = table.p, table.max_expansions
-    # every beta below is built from root by the relation, so it has root's rank
-    _check_beta(p, root)
-    best, targets = table.best, table.targets
+    targets = frozenset(targets)
+    if not targets:
+        raise ValueError("target set must be nonempty")
+    if max_expansions < 0:
+        raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
+    # a target of another rank would be compared on a truncated prefix
+    for t in targets:
+        if len(t) != p.R:
+            raise ValueError(f"target {t} has rank {len(t)}, profile has rank {p.R}")
+    roots = dict.fromkeys(roots)
+    # every beta below is built from a root by the relation, so it has the root's rank
+    for root in roots:
+        _check_beta(p, root)
+    # beta -> (expansions, tree) for a solved beta, None for one with no tree
+    best: dict[Beta, tuple[int, Node] | None] = {t: (0, Leaf(t)) for t in targets}
     # beta -> its options (r, left, right): the coordinates whose children
     # both have a target in reach, as only those can end in a tree; every
-    # beta pushed is such a child, or the root
+    # beta pushed is such a child, or a root
     children: dict[Beta, list[tuple[int, Beta, Beta]]] = {}
 
     def in_reach(beta: Beta) -> bool:
         # a beta in best or children was in reach when it got there
         return beta in best or beta in children or _reaches_target(p, beta, targets, max_expansions)
 
-    stack = [root] if _reaches_target(p, root, targets, max_expansions) else []
+    stack = [root for root in roots if _reaches_target(p, root, targets, max_expansions)]
     while stack:
         beta = stack.pop()
         if beta in children or beta in best:
@@ -161,12 +143,8 @@ def derive_row(table: SearchTable, root: Beta) -> Node:
             best[beta] = (cost, Expand(beta, r, best[left][1], best[right][1]))
         else:
             best[beta] = None
-    found = best.get(root)
-    if found is None or found[0] > max_expansions:
-        raise SearchExhausted(
-            f"no certificate for {root} within {max_expansions} expansions"
-        )
-    return found[1]
+    found = {root: best.get(root) for root in roots}
+    return {root: f[1] if f is not None and f[0] <= max_expansions else None for root, f in found.items()}
 
 
 def _reaches_target(p: MultisumProfile, beta: Beta, targets: frozenset[Beta], max_expansions: int) -> bool:
@@ -226,11 +204,14 @@ def assemble_system(
 ) -> FactorizationSystem:
     """Derive certificates for every distinct root and pin down U and V.
 
-    Each root's tree is read once into its leaves, counted by (shifted beta,
-    weight).  Row 1 fixes V: each group of columns sharing one shifted beta
-    takes row 1's leaf weights on that target in sorted order.  Row k sets,
-    for a leaf it holds c times, the first c columns with that (shifted
-    beta_j, V_j); too few such columns is an AssemblyError naming the row.
+    One derive_row call searches from every root; the first root, in the
+    order of betas, that has no tree within max_expansions raises
+    SearchExhausted.  Each root's tree is read once into its leaves,
+    counted by (shifted beta, weight).  Row 1 fixes V: each group of
+    columns sharing one shifted beta takes row 1's leaf weights on that
+    target in sorted order.  Row k sets, for a leaf it holds c times, the
+    first c columns with that (shifted beta_j, V_j); too few such columns
+    is an AssemblyError naming the row.
 
     No check is needed after that: row 1 selects every column, since V is
     its own leaves, and every row selects column 1, since a right edge adds
@@ -242,8 +223,10 @@ def assemble_system(
         raise ValueError("need at least one component")
     shifted = [shift_beta(p, b, S) for b in betas]
     rank = {t: i for i, t in enumerate(dict.fromkeys(shifted))}  # targets in column order
-    table = SearchTable(p, frozenset(rank), max_expansions)
-    certs = {root: derive_row(table, root) for root in dict.fromkeys(betas)}
+    certs = derive_row(p, betas, frozenset(rank), max_expansions)
+    for root, tree in certs.items():
+        if tree is None:
+            raise SearchExhausted(f"no certificate for {root} within {max_expansions} expansions")
     leaves = {  # ((target, weight), count) by target in column order, then weight
         root: sorted(Counter(leaf_combination(p, tree)).items(), key=lambda leaf: rank[leaf[0][0]])
         for root, tree in certs.items()

@@ -132,9 +132,9 @@ def _parse(parse, argv, capsys):
 def test_sample_argvs_cover_every_command_path():
     assert set(SAMPLE_ARGVS) == set(_leaf_paths())
     for path, argv in SAMPLE_ARGVS.items():
-        assert cli._command_path(argv) == path
+        assert cli._command(argv)[0] == path
     for argv in UNROUTED:
-        assert cli._command_path(argv) is None
+        assert cli._command(argv) is None
 
 
 @pytest.mark.parametrize(
@@ -499,7 +499,7 @@ def test_multisum_check_rejects_negative_shift(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: shift must be >= 0, got -3\n"
+    assert captured.err == "error: --shift must be >= 0, got -3\n"
 
 
 def test_prove_small_system(run_cli):
@@ -829,10 +829,26 @@ def _kr_spec(edit) -> dict:
          {**_kr_spec(lambda p: None), "U": [[1] * 7] * 7, "V": [[0, 0]] * 7,
           "certs": [{"root": [1, 3], "tree": {"beta": [1, 3]}}] * 2},
          "certs entry 2 repeats root [1, 3]"),
+        # a flag's value out of range is named by its flag, not by the library's parameter
+        (["prove", "@", "--max-expansions", "-1"], _kr_spec(lambda p: None),
+         "--max-expansions must be >= 0, got -1"),
+        (["multisum", "shift", "@", "--beta", "1,3", "--shift", "-1"], _kr_spec(lambda p: None)["profile"],
+         "--shift must be >= 0, got -1"),
+        (["multisum", "check", "@", "--beta", "1,3", "--shift", "-1"], _kr_spec(lambda p: None)["profile"],
+         "--shift must be >= 0, got -1"),
+        (["multisum", "rec", "@", "--beta", "1,3", "--coord", "0"], _kr_spec(lambda p: None)["profile"],
+         "--coord must be in 1..2, got 0"),
+        (["multisum", "rec", "@", "--beta", "1,3", "--coord", "3"], _kr_spec(lambda p: None)["profile"],
+         "--coord must be in 1..2, got 3"),
+        # the kr-i1 oracle has no use for --d and --k, so it refuses them rather than ignore them
+        (["oracle", "kr-i1", "--d", "3", "--qmax", "3"], {}, "the kr-i1 oracle takes no --d"),
+        (["oracle", "kr-i1", "--k", "1"], {}, "the kr-i1 oracle takes no --k"),
     ],
     ids=["adjacency-2", "adjacency-not-square", "first-column", "first-row", "zero-modulus", "zero-gamma",
          "asymmetric-alpha", "negative-alpha", "alpha-not-square", "linking-count", "repeated-seed",
-         "linking-index", "weights-count", "zero-q-degree", "rows-not-a-list", "repeated-cert-root"],
+         "linking-index", "weights-count", "zero-q-degree", "rows-not-a-list", "repeated-cert-root",
+         "negative-max-expansions", "negative-shift", "negative-check-shift", "coord-0", "coord-3",
+         "kr-i1-d", "kr-i1-k"],
 )
 def test_structural_errors_name_the_entry(tmp_path, capsys, argv, data, message):
     path = _written(tmp_path, json.dumps(data))
@@ -1274,7 +1290,7 @@ def test_prove_reports_a_leaf_no_column_can_take(tmp_path, capsys):
 
 def test_prove_rejects_negative_budget(capsys):
     assert main(["prove", fx("kr_system.json"), "--max-expansions", "-1"]) == 2
-    assert capsys.readouterr().err == "error: max_expansions must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --max-expansions must be >= 0, got -1\n"
 
 
 def test_prove_search_exhausts_its_budget_exits_three(tmp_path, capsys):

@@ -18,7 +18,6 @@ from spanone.prover import (
     FactorizationSystem,
     Leaf,
     SearchExhausted,
-    SearchTable,
     assemble_system,
     cert_from_json,
     check_certs,
@@ -38,13 +37,18 @@ from spanone.series import Series, _rows_hold
 KR_TARGETS = frozenset({(4, 9), (5, 12), (6, 12)})
 
 
+def _one_tree(p, targets, root, max_expansions=prover.MAX_EXPANSIONS):
+    """derive_row's outcome for a single root."""
+    return derive_row(p, [root], targets, max_expansions)[root]
+
+
 def test_root_in_targets_gives_single_leaf(ex1_profile):
-    tree = derive_row(SearchTable(ex1_profile, frozenset({(3,), (4,)})), (3,))
+    tree = _one_tree(ex1_profile, frozenset({(3,), (4,)}), (3,))
     assert tree == Leaf((3,))
 
 
 def test_derive_row_minimal_tree_rank_one(ex1_profile):
-    tree = derive_row(SearchTable(ex1_profile, frozenset({(3,), (4,)})), (1,))
+    tree = _one_tree(ex1_profile, frozenset({(3,), (4,)}), (1,))
     assert tree == Expand(
         (1,), 1, Expand((2,), 1, Leaf((3,)), Leaf((4,))), Leaf((3,))
     )
@@ -52,7 +56,10 @@ def test_derive_row_minimal_tree_rank_one(ex1_profile):
 
 
 def test_derive_row_kr_leaf_multisets(kr_profile):
-    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    trees = derive_row(kr_profile, [(1, 3), (2, 6), (3, 6)], KR_TARGETS)
+    # a target set given as a set is the same search as the frozenset
+    assert derive_row(kr_profile, [(1, 3), (2, 6), (3, 6)], set(KR_TARGETS)) == trees
+    tree = trees[(1, 3)]
     assert expansions(tree) == 6
     assert leaf_combination(kr_profile, tree) == sorted(
         [
@@ -65,31 +72,34 @@ def test_derive_row_kr_leaf_multisets(kr_profile):
             ((6, 12), (2, 6)),
         ]
     )
-    tree2 = derive_row(SearchTable(kr_profile, KR_TARGETS), (2, 6))
-    assert leaf_combination(kr_profile, tree2) == sorted(
+    assert leaf_combination(kr_profile, trees[(2, 6)]) == sorted(
         [((4, 9), (0, 0)), ((4, 9), (1, 2)), ((5, 12), (1, 3)), ((6, 12), (2, 6))]
     )
-    tree3 = derive_row(SearchTable(kr_profile, KR_TARGETS), (3, 6))
-    assert leaf_combination(kr_profile, tree3) == sorted(
+    assert leaf_combination(kr_profile, trees[(3, 6)]) == sorted(
         [((4, 9), (0, 0)), ((5, 12), (1, 3)), ((6, 12), (2, 6))]
     )
 
 
 def test_derive_row_budget_exhaustion(kr_profile):
-    with pytest.raises(SearchExhausted, match="within 5 expansions"):
-        derive_row(SearchTable(kr_profile, KR_TARGETS, max_expansions=5), (1, 3))
+    # (1, 3)'s least tree has 6 expansions, (3, 6)'s has 2
+    assert derive_row(kr_profile, [(1, 3), (3, 6)], KR_TARGETS, 5) == {
+        (1, 3): None, (3, 6): _one_tree(kr_profile, KR_TARGETS, (3, 6))}
+    assert expansions(derive_row(kr_profile, [(1, 3)], KR_TARGETS, 6)[(1, 3)]) == 6
 
 
 def test_derive_row_unreachable_targets(ex1_profile):
-    with pytest.raises(SearchExhausted):
-        derive_row(SearchTable(ex1_profile, frozenset({(3,)})), (5,))
+    assert derive_row(ex1_profile, [(5,)], frozenset({(3,)})) == {(5,): None}
 
 
-def test_derive_row_checks_the_root_rank(kr_profile):
-    # the search builds children without checks, so a root of the wrong rank is refused first
-    for root in ((1,), (1, 3, 5)):
-        with pytest.raises(ValueError, match=f"beta has rank {len(root)}, profile has rank 2"):
-            derive_row(SearchTable(kr_profile, KR_TARGETS), root)
+def test_derive_row_checks_the_root_rank(kr_profile, monkeypatch):
+    # the search builds children without checks, so a root of the wrong rank is
+    # refused before any root is expanded, also among roots of the right rank
+    calls = _counting_children(monkeypatch)
+    for roots in ([(1,)], [(1, 3, 5)], [(1, 3), (1,), (2, 6)]):
+        bad = next(r for r in roots if len(r) != 2)
+        with pytest.raises(ValueError, match=f"beta has rank {len(bad)}, profile has rank 2"):
+            derive_row(kr_profile, roots, KR_TARGETS)
+    assert calls == []
 
 
 @st.composite
@@ -125,16 +135,15 @@ ZERO_ROW = MultisumProfile(alpha=((0, 0), (0, 1)), gamma=(1, 1), A=(2, 1))
 def test_derive_row_equals_recursive_search(case):
     p, betas, S, root, budget = case
     targets = frozenset(shift_beta(p, b, S) for b in betas)
+    assert _one_tree(p, targets, root, budget) == _recursive_outcome(p, root, targets, budget)
 
-    def outcome(search):
-        try:
-            return search()
-        except SearchExhausted:
-            return "exhausted"
 
-    assert outcome(lambda: derive_row(SearchTable(p, targets, budget), root)) == outcome(
-        lambda: recursive_derive_row(p, root, targets, budget)
-    )
+def _recursive_outcome(p, root, targets, budget):
+    """recursive_derive_row's tree, or None where it raises SearchExhausted."""
+    try:
+        return recursive_derive_row(p, root, targets, budget)
+    except SearchExhausted:
+        return None
 
 
 def _counting_children(monkeypatch, limit: int = 10_000) -> list:
@@ -155,8 +164,8 @@ def _counting_children(monkeypatch, limit: int = 10_000) -> list:
 def test_far_targets_are_refused_without_expanding(ex3_system, monkeypatch):
     p, _, betas = ex3_system
     calls = _counting_children(monkeypatch)
-    with pytest.raises(SearchExhausted, match="within 64 expansions"):
-        derive_row(SearchTable(p, frozenset(shift_beta(p, b, 30) for b in betas)), (1, 2, 4))
+    far = frozenset(shift_beta(p, b, 30) for b in betas)
+    assert derive_row(p, betas, far) == dict.fromkeys(betas)
     assert calls == []
 
 
@@ -168,32 +177,19 @@ def test_targets_of_another_rank_are_refused_before_expanding(kr_profile, monkey
     message = re.escape(f"target {target} has rank {len(target)}, profile has rank 2")
     for targets in ({target}, KR_TARGETS | {target}):
         with pytest.raises(ValueError, match=message):
-            SearchTable(kr_profile, targets)
+            derive_row(kr_profile, [(1, 3)], targets)
     assert calls == []
 
 
 @settings(max_examples=300)
 @given(_search_cases())
 def test_shared_search_gives_each_root_its_own_tree(case):
+    # one search over every root gives each the tree a search from it alone finds
     p, betas, S, root, budget = case
     roots = (*betas, root)
     targets = frozenset(shift_beta(p, b, S) for b in betas)
-    table = SearchTable(p, targets, budget)
-    for r in roots:
-        try:
-            alone = recursive_derive_row(p, r, targets, budget)
-        except SearchExhausted:
-            with pytest.raises(SearchExhausted, match=re.escape(f"no certificate for {r} within")):
-                derive_row(table, r)
-        else:
-            assert derive_row(table, r) == alone
-
-
-def test_a_table_serves_only_its_own_search(kr_profile):
-    # a target set given as a set is the same search as the frozenset
-    table = SearchTable(kr_profile, set(KR_TARGETS), 64)
-    assert table.targets == KR_TARGETS and type(table.targets) is frozenset
-    assert derive_row(table, (1, 3)) == derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    assert derive_row(p, roots, targets, budget) == {
+        r: _recursive_outcome(p, r, targets, budget) for r in roots}
 
 
 def test_assembly_names_the_first_exhausted_root(kr_profile):
@@ -205,7 +201,8 @@ def test_assembly_names_the_first_exhausted_root(kr_profile):
 
 def test_one_search_table_serves_every_root(ex3_system, monkeypatch):
     # ex3's four roots expand 155 betas between them, three relation steps
-    # each; one search per root takes 885 steps, redoing the shared betas
+    # each, in one search; one search per root takes 885 steps, redoing the
+    # shared betas
     calls = _counting_children(monkeypatch)
     fs = assemble_system(*ex3_system)
     assert len(fs.certs) == 4
@@ -214,7 +211,7 @@ def test_one_search_table_serves_every_root(ex3_system, monkeypatch):
 
 def test_children_in_reach_are_not_tested_again(ex3_system, monkeypatch):
     # a child already solved or expanded was in reach when it got there: ex3's
-    # search makes 551 reach tests, where testing every child makes 877
+    # search makes 537 reach tests, where testing every child makes 877
     calls = []
     reaches = prover._reaches_target
 
@@ -224,7 +221,7 @@ def test_children_in_reach_are_not_tested_again(ex3_system, monkeypatch):
 
     monkeypatch.setattr(prover, "_reaches_target", counted)
     assemble_system(*ex3_system)
-    assert len(calls) == 551
+    assert len(calls) == 537
 
 
 def test_memoized_search_is_cost_transparent(ex1_profile, kr_profile):
@@ -235,12 +232,12 @@ def test_memoized_search_is_cost_transparent(ex1_profile, kr_profile):
         (kr_profile, (2, 6), KR_TARGETS),
         (kr_profile, (3, 6), KR_TARGETS),
     ):
-        tree = derive_row(SearchTable(p, targets), root)
+        tree = _one_tree(p, targets, root)
         assert expansions(tree) == naive_min_expansions(p, root, targets)
 
 
 def test_tree_monotone_along_paths(kr_profile):
-    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    tree = _one_tree(kr_profile, KR_TARGETS, (1, 3))
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -267,7 +264,7 @@ def test_node_by_node_soundness(kr_profile):
     # every expansion is itself a two-term identity; check them all numerically
     from spanone.multisum import verify_recurrence_numeric
 
-    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    tree = _one_tree(kr_profile, KR_TARGETS, (1, 3))
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -283,7 +280,7 @@ def test_leaf_combination_telescopes(kr_profile):
     # collecting leaves turns the tree into one series identity for the root
     q_max = 14
     for root in ((1, 3), (2, 6), (3, 6)):
-        tree = derive_row(SearchTable(kr_profile, KR_TARGETS), root)
+        tree = _one_tree(kr_profile, KR_TARGETS, root)
         rhs = Series.zero(q_max, q_max)
         for beta, (xe, qe) in leaf_combination(kr_profile, tree):
             rhs = rhs + Series({(xe, qe): 1}, q_max, q_max) * eval_H(kr_profile, beta, q_max, q_max)
@@ -627,7 +624,7 @@ def test_factorization_solves_back_to_components(ex1_system, kr_system, ex3_syst
 
 
 def test_tree_json_round_trip(kr_profile):
-    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    tree = _one_tree(kr_profile, KR_TARGETS, (1, 3))
     assert tree_from_json(tree_to_json(tree), kr_profile.R) == tree
 
 
@@ -667,7 +664,7 @@ def test_json_text_refuses_what_it_cannot_write():
 
 
 def test_cert_document_round_trip(kr_profile):
-    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    tree = _one_tree(kr_profile, KR_TARGETS, (1, 3))
     doc = cert_to_json(kr_profile, 3, tree)
     p2, S2, tree2 = cert_from_json(json.loads(json.dumps(doc)))
     assert (p2, S2, tree2) == (kr_profile, 3, tree)
@@ -678,7 +675,7 @@ def test_cert_document_round_trip(kr_profile):
 
 
 def test_dot_export_structure(kr_profile):
-    tree = derive_row(SearchTable(kr_profile, KR_TARGETS), (1, 3))
+    tree = _one_tree(kr_profile, KR_TARGETS, (1, 3))
     dot = tree_to_dot(kr_profile, tree)
     assert dot.startswith("digraph certificate {")
     assert dot.count("label=\"H(") == 13  # 6 expansions + 7 leaves
