@@ -4,16 +4,17 @@ A partition is a plain tuple of parts, weakly decreasing and positive, with
 () the empty partition.  Part lists from outside the package are checked
 where they enter: parse_partition for literals, and the ideal constructor
 and contains in ideals; the package's own constructions build valid tuples
-and pass them on unchecked.  A brute-force generating function over all
-partitions of n <= q_max, filtered by an arbitrary predicate, serves as the
-reference count that the structured constructions elsewhere in the package
-are checked against.
+and pass them on unchecked.  A brute-force generating function over the
+partitions of n <= q_max that satisfy a hereditary predicate (one that still
+holds once the smallest part is dropped, as every condition on parts at a
+bounded distance does) serves as the reference count that the structured
+constructions elsewhere in the package are checked against.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .series import Series, _check_orders
 
@@ -52,7 +53,7 @@ def satisfies_gap(p: Parts, d: int, k: int) -> bool:
     """True when every pair of parts at distance k >= 1 differs by at least d."""
     if k < 1:
         raise ValueError(f"gap distance k must be >= 1, got {k}")
-    # a plain loop: the oracle calls this once per partition in its window,
+    # a plain loop: the oracle calls this once per partition its walk reaches,
     # and a generator under all() costs about twice as much per call
     for a, b in zip(p, p[k:]):
         if a - b < d:
@@ -69,20 +70,6 @@ def kr_i1_predicate(p: Parts) -> bool:
         if a - b <= 1 and (a + b) % 3 != 0:
             return False
     return True
-
-
-def partitions_of(n: int) -> Iterator[Parts]:
-    """All partitions of n, in lexicographic order of their part lists."""
-
-    def gen(remaining: int, cap: int) -> Iterator[Parts]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(1, min(cap, remaining) + 1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return gen(n, n)
 
 
 def window_partitions(x_max: int, q_max: int, bound: int) -> int:
@@ -113,18 +100,24 @@ def window_partitions(x_max: int, q_max: int, bound: int) -> int:
 
 def oracle_genfun(pred: Callable[[Parts], bool], x_max: int, q_max: int) -> Series:
     """Sum of x^(number of parts) q^(size) over all partitions of n <= q_max
-    that satisfy pred.  Exhaustive, hence slow but authoritative.
+    with at most x_max parts that satisfy pred.
 
-    One depth-first walk visits every partition of size <= q_max with at
-    most x_max parts exactly once: each step appends a part no larger than
-    the last one and no larger than what is left of q_max.  Each visited
-    part tuple is passed to pred as it is.
+    pred must be hereditary: pred(p) must imply pred(p[:-1]).  A condition
+    on the pairs of parts at some bounded distance is, since dropping the
+    smallest part only drops pairs; satisfies_gap and kr_i1_predicate are
+    two such conditions.
+
+    One depth-first walk builds each partition from its prefixes: each step
+    appends a part no larger than the last one and no larger than what is
+    left of q_max.  Each part tuple reached is passed to pred as it is, at
+    most once, and a refused one is not extended: by the precondition no
+    partition that starts with it can pass.
 
     A window of more than ORACLE_MAX_PARTITIONS partitions is refused
-    before the walk starts.  A window within it cannot reach the recursion
-    limit: with m = min(x_max, q_max) it holds every partition of n <= m,
-    and those alone pass the bound at m = 63, so the walk, one level per
-    part, stays below 63 levels.
+    before the walk starts, however few of them the walk would reach.  A
+    window within it cannot reach the recursion limit: with m = min(x_max,
+    q_max) it holds every partition of n <= m, and those alone pass the
+    bound at m = 63, so the walk, one level per part, stays below 63 levels.
     """
     _check_orders(x_max, q_max)
     if window_partitions(x_max, q_max, ORACLE_MAX_PARTITIONS) > ORACLE_MAX_PARTITIONS:
@@ -135,9 +128,10 @@ def oracle_genfun(pred: Callable[[Parts], bool], x_max: int, q_max: int) -> Seri
     coeffs: dict[tuple[int, int], int] = {}
 
     def walk(parts: Parts, size: int, cap: int) -> None:
-        if pred(parts):
-            key = (len(parts), size)
-            coeffs[key] = coeffs.get(key, 0) + 1
+        if not pred(parts):
+            return
+        key = (len(parts), size)
+        coeffs[key] = coeffs.get(key, 0) + 1
         if len(parts) < x_max:
             for a in range(1, min(cap, q_max - size) + 1):
                 walk(parts + (a,), size + a, a)

@@ -6,11 +6,12 @@ row slices of the one weighing kernel behind every Series operator (for
 products, sums and the shift x -> x q^s alike), a product and a sum for
 every row instead of row slices summed once per distinct row,
 explicit walk enumeration instead of matrix products, a bijective partition
-counter instead of filtering, a full-box multi-sum enumeration instead of the
-pruned walk, a memoless certificate search instead of the memoized one, a
-recursive memoized certificate search instead of the bottom-up one, and a
-recursive chain expansion of an ideal's members instead of the level-wise
-walk.  Agreement between the routes is the point.
+counter instead of filtering, a filter over every partition in the window
+instead of the oracle's walk that stops at the first refused prefix, a
+full-box multi-sum enumeration instead of the pruned walk, a memoless
+certificate search instead of the memoized one, a recursive memoized
+certificate search instead of the bottom-up one, and a recursive chain
+expansion of an ideal's members instead of the level-wise walk.  Agreement between the routes is the point.
 
 One helper is not a second route: walk_genfun_matrix lays the library's
 walk products out as the full walk-matrix, a form only the tests need, so
@@ -24,6 +25,7 @@ predicates over indices, where the library loops over zipped pairs.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import product
 
@@ -185,6 +187,32 @@ def oplus(p: Parts, r: Parts) -> Parts:
 def s_tail(p: Parts, s: int) -> Parts:
     """The sub-partition of parts that are <= s."""
     return tuple(a for a in p if a <= s)
+
+
+def partitions_of(n: int) -> Iterator[Parts]:
+    """All partitions of n, in lexicographic order of their part lists."""
+
+    def gen(remaining: int, cap: int) -> Iterator[Parts]:
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(1, min(cap, remaining) + 1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    return gen(n, n)
+
+
+def filter_genfun(pred: Callable[[Parts], bool], x_max: int, q_max: int) -> Series:
+    """Sum of x^(number of parts) q^(size) over the partitions of n <= q_max
+    with at most x_max parts that satisfy pred, each one enumerated and
+    tested: pred need not be hereditary."""
+    coeffs: dict[tuple[int, int], int] = {}
+    for n in range(q_max + 1):
+        for p in partitions_of(n):
+            if len(p) <= x_max and pred(p):
+                coeffs[(len(p), n)] = coeffs.get((len(p), n), 0) + 1
+    return Series(coeffs, x_max, q_max)
 
 
 def gap_reference(p: Parts, d: int, k: int) -> bool:

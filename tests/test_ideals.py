@@ -18,6 +18,7 @@ from oracles import (
     naive_add,
     naive_shift_x,
     oplus,
+    partitions_of,
     phi,
     recursive_enumerate_members,
     walk_genfun_matrix,
@@ -39,7 +40,6 @@ from spanone.partitions import (
     kr_i1_predicate,
     oracle_genfun,
     parse_partition,
-    partitions_of,
     satisfies_gap,
 )
 from spanone.qdiff import QDiffSystem

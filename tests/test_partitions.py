@@ -8,7 +8,16 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_gap2, gap_reference, kr_i1_reference, oplus, phi, s_tail
+from oracles import (
+    count_gap2,
+    filter_genfun,
+    gap_reference,
+    kr_i1_reference,
+    oplus,
+    partitions_of,
+    phi,
+    s_tail,
+)
 from spanone import partitions
 from spanone.partitions import (
     ORACLE_MAX_PARTITIONS,
@@ -17,7 +26,6 @@ from spanone.partitions import (
     kr_i1_predicate,
     oracle_genfun,
     parse_partition,
-    partitions_of,
     satisfies_gap,
     window_partitions,
 )
@@ -188,13 +196,40 @@ def test_oracle_genfun_calls_pred_once_per_partition(x_max):
 
     s = oracle_genfun(pred, x_max, 12)
     every = [p for n in range(13) for p in partitions_of(n) if len(p) <= x_max]
-    assert sorted(seen) == sorted(every)
+    # the walk reaches a partition only through its prefixes, and extends none that pred refuses
+    reached = [p for p in every if all(satisfies_gap(p[:i], 2, 1) for i in range(len(p)))]
+    assert len(reached) < len(every) or x_max == 0
+    assert sorted(seen) == sorted(reached)
     assert s.x_max == x_max and s.q_max == 12
     for m in range(x_max + 1):
         for n in range(13):
             assert s.coeff(m, n) == sum(
                 1 for p in every if len(p) == m and sum(p) == n and satisfies_gap(p, 2, 1)
             ), (m, n)
+
+
+# the oracle's two predicates: gap(d, k) for d in -2..5 and k in 1..4, and kr-i1
+ORACLE_PREDICATES = [
+    *((f"gap({d}, {k})", lambda p, d=d, k=k: satisfies_gap(p, d, k)) for d in range(-2, 6) for k in range(1, 5)),
+    ("kr-i1", kr_i1_predicate),
+]
+PREDICATE_IDS = [name for name, _ in ORACLE_PREDICATES]
+
+
+@pytest.mark.parametrize("name, pred", ORACLE_PREDICATES, ids=PREDICATE_IDS)
+def test_oracle_predicates_are_hereditary(name, pred):
+    # oracle_genfun's precondition: dropping the smallest part keeps a partition that passes
+    for n in range(19):
+        for p in partitions_of(n):
+            if pred(p):
+                assert pred(p[:-1]), (name, p)
+
+
+@pytest.mark.parametrize("name, pred", ORACLE_PREDICATES, ids=PREDICATE_IDS)
+def test_oracle_genfun_equals_the_exhaustive_filter(name, pred):
+    for q_max in (0, 1, 2, 5, 10, 20):
+        for x_max in sorted({0, 1, 3, q_max}):
+            assert oracle_genfun(pred, x_max, q_max) == filter_genfun(pred, x_max, q_max), (name, x_max, q_max)
 
 
 def _window_count(x_max: int, q_max: int) -> int:
@@ -222,13 +257,19 @@ def test_window_partitions_of_the_documented_windows():
 @pytest.mark.parametrize("x_max, q_max", [(4, 9), (9, 4), (6, 6)])
 def test_oracle_refuses_a_window_one_partition_over_its_bound(x_max, q_max, monkeypatch):
     seen = []
+
+    def record(p):
+        # always true, so that the walk reaches the whole window
+        seen.append(p)
+        return True
+
     exact = _window_count(x_max, q_max)
     monkeypatch.setattr(partitions, "ORACLE_MAX_PARTITIONS", exact - 1)
     with pytest.raises(ValueError, match="lower --qmax or --xmax"):
-        oracle_genfun(seen.append, x_max, q_max)
+        oracle_genfun(record, x_max, q_max)
     assert seen == []
     monkeypatch.setattr(partitions, "ORACLE_MAX_PARTITIONS", exact)
-    oracle_genfun(seen.append, x_max, q_max)
+    oracle_genfun(record, x_max, q_max)
     assert len(seen) == exact
 
 
