@@ -80,7 +80,10 @@ def _series_payload(s: Series) -> dict:
 def _parse_beta(text: str) -> tuple[int, ...]:
     if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
         raise ValueError(f"bad beta {text!r}, expected comma-separated integers")
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+        raise ValueError(f"--beta: {exc}") from None
 
 
 def _order(flag: str, value: int) -> int:
@@ -167,7 +170,12 @@ def cmd_ideal_members(args) -> int:
 
 def cmd_ideal_contains(args) -> int:
     ideal = ideals.load_ideal(args.file)
-    lam = partitions.parse_partition(args.partition)
+    try:
+        lam = partitions.parse_partition(args.partition)
+    except ValueError as exc:  # python's refusal of a part past sys.get_int_max_str_digits() names nothing
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"partition: {exc}") from None
     chain = ideals.contains(ideal, lam)
     if chain is None:
         _emit(
@@ -329,19 +337,13 @@ def cmd_multisum_check(args) -> int:
 # -- prove / verify / export ----------------------------------------------
 
 
-def _checked_rows(fs: prover.FactorizationSystem, x_max: int, q_max: int) -> tuple[dict, list[bool]]:
-    """Rejected certificates, and per row: no rejected certificate and a numeric match."""
-    bad_certs = prover.check_certs(fs)
-    rows_ok = prover.verify_numeric(fs, x_max, q_max)
-    return bad_certs, [ok and b not in bad_certs for ok, b in zip(rows_ok, fs.betas)]
-
-
 def cmd_prove(args) -> int:
     x_max, q_max = _orders(args)
     budget = _nonnegative("--max-expansions", args.max_expansions)
     p, S, betas = prover.load_system_spec(args.file)
     fs = prover.assemble_system(p, S, betas, budget)
-    _, rows_ok = _checked_rows(fs, x_max, q_max)
+    # the trees were just read into U and V by the relation code check_certs runs
+    rows_ok = prover.verify_numeric(fs, x_max, q_max)
 
     positivity = {b: multisum.check_positivity(p, b) for b in sorted(set(fs.betas))}
     additional = multisum.check_additional(p, S)
@@ -395,7 +397,10 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     x_max, q_max = _orders(args)
     fs = prover.load_factorization(args.file)
-    bad_certs, rows_ok = _checked_rows(fs, x_max, q_max)
+    bad_certs = prover.check_certs(fs)
+    numeric = prover.verify_numeric(fs, x_max, q_max)
+    # a row passes on a numeric match and an accepted certificate
+    rows_ok = [ok and b not in bad_certs for ok, b in zip(numeric, fs.betas)]
     lines = [f"system {args.file}  K={fs.K} S={fs.S}  qmax={q_max} xmax={x_max}"]
     for k, ok in enumerate(rows_ok):
         lines.append(f"row {k + 1}: {prover._beta_label(fs.betas[k])} == selected combination: {'ok' if ok else 'MISMATCH'}")
@@ -625,6 +630,10 @@ def main(argv=None) -> int:
     except prover.SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
+    except prover.AssemblyError as exc:
+        # trees that do not assemble into U and V fault no one field, so the file is named
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 2
     except RecursionError:
         # jsonin.load, its error messages and the tree walks recurse once per level of
         # nesting; the oracle's walk, the one other recursion, is bounded by its window

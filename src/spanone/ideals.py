@@ -74,7 +74,7 @@ class SpanOneIdeal(namedtuple("SpanOneIdeal", "pi linking S")):
             except ValueError as exc:
                 problems.append(f"pi_{j}: {exc}")
         if len(self.linking) != K:
-            problems.append(f"need one linking set per seed, got {len(self.linking)} for {K}")
+            problems.append(f"need one linking set per seed, got {len(self.linking)} for the {K} seeds of pi")
         first: dict[Parts, int] = {}
         repeats = [f"pi_{j} repeats pi_{first[p]}" for j, p in seeds if first.setdefault(p, j) != j]
         if repeats:

@@ -37,14 +37,19 @@ Pochhammers are kept as dense q-rows of ints, each step of n_r one in-place
 division by (1 - q^(A_r n_r)).
 
 A batch of checks in one process (the acceptance suite, a run over many
-mutated factorizations) asks for the same few H again and again, so eval_H
-keeps a bounded LRU memo keyed on (profile, tuple(beta), x_max, q_max).
-Handing one result to many callers is safe: a Series and its rows are
-never mutated once built, the series row check only reads rows and copies
-any it cuts, and MultisumProfile is an immutable namedtuple, hashed and
-compared as the tuple of its fields.  A walk that raises stores nothing, so
-a negative summand raises again on every call.  The memo holds at most
-_MEMO_SIZE series; a miss runs the walk above.
+mutated factorizations) asks for the same H and the same identities again
+and again, so two bounded LRU memos keep them.  eval_H keeps _MEMO_SIZE
+series, keyed on (profile, tuple(beta), x_max, q_max).  _row_holds keeps
+_ROW_MEMO_SIZE bools, each the check of one identity H(root) = sum of
+e x^m q^n H(beta)(x q^S), keyed on every value it reads: the profile, S,
+the root, its terms (beta, e, (m, n)) and the window.  A factorization row
+is such an identity, so a system with one entry changed checks only the
+rows that read it; a two-term relation is one at S = 0.  Handing one
+result to many callers is safe: a Series and its rows are never mutated
+once built, the series row check only reads rows and copies any it cuts,
+and MultisumProfile is an immutable namedtuple, hashed and compared as the
+tuple of its fields.  A call that raises stores nothing, so a negative
+summand raises again on every call.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ Beta = tuple[int, ...]
 
 # distinct (profile, beta, x_max, q_max) whose H eval_H keeps
 _MEMO_SIZE = 256
+
+# distinct (profile, S, root, terms, x_max, q_max) whose check _row_holds keeps
+_ROW_MEMO_SIZE = 512
 
 
 class MultisumProfile(namedtuple("MultisumProfile", "alpha gamma A")):
@@ -86,7 +94,7 @@ class MultisumProfile(namedtuple("MultisumProfile", "alpha gamma A")):
                 raise ValueError(f"gamma entries must be >= 1, got {g} in gamma entry {r + 1}")
         for r, a in enumerate(self.A):
             if a < 1:
-                raise ValueError(f"Pochhammer moduli must be >= 1, got {a} in A entry {r + 1}")
+                raise ValueError(f"A entries (Pochhammer moduli) must be >= 1, got {a} in A entry {r + 1}")
         return self
 
     @property
@@ -97,17 +105,6 @@ class MultisumProfile(namedtuple("MultisumProfile", "alpha gamma A")):
 def _check_beta(p: MultisumProfile, beta: Beta) -> None:
     if len(beta) != p.R:
         raise ValueError(f"beta has rank {len(beta)}, profile has rank {p.R}")
-
-
-def energy(p: MultisumProfile, beta: Beta, n: tuple[int, ...]) -> int:
-    """The q-exponent E(n) of the summand indexed by n."""
-    _check_beta(p, beta)
-    e = 0
-    for r in range(p.R):
-        e += p.alpha[r][r] * n[r] * (n[r] - 1) // 2 + beta[r] * n[r]
-        for s in range(r + 1, p.R):
-            e += p.alpha[r][s] * n[r] * n[s]
-    return e
 
 
 def check_positivity(p: MultisumProfile, beta: Beta) -> bool:
@@ -239,13 +236,24 @@ def check_additional(p: MultisumProfile, S: int) -> bool:
 
 def verify_recurrence_numeric(p: MultisumProfile, beta: Beta, r: int, x_max: int, q_max: int) -> bool:
     """Check H(beta) = H(left) + x^gamma_r q^beta_r H(right) to truncation:
-    the one-row system with A = ((0, 1, 1),) and S = 0 on (H(beta), H(left),
-    H(right))."""
+    the identity of _row_holds at S = 0, with its check kept in that memo.
+    A negative q-exponent beta_r is refused first, by name."""
     left, (xe, qe), right = rec_children(p, beta, r)
     if qe < 0:
         raise ValueError(f"weight exponent q^{qe} is negative; not a power series identity")
-    H = [eval_H(p, b, x_max, q_max) for b in (beta, left, right)]
-    return _rows_hold(((0, 1, 1),), ((0, 0), (0, 0), (xe, qe)), 0, H)[0]
+    return _row_holds(p, 0, tuple(beta), ((left, 1, (0, 0)), (right, 1, (xe, qe))), x_max, q_max)
+
+
+@lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _row_holds(p: MultisumProfile, S: int, root: Beta, terms: tuple[tuple[Beta, int, tuple[int, int]], ...],
+               x_max: int, q_max: int) -> bool:
+    """Does H(root) equal the sum over terms (beta, e, (m, n)) of
+    e x^m q^n H(beta)(x q^S)?  A one-row system through series' row check;
+    see the module docstring for the memo."""
+    betas = (root, *(b for b, _, _ in terms))
+    H = {b: eval_H(p, b, x_max, q_max) for b in dict.fromkeys(betas)}
+    return _rows_hold(((0, *(e for _, e, _ in terms)),), ((0, 0), *(w for _, _, w in terms)), S,
+                      [H[b] for b in betas])[0]
 
 
 # -- JSON interface ------------------------------------------------------
@@ -256,7 +264,10 @@ def profile_from_json(data: dict, where: str = "malformed profile description: "
     alpha = jsonin.rows(jsonin.field(data, "alpha", where), where + "alpha")
     gamma = jsonin.integers(jsonin.field(data, "gamma", where), where + "gamma")
     A = jsonin.integers(jsonin.field(data, "A", where), where + "A")
-    return MultisumProfile(alpha=alpha, gamma=gamma, A=A)
+    try:
+        return MultisumProfile(alpha=alpha, gamma=gamma, A=A)
+    except ValueError as exc:  # its checks name the fields, and where the profile inside a document
+        raise ValueError(f"{where}{exc}") from None
 
 
 def profile_to_json(p: MultisumProfile) -> dict:

@@ -28,37 +28,27 @@ a right move along an all-zero alpha row: a self-loop, never counted.
 derive_row collects the betas of all of a system's roots in one pass, so
 each beta is expanded and solved once per system, whichever roots reach it.
 
-verify_numeric checks a system row by row to a truncation order.  A batch
-of checks in one process (the acceptance suite, a run over many mutated
-systems) asks for the same rows again and again, so the check of one row is
-kept in a bounded LRU memo, _row_holds, keyed on the profile, S, the root
-beta_k, the (beta_j, U_kj, V_j) of the columns the row selects, and the
-window.  That is every value the row's equation reads, so a system with
-one U entry changed checks only its new row, and one with V_j moved only
-the rows that select column j.  A miss runs the row as a one-row system
-through series' row check, on H values from eval_H's memo, and stores only
-the bool; a check that raises stores nothing.  The memo holds at most
-_ROW_MEMO_SIZE rows.
+verify_numeric checks a system row by row to a truncation order, each row
+through multisum's memoized check of one H identity, so a batch of checks
+in one process checks each distinct row once while the memo keeps it.
+Checking the certificate trees is check_certs' work; assemble_system reads
+its trees with the same leaf_combination and rec_children, so the trees it
+derives need no second check.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import jsonin
-from .multisum import (Beta, MultisumProfile, _check_beta, _children, eval_H, profile_from_json,
+from .multisum import (Beta, MultisumProfile, _check_beta, _children, _row_holds, eval_H, profile_from_json,
                        profile_to_json, rec_children, shift_beta)
-from .series import _check_weighing, _rows_hold
+from .series import _check_weighing
 
 
 # the default expansion budget of a certificate search, on the command line too
 MAX_EXPANSIONS = 64
-
-# distinct (profile, S, root, selected columns, x_max, q_max) whose row check
-# verify_numeric keeps
-_ROW_MEMO_SIZE = 512
 
 
 class SearchExhausted(RuntimeError):
@@ -267,15 +257,18 @@ def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool
 
     Each distinct H is evaluated first and S and V are checked as series'
     row check checks them, so a refused system raises what the check of the
-    whole system at once would raise first.  Row k depends only on beta_k
-    and the (beta_j, U_kj, V_j) of the columns it selects, so each distinct
-    (beta_k, U row) is looked up once per call in _row_holds' memo, which
-    checks a row once per process while it stays among the last
-    _ROW_MEMO_SIZE checked; see the module docstring.
+    whole system at once would raise first.  Row k is the identity
+    H(beta_k) = sum of U_kj V_j H(beta_j)(x q^S) over the columns it
+    selects, so each distinct (beta_k, U row) is checked once per call by
+    multisum._row_holds, whose memo keeps the result for later calls; see
+    multisum's module docstring.  The certificate trees are not read.
     """
     p, S, V = fs.profile, fs.S, fs.V
     for b in dict.fromkeys(fs.betas):
-        eval_H(p, b, x_max, q_max)
+        try:
+            eval_H(p, b, x_max, q_max)
+        except ValueError as exc:
+            raise ValueError(f"evaluating betas row {fs.betas.index(b) + 1}: {exc}") from None
     _check_weighing(V, S)
     keys = list(zip(fs.betas, map(tuple, fs.U)))
     checked = {
@@ -284,17 +277,6 @@ def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool
         for b, row in dict.fromkeys(keys)
     }
     return [checked[key] for key in keys]
-
-
-@lru_cache(maxsize=_ROW_MEMO_SIZE)
-def _row_holds(p: MultisumProfile, S: int, root: Beta, terms: tuple[tuple[Beta, int, tuple[int, int]], ...],
-               x_max: int, q_max: int) -> bool:
-    """Does H(root) equal the sum over terms (beta, e, (m, n)) of
-    e x^m q^n H(beta)(x q^S)?  A one-row system through series' row check."""
-    betas = (root, *(b for b, _, _ in terms))
-    H = {b: eval_H(p, b, x_max, q_max) for b in dict.fromkeys(betas)}
-    return _rows_hold(((0, *(e for _, e, _ in terms)),), ((0, 0), *(w for _, _, w in terms)), S,
-                      [H[b] for b in betas])[0]
 
 
 def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:
@@ -453,7 +435,7 @@ def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
     try:
         leaf_combination(p, tree)
     except ValueError as exc:
-        raise ValueError(f"{where}tree: {exc}") from None
+        raise ValueError(f"{where}tree does not fit the profile: {exc}") from None
     return p, S, tree
 
 
@@ -555,7 +537,7 @@ def load_factorization(path: str) -> FactorizationSystem:
     U, V = (jsonin.field(data, key, "a proved system needs both U and V, but ") for key in "UV")
     for key, rows in (("U", U), ("V", V)):
         if type(rows) is not list or len(rows) != K:
-            raise ValueError(f"{key} must be a list of K={K} rows")
+            raise ValueError(f"{key} must be a list of K={K} rows, one per row of betas")
     U, V = jsonin.rows(U, "U", K, 0, 1), jsonin.rows(V, "V", 2, 0)
     certs = _certs_from_json(data, betas, p.R)
     return FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)

@@ -54,7 +54,7 @@ class QDiffSystem(namedtuple("QDiffSystem", "A weights S")):
         if K == 0:
             raise ValueError("A is empty: the system needs at least one vertex")
         if len(self.weights) != K:
-            raise ValueError(f"need one weight pair per vertex, got {len(self.weights)} weights for {K} vertices")
+            raise ValueError(f"need one weight pair per vertex, got {len(self.weights)} weights for the {K} rows of A")
         for k, row in enumerate(self.A):
             if len(row) != K:
                 raise ValueError(f"adjacency matrix must be square, got {len(row)} entries in A row {k + 1} "
@@ -68,12 +68,11 @@ class QDiffSystem(namedtuple("QDiffSystem", "A weights S")):
             if e != 1:
                 raise ValueError(f"first adjacency row must be all ones, got {e} in A row 1, column {j + 1}")
         if self.weights[0] != (0, 0):
-            raise ValueError("vertex 1 must be weightless")
+            raise ValueError(f"vertex 1 must be weightless, got {list(self.weights[0])} in weights entry 1")
         for k in range(1, K):
-            if self.weights[k][0] < 1:
-                raise ValueError(f"vertex {k + 1} needs x-degree >= 1 in its weight")
-            if self.weights[k][1] < 1:
-                raise ValueError(f"vertex {k + 1} needs q-degree >= 1 in its weight")
+            for degree, name in zip(self.weights[k], "xq"):
+                if degree < 1:
+                    raise ValueError(f"vertex {k + 1} needs {name}-degree >= 1, got {degree} in weights entry {k + 1}")
         if self.S < 1:
             raise ValueError(f"shift must be >= 1, got {self.S}")
         return self

@@ -113,9 +113,6 @@ class Series:
         """Nonzero terms ((m, n), c) in graded-lex order: by q-degree, then x-degree."""
         return [((m, n), c) for n, col in enumerate(zip(*self._rows)) for m, c in enumerate(col) if c]
 
-    def is_zero(self) -> bool:
-        return not self._rows
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":

@@ -20,7 +20,9 @@ moves phi, oplus and s_tail: they are the definitions the paper builds
 members from, which the tests use to rebuild and split partitions.  Like
 the library, they take and return partitions as plain part tuples.  The
 predicates gap_reference and kr_i1_reference restate the library's two
-predicates over indices, where the library loops over zipped pairs.
+predicates over indices, where the library loops over zipped pairs, and
+energy states a multi-sum's q-exponent E(n) as defined, which the
+positivity tests check check_positivity's closed form against.
 """
 
 from __future__ import annotations
@@ -99,13 +101,22 @@ def naive_weigh_rows(A, weights, vec, shift: int = 0) -> list[Series]:
     return out
 
 
+def energy(p: MultisumProfile, beta: Beta, n: tuple[int, ...]) -> int:
+    """The q-exponent E(n) of the summand of H(beta) indexed by n, from its
+    definition."""
+    R = p.R
+    return sum(
+        p.alpha[r][s] * n[r] * n[s] for r in range(R) for s in range(r + 1, R)
+    ) + sum(p.alpha[r][r] * n[r] * (n[r] - 1) // 2 + beta[r] * n[r] for r in range(R))
+
+
 def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     """H(beta) summed over the whole box gamma . n <= x_max, with no pruning.
 
-    Each E(n) is computed from the definition and each reciprocal
-    Pochhammer is multiplied out factor by factor with naive_mul.  The box
-    is walked in lexicographic order, so the first summand with a negative
-    q-exponent raises the same error as eval_H.
+    Each E(n) is computed by energy and each reciprocal Pochhammer is
+    multiplied out factor by factor with naive_mul.  The box is walked in
+    lexicographic order, so the first summand with a negative q-exponent
+    raises the same error as eval_H.
     """
     R = p.R
     coeffs: dict[tuple[int, int], int] = {}
@@ -113,9 +124,7 @@ def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Seri
         xdeg = sum(g * k for g, k in zip(p.gamma, n))
         if xdeg > x_max:
             continue
-        e = sum(
-            p.alpha[r][s] * n[r] * n[s] for r in range(R) for s in range(r + 1, R)
-        ) + sum(p.alpha[r][r] * n[r] * (n[r] - 1) // 2 + beta[r] * n[r] for r in range(R))
+        e = energy(p, beta, n)
         if e < 0:
             raise ValueError(f"summand n={n} of H(beta={beta}) has negative q-exponent {e}")
         if e > q_max:

@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -569,6 +571,36 @@ def test_verify_detects_broken_matrix(run_cli, tmp_path):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("system", ["kr", "ex3"])
+def test_verify_checks_a_system_without_certificates(system, run_cli, tmp_path):
+    # {profile, S, betas, U, V}, as every mutants op of the benchmark reads: only the rows are checked
+    outdir = tmp_path / system
+    run_cli(["prove", fx(f"{system}_system.json"), "--qmax", "8", "--out", str(outdir)])
+    proved = json.loads((outdir / "system.json").read_text())
+    del proved["certs"]
+    K = len(proved["betas"])
+
+    def flip_u(d):
+        d["U"][1][0] ^= 1
+
+    def move_v(d):
+        d["V"][1][1] += 1
+
+    for edit, failing in ((lambda d: None, set()), (flip_u, {1}), (move_v, None)):
+        data = json.loads(json.dumps(proved))
+        edit(data)
+        path = tmp_path / "uv.json"
+        path.write_text(json.dumps(data))
+        code, out, payload = run_cli(["verify", str(path), "--qmax", "12"])
+        assert "certs_rejected" not in payload and "rejected" not in out
+        if failing is None:
+            # V_2 moved: row 1, which selects every column, fails among others
+            assert code == 1 and payload["rows"][0] is False
+        else:
+            assert code == (1 if failing else 0)
+            assert payload["rows"] == [k not in failing for k in range(K)]
+
+
 def test_verify_batch_is_the_same_with_a_warm_memo(tmp_path, capsys):
     """Every U-mutant and V-mutant of kr verified in one process: the memos
     of H(beta) and of row checks carried from op to op change no exit code
@@ -598,7 +630,7 @@ def test_verify_batch_is_the_same_with_a_warm_memo(tmp_path, capsys):
 
     def clear() -> None:
         multisum._walk_H.cache_clear()
-        prover._row_holds.cache_clear()
+        multisum._row_holds.cache_clear()
 
     def run(cold: bool) -> list[tuple[int, str]]:
         results = []
@@ -613,7 +645,7 @@ def test_verify_batch_is_the_same_with_a_warm_memo(tmp_path, capsys):
     for _ in range(2):
         clear()
         passes.append(run(cold=False))
-    assert prover._row_holds.cache_info().hits > 0
+    assert multisum._row_holds.cache_info().hits > 0
     cold = run(cold=True)
     assert passes[0] == passes[1] == cold
     assert len(cold) == 49 + 26
@@ -763,7 +795,7 @@ def test_no_pinned_command_calls_the_traced_only_operators(tmp_path, capsys, mon
         monkeypatch.setattr(Series, name, refuse)
     # a memo hit would skip the walk behind eval_H or a row check
     multisum._walk_H.cache_clear()
-    prover._row_holds.cache_clear()
+    multisum._row_holds.cache_clear()
     for system, digests in PROOF_DIGESTS.items():
         assert _proof_digests(system, tmp_path, capsys) == digests
     fixtures = str(spanone.fixture_path(""))
@@ -826,26 +858,30 @@ def _kr_spec(edit) -> dict:
         (["qdiff", "solve", "@"], {"A": [[1, 0], [1, 1]], "weights": [[0, 0], [1, 1]], "S": 1},
          "first adjacency row must be all ones, got 0 in A row 1, column 2"),
         (["prove", "@"], _kr_spec(lambda p: p["A"].__setitem__(1, 0)),
-         "Pochhammer moduli must be >= 1, got 0 in A entry 2"),
+         "malformed system description: profile.A entries (Pochhammer moduli) must be >= 1, got 0 in A entry 2"),
         (["prove", "@"], _kr_spec(lambda p: p["gamma"].__setitem__(0, 0)),
-         "gamma entries must be >= 1, got 0 in gamma entry 1"),
+         "malformed system description: profile.gamma entries must be >= 1, got 0 in gamma entry 1"),
         (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][0].__setitem__(1, 5))["profile"],
-         "alpha must be symmetric, got 5 in alpha row 1, column 2 and 3 in row 2, column 1"),
+         "malformed profile description: alpha must be symmetric, got 5 in alpha row 1, column 2 and 3 in row 2, column 1"),
         (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][1].__setitem__(1, -1))["profile"],
-         "alpha entries must be >= 0, got -1 in alpha row 2, column 2"),
+         "malformed profile description: alpha entries must be >= 0, got -1 in alpha row 2, column 2"),
         # an empty row used to end in an index error, read before its length was checked
         (["multisum", "eval", "@", "--beta", "1,3"], _kr_spec(lambda p: p["alpha"][1].clear())["profile"],
-         "alpha must be square, got 0 entries in alpha row 2 for rank 2"),
+         "malformed profile description: alpha must be square, got 0 entries in alpha row 2 for rank 2"),
         (["ideal", "genfun", "@"], {"S": 1, "pi": ["empty", "1"], "linking": [[1, 2]]},
-         "need one linking set per seed, got 1 for 2"),
+         "need one linking set per seed, got 1 for the 2 seeds of pi"),
         (["ideal", "genfun", "@"], {"S": 1, "pi": ["empty", "1", "1"], "linking": [[1, 2, 3], [1], [1]]},
          "seed partitions must be distinct, got pi_3 repeats pi_2"),
         (["ideal", "genfun", "@"], {"S": 1, "pi": ["empty", "1"], "linking": [[1, 2], [1, 3]]},
          "linking set of pi_2 mentions index 3 outside 1..2"),
         (["qdiff", "solve", "@"], {"A": [[1, 1], [1, 0]], "weights": [[0, 0]], "S": 1},
-         "need one weight pair per vertex, got 1 weights for 2 vertices"),
+         "need one weight pair per vertex, got 1 weights for the 2 rows of A"),
         (["qdiff", "solve", "@"], {"A": [[1, 1], [1, 0]], "weights": [[0, 0], [1, 0]], "S": 1},
-         "vertex 2 needs q-degree >= 1 in its weight"),
+         "vertex 2 needs q-degree >= 1, got 0 in weights entry 2"),
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [1, 0]], "weights": [[0, 0], [0, 1]], "S": 1},
+         "vertex 2 needs x-degree >= 1, got 0 in weights entry 2"),
+        (["qdiff", "solve", "@"], {"A": [[1, 1], [1, 0]], "weights": [[0, 5], [1, 1]], "S": 1},
+         "vertex 1 must be weightless, got [0, 5] in weights entry 1"),
         (["qdiff", "solve", "@"], {"A": 5, "weights": [[0, 0]], "S": 1},
          "malformed q-difference system description: A must be a list of rows, got 5"),
         (["verify", "@", "--qmax", "6"],
@@ -863,14 +899,17 @@ def _kr_spec(edit) -> dict:
          "--coord must be in 1..2, got 0"),
         (["multisum", "rec", "@", "--beta", "1,3", "--coord", "3"], _kr_spec(lambda p: None)["profile"],
          "--coord must be in 1..2, got 3"),
+        # the relation at beta_1 = -1 weighs its right child by q^-1
+        (["multisum", "rec", "@", "--beta=-1,3", "--coord", "1"], _kr_spec(lambda p: None)["profile"],
+         "weight exponent q^-1 is negative; not a power series identity"),
         # the kr-i1 oracle has no use for --d and --k, so it refuses them rather than ignore them
         (["oracle", "kr-i1", "--d", "3", "--qmax", "3"], {}, "the kr-i1 oracle takes no --d"),
         (["oracle", "kr-i1", "--k", "1"], {}, "the kr-i1 oracle takes no --k"),
     ],
     ids=["adjacency-2", "adjacency-not-square", "first-column", "first-row", "zero-modulus", "zero-gamma",
          "asymmetric-alpha", "negative-alpha", "alpha-not-square", "linking-count", "repeated-seed",
-         "linking-index", "weights-count", "zero-q-degree", "rows-not-a-list", "repeated-cert-root",
-         "negative-max-expansions", "negative-shift", "negative-check-shift", "coord-0", "coord-3",
+         "linking-index", "weights-count", "zero-q-degree", "zero-x-degree", "weighed-vertex-1", "rows-not-a-list", "repeated-cert-root",
+         "negative-max-expansions", "negative-shift", "negative-check-shift", "coord-0", "coord-3", "negative-weight",
          "kr-i1-d", "kr-i1-k"],
 )
 def test_structural_errors_name_the_entry(tmp_path, capsys, argv, data, message):
@@ -879,6 +918,24 @@ def test_structural_errors_name_the_entry(tmp_path, capsys, argv, data, message)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer strings")
+@pytest.mark.parametrize("argv, name", [
+    (["ideal", "contains", fx("rr.json"), "1" * 700], "partition"),
+    (["multisum", "eval", fx("kr_profile.json"), "--beta", "1," + "1" * 700], "--beta"),
+], ids=["partition", "beta"])
+def test_an_integer_past_the_digit_limit_is_named_by_its_argument(argv, name, capsys):
+    # python refuses to convert a string of more digits than its limit, with a message naming nothing
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {name}: Exceeds the limit (640 digits) for integer string conversion")
 
 
 def _verify_edited(tmp_path, capsys, edit) -> tuple[int, str]:
@@ -1089,17 +1146,31 @@ def _swap_root_children(d):
          lambda d: _leftmost_leaf(d["certs"][0]["tree"]).__setitem__("beta", [7]),
          "certs entry 1 tree: beta must be a list of 2 integers, got [7]"),
         (["export", "@", "--format", "json"], "cert_1_3.cert.json", _swap_root_children,
-         "malformed certificate document: tree: children of (1, 3) do not match coordinate 2"),
+         "malformed certificate document: tree does not fit the profile: children of (1, 3) do not match coordinate 2"),
         (["export", "@", "--format", "dot"], "cert_1_3.cert.json", _swap_root_children,
-         "malformed certificate document: tree: children of (1, 3) do not match coordinate 2"),
+         "malformed certificate document: tree does not fit the profile: children of (1, 3) do not match coordinate 2"),
         (["export", "@", "--format", "json"], "cert_1_3.cert.json", lambda d: d["tree"].__setitem__("coord", 9),
-         "malformed certificate document: tree: coordinate must be in 1..2, got 9"),
+         "malformed certificate document: tree does not fit the profile: coordinate must be in 1..2, got 9"),
         (["export", "@", "--format", "dot"], "cert_1_3.cert.json", lambda d: d["tree"].__setitem__("coord", 9),
-         "malformed certificate document: tree: coordinate must be in 1..2, got 9"),
+         "malformed certificate document: tree does not fit the profile: coordinate must be in 1..2, got 9"),
+        # a profile inside a document is named by its key, also where its own checks refuse it
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json", lambda d: d["profile"]["gamma"].__setitem__(0, 0),
+         "malformed certificate document: profile.gamma entries must be >= 1, got 0 in gamma entry 1"),
+        (["verify", "@", "--qmax", "8"], "system.json", lambda d: d["profile"]["A"].__setitem__(0, -1),
+         "malformed system description: profile.A entries (Pochhammer moduli) must be >= 1, got -1 in A entry 1"),
+        # a tree that another profile's relations unfold
+        (["export", "@", "--format", "json"], "cert_1_3.cert.json", lambda d: d["profile"].__setitem__("A", [1, 4]),
+         "malformed certificate document: tree does not fit the profile: children of (1, 3) do not match coordinate 2"),
+        (["verify", "@", "--qmax", "8"], "system.json", lambda d: d["betas"].append([1, 3]),
+         "U must be a list of K=8 rows, one per row of betas"),
+        # H(-2, 3) is no power series: its summand n = (1, 0) has q-exponent -2
+        (["verify", "@", "--qmax", "8"], "system.json", lambda d: d["betas"].__setitem__(3, [-2, 3]),
+         "evaluating betas row 4: summand n=(1, 0) of H(beta=(-2, 3)) has negative q-exponent -2"),
     ],
     ids=["verify-S", "verify-S-no-certs", "prove-S", "export-S", "export-json-root",
          "export-dot-root", "export-leaf-rank", "verify-leaf-rank", "export-json-swapped",
-         "export-dot-swapped", "export-json-coord", "export-dot-coord"],
+         "export-dot-swapped", "export-json-coord", "export-dot-coord", "export-profile-gamma",
+         "verify-profile-A", "export-other-profile", "verify-betas-past-U", "verify-negative-summand"],
 )
 def test_malformed_shift_and_certificates_are_named_where_read(tmp_path, capsys, argv, name, edit, message):
     # each used to exit 0, exit 1, or fail deep in the work without naming the field
@@ -1305,10 +1376,12 @@ def test_prove_reports_a_leaf_no_column_can_take(tmp_path, capsys):
     spec["betas"] = [[1], [1], [3], [4]]
     path = tmp_path / "ex1_bad_row.json"
     path.write_text(json.dumps(spec))
-    assert main(["prove", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: row 4: no unmatched column with weight x^0 q^0 left for target (5,)\n"
-    )
+    # no one field is at fault, so the file is named; verify assembles a bare spec the same way
+    for command in ("prove", "verify"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 4: no unmatched column with weight x^0 q^0 left for target (5,)\n"
+        )
 
 
 def test_prove_rejects_negative_budget(capsys):
@@ -1368,3 +1441,110 @@ def test_output_is_deterministic(run_cli):
     _, first, _ = run_cli(argv)
     _, second, _ = run_cli(argv)
     assert first == second
+
+
+def _fuzz_documents() -> dict:
+    """kind -> (document, argv with @ for its file): one fixture document for
+    each reader a command runs."""
+    def doc(name: str) -> dict:
+        return json.loads(open(fx(name)).read())
+
+    fs = prover.assemble_system(*prover.load_system_spec(fx("kr_system.json")))
+    proved = json.loads(json.dumps(prover.system_result_to_json(fs)))
+    root = min(fs.certs)
+    cert = json.loads(json.dumps(prover.cert_to_json(fs.profile, fs.S, fs.certs[root])))
+    ex1 = prover.assemble_system(*prover.load_system_spec(fx("ex1_system.json")))
+    bare = {"A": [list(r) for r in ex1.U], "weights": [list(v) for v in ex1.V], "S": ex1.S}
+    return {
+        "ideal": (doc("rr.json"), ["ideal", "genfun", "@"]),
+        "profile": (doc("kr_profile.json"), ["multisum", "eval", "@", "--beta", "1,3"]),
+        "spec": (doc("kr_system.json"), ["prove", "@"]),
+        "proved": (proved, ["verify", "@"]),
+        "proved-uv": ({k: v for k, v in proved.items() if k != "certs"}, ["verify", "@"]),
+        "cert": (cert, ["export", "@", "--format", "json"]),
+        "bare": (bare, ["qdiff", "solve", "@"]),
+    }
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+# the words the docs use for a top-level key, beside the key itself
+FUZZ_KEY_WORDS = {("ideal", "S"): ("span",), ("spec", "S"): ("shift",), ("proved", "S"): ("shift",),
+                  ("proved-uv", "S"): ("shift",), ("cert", "S"): ("shift",), ("bare", "S"): ("shift",)}
+
+
+def _negated(v):
+    """v with every number negated, every bool flipped and every string signed."""
+    if type(v) is bool:
+        return not v
+    if type(v) is int:
+        return -v
+    if type(v) is str:
+        return "-" + v
+    if type(v) is list:
+        return [_negated(e) for e in v]
+    if type(v) is dict:
+        return {k: _negated(e) for k, e in v.items()}
+    return v
+
+
+@st.composite
+def _fuzzed_document(draw):
+    """(kind, document, path, value): one field of a fixture document,
+    reached along path, replaced by a value of another type, by its
+    negation, by a larger value of its kind or by the value nested deeper."""
+    kind = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    doc = json.loads(json.dumps(FUZZ_DOCUMENTS[kind][0]))
+    node, path = doc, []
+    while True:
+        key = draw(st.sampled_from(sorted(node)) if type(node) is dict else st.integers(0, len(node) - 1))
+        path.append(key)
+        child = node[key]
+        if type(child) in (dict, list) and child and draw(st.booleans()):
+            node = child
+            continue
+        break
+    old = node[key]
+    how = draw(st.sampled_from(["type", "negate", "grow", "nest"]))
+    if how == "type":
+        new = draw(st.sampled_from([None, True, 1.5, "1", [], {}, 7]).filter(lambda v: type(v) is not type(old)))
+    elif how == "negate":
+        new = _negated(old)
+    elif how == "grow":
+        if type(old) is int:
+            new = draw(st.integers(abs(old), 10**6))
+        elif type(old) is list:
+            new = old + draw(st.lists(st.sampled_from(old) if old else st.integers(0, 10**6),
+                                      min_size=1, max_size=max(1, 20 - len(old))))
+        elif type(old) is str:
+            new = "+".join([old] * draw(st.integers(2, 20)))
+        elif type(old) is dict:
+            new = {**old, **{f"{k}{i}": v for i in range(1, draw(st.integers(2, 4))) for k, v in old.items()}}
+        else:
+            new = old
+    else:
+        new = old
+        for wrap in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+            new = [new] if wrap else {"beta": new}
+    node[key] = new
+    return kind, doc, path, new
+
+
+@settings(max_examples=400)
+@given(_fuzzed_document())
+def test_every_reader_survives_a_fuzzed_field(case):
+    # each command returns one of its exit codes, and a refusal names the file or the field's top-level key
+    kind, doc, path, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "input.json")
+        with open(file, "w") as fh:
+            json.dump(doc, fh)
+        argv = [file if a == "@" else a for a in FUZZ_DOCUMENTS[kind][1]]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--qmax", "6"] if argv[0] != "export" else argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith("error: ")
+        words = (str(path[0]), *FUZZ_KEY_WORDS.get((kind, path[0]), ()))
+        assert file in message or any(re.search(rf"\b{re.escape(w)}(_\d+)?\b", message) for w in words), message

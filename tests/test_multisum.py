@@ -12,7 +12,6 @@ from spanone.multisum import (
     MultisumProfile,
     check_additional,
     check_positivity,
-    energy,
     eval_H,
     profile_from_json,
     profile_to_json,
@@ -23,7 +22,7 @@ from spanone.multisum import (
 from spanone.partitions import kr_i1_predicate, oracle_genfun, satisfies_gap
 from spanone.series import Series
 
-from oracles import naive_add, naive_eval_H, naive_mul
+from oracles import energy, naive_add, naive_eval_H, naive_mul
 
 
 def test_profile_validation():
@@ -284,6 +283,13 @@ def test_shift_beta_examples(ex1_profile, kr_profile, ex3_profile):
     assert shift_beta(kr_profile, (1, 3), 3) == (4, 9)
     assert shift_beta(ex3_profile, (1, 2, 4), 3) == (4, 8, 13)
     assert shift_beta(kr_profile, (2, 6), 0) == (2, 6)
+
+
+def test_a_negative_shift_is_refused(kr_profile):
+    with pytest.raises(ValueError, match=r"^shift must be >= 0, got -1$"):
+        shift_beta(kr_profile, (1, 3), -1)
+    with pytest.raises(ValueError, match=r"^shift must be >= 0, got -1$"):
+        check_additional(kr_profile, -1)
 
 
 def test_check_additional(ex1_profile, kr_profile, ex3_profile):

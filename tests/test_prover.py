@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_min_expansions, naive_shift_x, naive_weigh_rows, recursive_derive_row
-from spanone import prover
+from spanone import multisum, prover
 from spanone.multisum import MultisumProfile, eval_H, shift_beta
 from spanone.prover import (
     AssemblyError,
@@ -442,6 +442,19 @@ def _mutants(fs) -> list[FactorizationSystem]:
     return mutants
 
 
+def test_derive_row_refuses_no_targets_and_a_negative_budget(kr_profile):
+    with pytest.raises(ValueError, match=r"^target set must be nonempty$"):
+        derive_row(kr_profile, [(1, 3)], frozenset())
+    with pytest.raises(ValueError, match=r"^max_expansions must be >= 0, got -1$"):
+        derive_row(kr_profile, [(1, 3)], KR_TARGETS, -1)
+
+
+def test_assemble_system_refuses_a_system_without_components(kr_system):
+    p, S, _ = kr_system
+    with pytest.raises(ValueError, match=r"^need at least one component$"):
+        assemble_system(p, S, [])
+
+
 def test_verify_numeric_rows_equal_oracle_on_every_kr_mutant(kr_system):
     # the whole row vector, not only the mutated row: equal rows share one sum
     fs = assemble_system(*kr_system)
@@ -473,7 +486,8 @@ def test_verify_numeric_raises_eval_H_error_on_negative_energy(kr_system):
         eval_H(fs.profile, bad, 12, 12)
     with pytest.raises(ValueError) as raised:
         verify_numeric(fs._replace(betas=fs.betas[:3] + (bad,) + fs.betas[4:]), 12, 12)
-    assert str(raised.value) == str(expected.value)
+    # named by the row of betas that holds it
+    assert str(raised.value) == f"evaluating betas row 4: {expected.value}"
     assert "negative q-exponent" in str(raised.value)
 
 
@@ -502,9 +516,9 @@ def test_verify_numeric_tells_equal_u_rows_apart_by_beta(kr_system):
 @pytest.fixture()
 def cold_rows():
     """verify_numeric's row memo, emptied before and after the test."""
-    prover._row_holds.cache_clear()
-    yield prover._row_holds
-    prover._row_holds.cache_clear()
+    multisum._row_holds.cache_clear()
+    yield multisum._row_holds
+    multisum._row_holds.cache_clear()
 
 
 def _batch_rows(fs, x_max: int, q_max: int) -> list[bool]:
@@ -556,9 +570,9 @@ def test_row_memo_keeps_each_root_weight_and_entry_apart(kr_system, cold_rows):
 def test_row_memo_is_bounded(ex1_system, cold_rows):
     # ex1 has two distinct (beta, U row) pairs, so each window adds two rows
     fs = assemble_system(*ex1_system)
-    for q_max in range(prover._ROW_MEMO_SIZE // 2 + 20):
+    for q_max in range(multisum._ROW_MEMO_SIZE // 2 + 20):
         assert verify_numeric(fs, 1, q_max) == [True] * 3
-    assert cold_rows.cache_info().currsize == prover._ROW_MEMO_SIZE
+    assert cold_rows.cache_info().currsize == multisum._ROW_MEMO_SIZE
     # the oldest rows were dropped and are checked again
     misses = cold_rows.cache_info().misses
     verify_numeric(fs, 1, 0)

@@ -183,6 +183,13 @@ def test_check_system_accepts_solution(rr_ideal, kr_ideal):
         assert check_system(sys, F)
 
 
+def test_check_system_refuses_the_wrong_number_of_components(rr_ideal):
+    sys = associated_graph(rr_ideal)
+    F = solve(sys, 6, 6)
+    with pytest.raises(ValueError, match=rf"^expected {sys.K} component series, got {sys.K - 1}$"):
+        check_system(sys, F[:-1])
+
+
 def test_check_system_rejects_perturbation(rr_ideal):
     sys = associated_graph(rr_ideal)
     F = solve(sys, 10, 10)
