@@ -20,7 +20,8 @@ reader leaves to it, and pathlib only for prove --out.
 Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
 check that came back true, 1 a check that came back false, 2 usage or input
-errors, 3 certificate search exhaustion.
+errors, 3 no factorization found (no certificate within the budget, or
+certificates that do not assemble into U and V; inconclusive).
 """
 
 from __future__ import annotations
@@ -397,10 +398,10 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     x_max, q_max = _orders(args)
     fs = prover.load_factorization(args.file)
-    bad_certs = prover.check_certs(fs)
+    bad_certs, bad_rows = prover.check_certs(fs)
     numeric = prover.verify_numeric(fs, x_max, q_max)
-    # a row passes on a numeric match and an accepted certificate
-    rows_ok = [ok and b not in bad_certs for ok, b in zip(numeric, fs.betas)]
+    # a row passes on a numeric match and no rejection by its root's certificate
+    rows_ok = [ok and k not in bad_rows for k, ok in enumerate(numeric)]
     lines = [f"system {args.file}  K={fs.K} S={fs.S}  qmax={q_max} xmax={x_max}"]
     for k, ok in enumerate(rows_ok):
         lines.append(f"row {k + 1}: {prover._beta_label(fs.betas[k])} == selected combination: {'ok' if ok else 'MISMATCH'}")
@@ -630,10 +631,6 @@ def main(argv=None) -> int:
     except prover.SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
-    except prover.AssemblyError as exc:
-        # trees that do not assemble into U and V fault no one field, so the file is named
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
     except RecursionError:
         # jsonin.load, its error messages and the tree walks recurse once per level of
         # nesting; the oracle's walk, the one other recursion, is bounded by its window

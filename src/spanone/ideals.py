@@ -46,10 +46,6 @@ from .series import Series, _check_orders, _weigh
 CONTAINS_MAX_WINDOWS = 10**5
 
 
-class IdealError(ValueError):
-    """Structural violation in an ideal or digraph definition."""
-
-
 class SpanOneIdeal(namedtuple("SpanOneIdeal", "pi linking S")):
     """Seed partitions, linking sets (1-based index sets), and span; an
     invalid ideal cannot be built."""
@@ -96,7 +92,7 @@ class SpanOneIdeal(namedtuple("SpanOneIdeal", "pi linking S")):
         elif self.S < max_part:
             problems.append(f"span {self.S} is smaller than the largest seed part {max_part}")
         if problems:
-            raise IdealError("; ".join(problems))
+            raise ValueError("; ".join(problems))
         return self
 
     @property
@@ -253,7 +249,7 @@ def ideal_from_json(data: dict) -> SpanOneIdeal:
                 raise ValueError(f"linking row {j} repeats an index, got {json.dumps(list(row))}")
         linking = tuple(map(frozenset, linking))
     except ValueError as exc:
-        raise IdealError(f"malformed ideal description: {exc}") from None
+        raise ValueError(f"malformed ideal description: {exc}") from None
     return SpanOneIdeal(pi=pi, linking=linking, S=S)
 
 

@@ -52,11 +52,8 @@ MAX_EXPANSIONS = 64
 
 
 class SearchExhausted(RuntimeError):
-    """No certificate exists within the expansion budget (not a refutation)."""
-
-
-class AssemblyError(ValueError):
-    """Certificates found, but they do not assemble into a factorization."""
+    """No factorization found: no certificate within the expansion budget,
+    or certificates that do not assemble into U and V (not a refutation)."""
 
 
 Leaf = namedtuple("Leaf", "beta")
@@ -157,7 +154,7 @@ def leaf_combination(p: MultisumProfile, tree: Node) -> list[tuple[Beta, tuple[i
     Sorted by target beta then exponents; duplicates are meaningful (one
     entry per leaf occurrence in the unfolded tree).  The first node, in
     preorder, whose children are not those of its coordinate's relation
-    raises an AssemblyError naming it.
+    raises a ValueError naming it.
     """
     out: list[tuple[Beta, tuple[int, int]]] = []
 
@@ -167,7 +164,7 @@ def leaf_combination(p: MultisumProfile, tree: Node) -> list[tuple[Beta, tuple[i
             return
         left, (wx, wq), right = rec_children(p, node.beta, node.coord)
         if node.left.beta != left or node.right.beta != right:
-            raise AssemblyError(f"children of {node.beta} do not match coordinate {node.coord}")
+            raise ValueError(f"children of {node.beta} do not match coordinate {node.coord}")
         walk(node.left, xe, qe)
         walk(node.right, xe + wx, qe + wq)
 
@@ -194,14 +191,16 @@ def assemble_system(
 ) -> FactorizationSystem:
     """Derive certificates for every distinct root and pin down U and V.
 
-    One derive_row call searches from every root; the first root, in the
-    order of betas, that has no tree within max_expansions raises
-    SearchExhausted.  Each root's tree is read once into its leaves,
-    counted by (shifted beta, weight).  Row 1 fixes V: each group of
-    columns sharing one shifted beta takes row 1's leaf weights on that
+    SearchExhausted means the search found no factorization: no tree
+    within the budget, or trees that do not assemble into U and V (neither
+    is a refutation).  One derive_row call searches from every root; the
+    first root, in the order of betas, that has no tree within
+    max_expansions raises it.  Each root's tree is read once into its
+    leaves, counted by (shifted beta, weight).  Row 1 fixes V: each group
+    of columns sharing one shifted beta takes row 1's leaf weights on that
     target in sorted order.  Row k sets, for a leaf it holds c times, the
     first c columns with that (shifted beta_j, V_j); too few such columns
-    is an AssemblyError naming the row.
+    raises it, naming the row.
 
     No check is needed after that: row 1 selects every column, since V is
     its own leaves, and every row selects column 1, since a right edge adds
@@ -225,13 +224,13 @@ def assemble_system(
     weights = {t: [w for (b, w), c in leaves[betas[0]] if b == t for _ in range(c)] for t in rank}
     for t, ws in weights.items():
         if len(ws) != shifted.count(t):
-            raise AssemblyError(
+            raise SearchExhausted(
                 f"row 1 produces {len(ws)} leaves for target {t}, "
                 f"but {shifted.count(t)} components shift onto it"
             )
     V = [weights[t].pop(0) for t in shifted]
     if V[0] != (0, 0):
-        raise AssemblyError(f"leading diagonal entry must be 1, got exponents {V[0]}")
+        raise SearchExhausted(f"leading diagonal entry must be 1, got exponents {V[0]}")
 
     columns: dict[tuple[Beta, tuple[int, int]], list[int]] = {}
     for j, key in enumerate(zip(shifted, V)):
@@ -242,7 +241,7 @@ def assemble_system(
         for (t, w), c in leaves[root]:
             js = columns.get((t, w), [])
             if len(js) < c:
-                raise AssemblyError(
+                raise SearchExhausted(
                     f"row {k + 1}: no unmatched column with weight "
                     f"x^{w[0]} q^{w[1]} left for target {t}"
                 )
@@ -279,41 +278,49 @@ def verify_numeric(fs: FactorizationSystem, x_max: int, q_max: int) -> list[bool
     return [checked[key] for key in keys]
 
 
-def check_certs(fs: FactorizationSystem) -> dict[Beta, str]:
-    """Exact check of the certificate trees in fs.certs: root -> why it fails.
+def check_certs(fs: FactorizationSystem) -> tuple[dict[Beta, str], set[int]]:
+    """Exact check of the certificate trees in fs.certs: root -> why its
+    tree fails, and the 0-based rows k that fail.
 
-    The tree for root must start at root, and one leaf_combination walk
-    must find every node's children right, every leaf among the shifted
-    betas, and as leaves exactly {(beta_j + S gamma, V_j) : U_kj = 1} for
-    every row k with betas[k] == root; each distinct U row is compared once
-    and the first failing row is named.  A passing tree proves those rows
-    as identities of formal series, with no truncation.
+    A tree that does not start at its root, breaks the relation at a node
+    (leaf_combination names the first) or has a leaf outside the shifted
+    betas fails every row k with betas[k] == root.  Any other tree fails
+    only the rows whose {(beta_j + S gamma, V_j) : U_kj = 1} are not its
+    leaves; each distinct (root, U row) is compared once and the root's
+    first failing row is named.  A passing tree proves its rows as
+    identities of formal series, with no truncation.
     """
     if not fs.certs:
-        return {}
+        return {}, set()
     p = fs.profile
     shifted = [shift_beta(p, b, fs.S) for b in fs.betas]
-    rows: dict[Beta, dict[tuple[int, ...], int]] = {}  # root -> U row -> first k
-    for k, (b, row) in enumerate(zip(fs.betas, fs.U)):
-        rows.setdefault(b, {}).setdefault(tuple(row), k)
     failures: dict[Beta, str] = {}
+    leaves = {}  # root -> its tree's leaves, for each tree that failures does not name
     for root, tree in fs.certs.items():
+        if tree.beta != root:
+            failures[root] = f"tree starts at {tree.beta}"
+            continue
         try:
-            if tree.beta != root:
-                raise AssemblyError(f"tree starts at {tree.beta}")
-            leaves = leaf_combination(p, tree)
+            found = leaf_combination(p, tree)
         except ValueError as exc:
             failures[root] = str(exc)
             continue
-        stray = next((b for b, _ in leaves if b not in shifted), None)
-        if stray is not None:
+        stray = next((b for b, _ in found if b not in shifted), None)
+        if stray is None:
+            leaves[root] = found
+        else:
             failures[root] = f"leaf {stray} is not a target"
+    failed = {k for k, b in enumerate(fs.betas) if b in failures}
+    matches: dict[tuple[Beta, tuple[int, ...]], bool] = {}  # (root, U row) -> are its entries the leaves
+    for k, (root, row) in enumerate(zip(fs.betas, map(tuple, fs.U))):
+        if root not in leaves:
             continue
-        for row, k in rows.get(root, {}).items():
-            if leaves != sorted((shifted[j], fs.V[j]) for j, u in enumerate(row) if u):
-                failures[root] = f"its leaves are not row {k + 1} of U and V"
-                break
-    return failures
+        if (root, row) not in matches:
+            matches[root, row] = leaves[root] == sorted((shifted[j], fs.V[j]) for j, u in enumerate(row) if u)
+        if not matches[root, row]:
+            failed.add(k)
+            failures.setdefault(root, f"its leaves are not row {k + 1} of U and V")
+    return failures, failed
 
 
 def equivalent_systems(
@@ -527,12 +534,13 @@ def _certs_from_json(data: dict, betas: list, R: int) -> dict:
 
 def load_factorization(path: str) -> FactorizationSystem:
     """A proved system (U, V and optional certs beside the spec), or a bare
-    spec, which is assembled here.  A file holding any of U, V or certs is a
-    proved system, so it needs both U and V."""
+    spec, which is assembled here and returned without its trees: they were
+    read into U and V by the relation code check_certs runs.  A file holding
+    any of U, V or certs is a proved system, so it needs both U and V."""
     data = jsonin.load(path)
     p, S, betas = system_spec_from_json(data)
     if not {"U", "V", "certs"} & data.keys():
-        return assemble_system(p, S, betas)
+        return assemble_system(p, S, betas)._replace(certs={})
     K = len(betas)
     U, V = (jsonin.field(data, key, "a proved system needs both U and V, but ") for key in "UV")
     for key, rows in (("U", U), ("V", V)):

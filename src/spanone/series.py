@@ -23,21 +23,17 @@ a * b one row holding b's coefficients, with b's monomials as the weights.
 
 A series only ever *knows* coefficients inside its truncation rectangle.
 Asking for a coefficient outside the rectangle is a programming error and
-raises :class:`TruncationRangeError` rather than returning 0, because a
-truncated series carries no information out there.  Operations on series
-with different rectangles are fine: _common, the one rule that picks a
-rectangle, puts the result on the intersection (componentwise minimum of
-the orders), which is exactly the region where every operand is meaningful.
+raises IndexError rather than returning 0, because a truncated series
+carries no information out there.  Operations on series with different
+rectangles are fine: _common, the one rule that picks a rectangle, puts
+the result on the intersection (componentwise minimum of the orders),
+which is exactly the region where every operand is meaningful.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add
-
-
-class TruncationRangeError(LookupError):
-    """Coefficient query outside a series' truncation rectangle."""
 
 
 def _check_orders(x_max: int, q_max: int) -> None:
@@ -103,7 +99,7 @@ class Series:
     def coeff(self, m: int, n: int) -> int:
         """Exact coefficient of x^m q^n; error if (m, n) is outside the rectangle."""
         if not (0 <= m <= self.x_max and 0 <= n <= self.q_max):
-            raise TruncationRangeError(
+            raise IndexError(
                 f"coefficient x^{m} q^{n} outside truncation region "
                 f"[0..{self.x_max}] x [0..{self.q_max}]"
             )

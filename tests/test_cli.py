@@ -571,6 +571,33 @@ def test_verify_detects_broken_matrix(run_cli, tmp_path):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("system, flip, qmaxes, failing", [
+    ("kr", (5, 1), ("12",), [5]),
+    ("ex3", (3, 1), ("12", "40"), [3]),
+])
+def test_a_certificate_fails_only_the_rows_its_leaves_differ_from(system, flip, qmaxes, failing, run_cli, tmp_path):
+    # one U entry flipped in a row whose root has other rows: the root's tree
+    # still matches those, so with certs the rows are those without certs
+    outdir = tmp_path / system
+    run_cli(["prove", fx(f"{system}_system.json"), "--qmax", "12", "--out", str(outdir)])
+    data = json.loads((outdir / "system.json").read_text())
+    i, j = flip
+    data["U"][i][j] ^= 1
+    with_certs, without = tmp_path / "certs.json", tmp_path / "bare.json"
+    with_certs.write_text(json.dumps(data))
+    del data["certs"]
+    without.write_text(json.dumps(data))
+    K, root = len(data["betas"]), ",".join(map(str, data["betas"][i]))
+    for qmax in qmaxes:
+        code, out, payload = run_cli(["verify", str(with_certs), "--qmax", qmax])
+        code_bare, _, bare = run_cli(["verify", str(without), "--qmax", qmax])
+        assert code == code_bare == 1
+        assert payload["rows"] == bare["rows"] == [k not in failing for k in range(K)]
+        assert out.count("MISMATCH") == 1
+        assert payload["certs_rejected"] == {root: f"its leaves are not row {i + 1} of U and V"}
+        assert f"rejected: its leaves are not row {i + 1} of U and V" in out
+
+
 @pytest.mark.parametrize("system", ["kr", "ex3"])
 def test_verify_checks_a_system_without_certificates(system, run_cli, tmp_path):
     # {profile, S, betas, U, V}, as every mutants op of the benchmark reads: only the rows are checked
@@ -1376,11 +1403,27 @@ def test_prove_reports_a_leaf_no_column_can_take(tmp_path, capsys):
     spec["betas"] = [[1], [1], [3], [4]]
     path = tmp_path / "ex1_bad_row.json"
     path.write_text(json.dumps(spec))
-    # no one field is at fault, so the file is named; verify assembles a bare spec the same way
+    # the search found no factorization, which is inconclusive; verify assembles a bare spec the same way
     for command in ("prove", "verify"):
-        assert main([command, str(path)]) == 2
+        assert main([command, str(path)]) == 3
         assert capsys.readouterr().err == (
-            f"error: {path}: row 4: no unmatched column with weight x^0 q^0 left for target (5,)\n"
+            "search exhausted: row 4: no unmatched column with weight x^0 q^0 left for target (5,)\n"
+        )
+
+
+def test_prove_and_verify_exit_three_when_the_trees_do_not_assemble(tmp_path, capsys):
+    # a well-formed kr spec whose first alpha entry is 3: every root has a tree,
+    # but row 1's tree has too few leaves on one target to fill its columns
+    spec = json.loads(open(fx("kr_system.json")).read())
+    spec["profile"]["alpha"][0][0] = 3
+    path = tmp_path / "kr_alpha3.json"
+    path.write_text(json.dumps(spec))
+    for command in ("prove", "verify"):
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "search exhausted: row 1 produces 3 leaves for target (4, 9), but 4 components shift onto it\n"
         )
 
 

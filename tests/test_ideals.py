@@ -25,7 +25,6 @@ from oracles import (
 )
 from spanone.cli import main
 from spanone.ideals import (
-    IdealError,
     SpanOneIdeal,
     associated_graph,
     contains,
@@ -69,42 +68,42 @@ def test_kr_fixture_shape(kr_ideal):
 
 
 def test_validate_rejects_small_span(rr_ideal):
-    with pytest.raises(IdealError, match="largest seed part"):
+    with pytest.raises(ValueError, match="largest seed part"):
         SpanOneIdeal(pi=rr_ideal.pi, linking=rr_ideal.linking, S=1)
 
 
 def test_validate_rejects_missing_empty_link(rr_ideal):
     linking = (rr_ideal.linking[0], rr_ideal.linking[1], frozenset({3}))
-    with pytest.raises(IdealError, match="missing from the linking set"):
+    with pytest.raises(ValueError, match="missing from the linking set"):
         SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=2)
 
 
 def test_validate_rejects_partial_empty_linking(rr_ideal):
     linking = (frozenset({1, 2}),) + rr_ideal.linking[1:]
-    with pytest.raises(IdealError, match="link to every seed"):
+    with pytest.raises(ValueError, match="link to every seed"):
         SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=2)
 
 
 def test_validate_rejects_nonempty_first_seed():
     pi = (parse_partition("1"), parse_partition("2"))
     linking = (frozenset({1, 2}), frozenset({1}))
-    with pytest.raises(IdealError, match="pi_1 must be the empty"):
+    with pytest.raises(ValueError, match="pi_1 must be the empty"):
         SpanOneIdeal(pi=pi, linking=linking, S=2)
 
 
 def test_validate_reports_multiple_problems(rr_ideal):
     linking = (frozenset({1, 2}), rr_ideal.linking[1], frozenset({3}))
-    with pytest.raises(IdealError, match="missing from the linking set.*largest seed part"):
+    with pytest.raises(ValueError, match="missing from the linking set.*largest seed part"):
         SpanOneIdeal(pi=rr_ideal.pi, linking=linking, S=1)
 
 
 def test_validate_rejects_seeds_that_are_no_partitions():
     linking = (frozenset({1, 2, 3}),) * 3
-    with pytest.raises(IdealError, match=re.escape("pi_2: parts must be weakly decreasing, got (1, 3)")):
+    with pytest.raises(ValueError, match=re.escape("pi_2: parts must be weakly decreasing, got (1, 3)")):
         SpanOneIdeal(pi=((), (1, 3), (2,)), linking=linking, S=3)
     # reported among the other problems, each seed by its own index
     with pytest.raises(
-        IdealError, match=r"pi_3: parts must be positive, got 0;.*span must be >= 1, got 0"
+        ValueError, match=r"pi_3: parts must be positive, got 0;.*span must be >= 1, got 0"
     ):
         SpanOneIdeal(pi=((), (2,), (1, 0)), linking=linking, S=0)
 
@@ -113,12 +112,12 @@ def test_validate_rejects_seeds_that_are_no_tuples_of_ints():
     # a library caller's seed that no parser made: refused by index, not
     # with a TypeError from hashing or comparing it
     linking = (frozenset({1, 2}),) * 2
-    with pytest.raises(IdealError, match=re.escape("pi_2: a seed must be a tuple of ints, got [1]")):
+    with pytest.raises(ValueError, match=re.escape("pi_2: a seed must be a tuple of ints, got [1]")):
         SpanOneIdeal(pi=((), [1]), linking=linking, S=1)
-    with pytest.raises(IdealError, match=re.escape("pi_2: a seed must be a tuple of ints, got '1'")):
+    with pytest.raises(ValueError, match=re.escape("pi_2: a seed must be a tuple of ints, got '1'")):
         SpanOneIdeal(pi=((), "1"), linking=linking, S=1)
     # among the other problems, each seed by its own index
-    with pytest.raises(IdealError, match=r"^pi_2: .*got \(1, '2'\); pi_3: .*got \(True,\); span must be >= 1"):
+    with pytest.raises(ValueError, match=r"^pi_2: .*got \(1, '2'\); pi_3: .*got \(True,\); span must be >= 1"):
         SpanOneIdeal(pi=((), (1, "2"), (True,)), linking=(frozenset({1, 2, 3}),) * 3, S=0)
 
 
@@ -127,18 +126,18 @@ def test_validate_rejects_linking_sets_that_are_no_frozensets_of_ints():
     # from comparing a str with the index range, no complaint about the empty
     # partition's links when its set has the wrong type, no float accepted
     pi = ((), (1,))
-    with pytest.raises(IdealError, match=r"^linking_1: a linking set must be a frozenset of ints, got "
+    with pytest.raises(ValueError, match=r"^linking_1: a linking set must be a frozenset of ints, got "
                                          r"frozenset\(\{.*'2'.*\}\)$"):
         SpanOneIdeal(pi=pi, linking=(frozenset({1, "2"}), frozenset({1})), S=1)
-    with pytest.raises(IdealError, match=re.escape(
+    with pytest.raises(ValueError, match=re.escape(
             "linking_1: a linking set must be a frozenset of ints, got [1, 2]; "
             "linking_2: a linking set must be a frozenset of ints, got [1, 2]")) as info:
         SpanOneIdeal(pi=pi, linking=([1, 2], [1, 2]), S=1)
     assert "empty partition" not in str(info.value)
-    with pytest.raises(IdealError,
+    with pytest.raises(ValueError,
                        match=r"^linking_2: .*got frozenset\(\{.*2\.0.*\}\); span must be >= 1, got 0$"):
         SpanOneIdeal(pi=pi, linking=(frozenset({1, 2}), frozenset({1, 2.0})), S=0)
-    with pytest.raises(IdealError, match=r"^linking_1: .*got frozenset\(\{.*2\.0.*\}\)$"):
+    with pytest.raises(ValueError, match=r"^linking_1: .*got frozenset\(\{.*2\.0.*\}\)$"):
         SpanOneIdeal(pi=pi, linking=(frozenset({1, 2.0}), frozenset({1})), S=1)
 
 
@@ -391,13 +390,13 @@ def test_json_round_trip(rr_ideal):
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(IdealError):
+    with pytest.raises(ValueError):
         ideal_from_json({"S": 2, "pi": ["empty"]})
-    with pytest.raises(IdealError):
+    with pytest.raises(ValueError):
         ideal_from_json({"S": 2, "pi": ["empty", "1"], "linking": [[1, 2], "nope"]})
-    with pytest.raises(IdealError, match=r"pi entry 2: bad partition literal '1_0'"):
+    with pytest.raises(ValueError, match=r"pi entry 2: bad partition literal '1_0'"):
         ideal_from_json({"S": 2, "pi": ["empty", "1_0", "2"], "linking": [[1, 2, 3], [1, 2, 3], [1, 3]]})
-    with pytest.raises(IdealError, match=re.escape("pi entry 2: parts must be weakly decreasing, got (1, 2)")):
+    with pytest.raises(ValueError, match=re.escape("pi entry 2: parts must be weakly decreasing, got (1, 2)")):
         ideal_from_json({"S": 2, "pi": ["empty", "1+2"], "linking": [[1, 2], [1, 2]]})
 
 

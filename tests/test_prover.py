@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_min_expansions, naive_shift_x, naive_weigh_rows, recursive_derive_row
+import spanone
 from spanone import multisum, prover
 from spanone.multisum import MultisumProfile, eval_H, shift_beta
 from spanone.prover import (
-    AssemblyError,
     Expand,
     FactorizationSystem,
     Leaf,
@@ -252,11 +252,11 @@ def test_tree_monotone_along_paths(kr_profile):
 
 def test_leaf_combination_rejects_mismatched_children(kr_profile):
     bad = Expand((2, 6), 1, Leaf((4, 9)), Leaf((5, 12)))
-    with pytest.raises(AssemblyError, match=r"^children of \(2, 6\) do not match coordinate 1$"):
+    with pytest.raises(ValueError, match=r"^children of \(2, 6\) do not match coordinate 1$"):
         leaf_combination(kr_profile, bad)
     # below a sound root: (3, 9) expands along coordinate 1 into (4, 9) and (5, 12)
     deep = Expand((3, 6), 2, Expand((3, 9), 1, Leaf((5, 12)), Leaf((4, 9))), Leaf((6, 12)))
-    with pytest.raises(AssemblyError, match=r"^children of \(3, 9\) do not match coordinate 1$"):
+    with pytest.raises(ValueError, match=r"^children of \(3, 9\) do not match coordinate 1$"):
         leaf_combination(kr_profile, deep)
 
 
@@ -344,12 +344,12 @@ def test_equivalence_is_sharp(kr_system):
 
 
 def test_assemble_rejects_leaf_count_mismatch(ex1_profile):
-    with pytest.raises(AssemblyError, match="row 1 produces 2 leaves"):
+    with pytest.raises(SearchExhausted, match="row 1 produces 2 leaves"):
         assemble_system(ex1_profile, 2, [(1,), (2,)])
 
 
 def test_assemble_rejects_missing_unit_diagonal(ex1_profile):
-    with pytest.raises(AssemblyError, match="leading diagonal"):
+    with pytest.raises(SearchExhausted, match="leading diagonal"):
         assemble_system(ex1_profile, 2, [(2,), (1,)])
 
 
@@ -367,9 +367,9 @@ def test_assembled_systems_are_certified_and_select_column_one(ex1_system, kr_sy
     rest += data.draw(st.lists(st.sampled_from(betas) | near, max_size=2))
     try:
         fs = assemble_system(p, S, [betas[0], *rest])
-    except (AssemblyError, SearchExhausted):
+    except SearchExhausted:
         return
-    assert check_certs(fs) == {}
+    assert check_certs(fs) == ({}, set())
     assert all(e == 1 for e in fs.U[0])
     assert all(row[0] == 1 for row in fs.U)
     for k, b in enumerate(fs.betas):
@@ -380,16 +380,28 @@ def test_check_certs_names_each_rejection(kr_system):
     fs = assemble_system(*kr_system)  # roots (1, 3), (2, 6), (3, 6); rows 4 and 6 are (2, 6)
     flipped = [list(row) for row in fs.U]
     flipped[5][1] ^= 1
+    both = [list(row) for row in flipped]
+    both[3][2] ^= 1
+    # a tree that is wrong in itself fails every row of its root (0-based rows
+    # 0, 1, 2 and 4 are (1, 3)), a tree whose leaves differ from some rows only
+    # those rows, naming the first
     cases = [
-        ((1, 3), fs.certs[(2, 6)], fs.U, "tree starts at (2, 6)"),
-        ((1, 3), Leaf((1, 3)), fs.U, "leaf (1, 3) is not a target"),
-        ((9, 9), Leaf((9, 9)), fs.U, "leaf (9, 9) is not a target"),
+        ((1, 3), fs.certs[(2, 6)], fs.U, "tree starts at (2, 6)", {0, 1, 2, 4}),
+        ((1, 3), Leaf((1, 3)), fs.U, "leaf (1, 3) is not a target", {0, 1, 2, 4}),
+        ((9, 9), Leaf((9, 9)), fs.U, "leaf (9, 9) is not a target", set()),
         ((2, 6), Expand((2, 6), 1, Leaf((4, 9)), Leaf((5, 12))), fs.U,
-         "children of (2, 6) do not match coordinate 1"),
-        ((2, 6), fs.certs[(2, 6)], tuple(map(tuple, flipped)), "its leaves are not row 6 of U and V"),
+         "children of (2, 6) do not match coordinate 1", {3, 5}),
+        ((2, 6), fs.certs[(2, 6)], tuple(map(tuple, flipped)), "its leaves are not row 6 of U and V", {5}),
+        ((2, 6), fs.certs[(2, 6)], tuple(map(tuple, both)), "its leaves are not row 4 of U and V", {3, 5}),
     ]
-    for root, tree, U, message in cases:
-        assert check_certs(fs._replace(U=U, certs={**fs.certs, root: tree})) == {root: message}
+    for root, tree, U, message, rows in cases:
+        assert check_certs(fs._replace(U=U, certs={**fs.certs, root: tree})) == ({root: message}, rows)
+
+
+def test_a_bare_spec_loads_with_no_trees_to_check_again(kr_system):
+    # its trees were read into U and V as it was assembled; a proved file's are its own
+    fs = prover.load_factorization(spanone.fixture_path("kr_system.json"))
+    assert fs == assemble_system(*kr_system)._replace(certs={})
 
 
 def test_verify_numeric_passes(ex1_system, kr_system):
