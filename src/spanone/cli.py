@@ -198,11 +198,24 @@ def cmd_ideal_contains(args) -> int:
 # -- qdiff ----------------------------------------------------------------
 
 
-def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, ideals.SpanOneIdeal | None]:
+def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, tuple | None]:
+    """The system a qdiff file describes and the independent route check
+    compares solve with, as (its name, a function of the window giving F),
+    or None for a bare {A, weights, S} file.  An ideal file is its
+    digraph's system, with the walk products for F.  A file with betas, a
+    spec or prove's system.json, is F(x) = U V F(xq^S) as the system
+    A = U, weights = V, with F_k = H(beta_k)."""
     data = jsonin.load(path)
     if "pi" in data:
         ideal = ideals.ideal_from_json(data)
-        return ideals.associated_graph(ideal), ideal
+        system = ideals.associated_graph(ideal)
+        return system, ("the walk-product route",
+                        lambda x_max, q_max: qdiff.f_from_g(system, ideals.ideal_genfun_vec(ideal, x_max, q_max)))
+    if "betas" in data:
+        fs = prover.factorization_from_json(data)
+        return qdiff.QDiffSystem(A=fs.U, weights=fs.V, S=fs.S), (
+            "H(beta_k) of the system",
+            lambda x_max, q_max: [multisum.eval_H(fs.profile, b, x_max, q_max) for b in fs.betas])
     return qdiff.system_from_json(data), None
 
 
@@ -220,13 +233,14 @@ def cmd_qdiff_solve(args) -> int:
 
 
 def cmd_qdiff_check(args) -> int:
-    """Check solve against the system it solved and, for an ideal file, against
-    the walk-product route.  On a bare {A, weights, S} file only the first
-    check runs, which cannot fail: it passes for every valid system, so it
-    proves nothing about where the system came from, and the output says
-    so (independent_route false)."""
+    """Check solve against the system it solved and against an independent
+    route: the walk products for an ideal file, H(beta_k) for a file with
+    betas.  On a bare {A, weights, S} file only the first check runs, which
+    cannot fail: it passes for every valid system, so it proves nothing
+    about where the system came from, and the output says so
+    (independent_route false)."""
     x_max, q_max = _orders(args)
-    system, ideal = _load_qdiff_input(args.file)
+    system, route = _load_qdiff_input(args.file)
     F = qdiff.solve(system, x_max, q_max)
     ok_solve = qdiff.check_system(system, F)
     lines = [
@@ -238,12 +252,11 @@ def cmd_qdiff_check(args) -> int:
         "solve_satisfies_system": ok_solve,
     }
     ok_routes = None
-    if ideal is not None:
-        G = ideals.ideal_genfun_vec(ideal, x_max, q_max)
-        F2 = qdiff.f_from_g(system, G)
+    if route is not None:
+        name, other = route
         # both routes live on (x_max, q_max)
-        ok_routes = F == F2
-        lines.append(f"solve agrees with the walk-product route: {ok_routes}")
+        ok_routes = F == other(x_max, q_max)
+        lines.append(f"solve agrees with {name}: {ok_routes}")
         payload["routes_agree"] = ok_routes
     else:
         lines.append("no independent route ran: a bare system is checked only against itself")
@@ -376,10 +389,10 @@ def cmd_prove(args) -> int:
         from pathlib import Path
 
         outdir = Path(args.out)
-        docs = {outdir / "system.json": prover.json_text(result)}
+        docs = {outdir / "system.json": json.dumps(result, sort_keys=True) + "\n"}
         for root, tree in sorted(fs.certs.items()):
             base = outdir / f"cert_{'_'.join(map(str, root))}"
-            docs[base.with_suffix(".cert.json")] = prover.json_text(prover.cert_to_json(p, S, tree))
+            docs[base.with_suffix(".cert.json")] = json.dumps(prover.cert_to_json(p, S, tree), sort_keys=True) + "\n"
             docs[base.with_suffix(".dot")] = prover.tree_to_dot(p, tree)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -421,7 +434,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         text = prover.tree_to_dot(p, tree)
     else:
-        text = prover.json_text(prover.cert_to_json(p, S, tree))
+        text = json.dumps(prover.cert_to_json(p, S, tree), sort_keys=True) + "\n"
     if args.out:
         try:
             _write_text(args.out, text)
@@ -471,11 +484,12 @@ COMMANDS = {
     }),
     "qdiff": ("q-difference systems of ideals and digraphs", {
         "solve": ("unique power-series solution", cmd_qdiff_solve, (
-            ("file", dict(help="ideal json or {A, weights, S} json")),
+            ("file", dict(help="ideal json, {A, weights, S} json, or system json with betas")),
             *ORDERS,
         )),
-        "check": ("consistency of solve and the walk product (ideal files); "
-                  "on a bare {A, weights, S} file it cannot fail", cmd_qdiff_check, (("file", {}), *ORDERS)),
+        "check": ("consistency of solve with the walk product (ideal files) or H(beta_k) "
+                  "(files with betas); on a bare {A, weights, S} file it cannot fail",
+                  cmd_qdiff_check, (("file", {}), *ORDERS)),
     }),
     "multisum": ("Nahm-type multi-sum series", {
         "eval": ("truncated evaluation of H(beta)", cmd_multisum_eval, (*PROFILE_AND_BETA, *ORDERS)),

@@ -39,7 +39,6 @@ derives need no second check.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from json.encoder import encode_basestring_ascii
 
 from . import jsonin
 from .multisum import (Beta, MultisumProfile, _check_beta, _children, _row_holds, eval_H, profile_from_json,
@@ -376,61 +375,6 @@ def cert_to_json(p: MultisumProfile, S: int, tree: Node) -> dict:
     }
 
 
-def json_text(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=1) + "\n", byte for byte.
-
-    obj is built of dicts with str keys, lists, tuples, strs, ints, bools
-    and None.  json.dumps falls back to its pure-Python encoder when given
-    an indent; this writer appends the same pieces to one list and joins
-    them once.
-    """
-    out: list[str] = []
-    _write(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(obj, nl: str, out: list[str]) -> None:
-    """Append obj's text to out; nl is a newline and the indent of obj's line."""
-    kind = type(obj)
-    if kind is int:
-        out.append(int.__repr__(obj))
-    elif kind is list or kind is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + " "
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _write(value, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + " "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write(obj[key], inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
 def cert_from_json(data: dict) -> tuple[MultisumProfile, int, Node]:
     where = "malformed certificate document: "
     p = profile_from_json(jsonin.field(data, "profile", where), where + "profile.")
@@ -532,12 +476,11 @@ def _certs_from_json(data: dict, betas: list, R: int) -> dict:
     return certs
 
 
-def load_factorization(path: str) -> FactorizationSystem:
+def factorization_from_json(data: dict) -> FactorizationSystem:
     """A proved system (U, V and optional certs beside the spec), or a bare
     spec, which is assembled here and returned without its trees: they were
-    read into U and V by the relation code check_certs runs.  A file holding
-    any of U, V or certs is a proved system, so it needs both U and V."""
-    data = jsonin.load(path)
+    read into U and V by the relation code check_certs runs.  A document
+    holding any of U, V or certs is a proved system, so it needs both U and V."""
     p, S, betas = system_spec_from_json(data)
     if not {"U", "V", "certs"} & data.keys():
         return assemble_system(p, S, betas)._replace(certs={})
@@ -549,3 +492,7 @@ def load_factorization(path: str) -> FactorizationSystem:
     U, V = jsonin.rows(U, "U", K, 0, 1), jsonin.rows(V, "V", 2, 0)
     certs = _certs_from_json(data, betas, p.R)
     return FactorizationSystem(profile=p, S=S, betas=tuple(betas), U=U, V=V, certs=certs)
+
+
+def load_factorization(path: str) -> FactorizationSystem:
+    return factorization_from_json(jsonin.load(path))

@@ -466,6 +466,36 @@ def test_bare_qdiff_check_says_no_independent_route_ran(run_cli, tmp_path):
     assert "independent_route" not in payload and "no independent route" not in out
 
 
+def test_qdiff_check_compares_a_system_with_betas_with_its_h_vector(run_cli, tmp_path):
+    # prove's system.json and the spec it proves are F(x) = U V F(xq^S) with
+    # F_k = H(beta_k): check compares solve with that vector, so one flipped
+    # U entry fails it, while the same U, V and S as a bare file still pass
+    outdir = tmp_path / "ex3"
+    assert run_cli(["prove", fx("ex3_system.json"), "--qmax", "40", "--out", str(outdir)])[0] == 0
+    for f in (str(outdir / "system.json"), fx("ex3_system.json")):
+        code, out, payload = run_cli(["qdiff", "check", f, "--qmax", "40"])
+        assert (code, payload) == (0, {"command": "qdiff-check", "ok": True, "routes_agree": True,
+                                       "solve_satisfies_system": True})
+        assert out.splitlines()[2:4] == ["solve agrees with H(beta_k) of the system: True", "result: PASS"]
+    doc = json.loads((outdir / "system.json").read_text())
+    doc["U"][3][1] ^= 1
+    flipped, bare = tmp_path / "flipped.json", tmp_path / "bare.json"
+    flipped.write_text(json.dumps(doc))
+    bare.write_text(json.dumps({"A": doc["U"], "weights": doc["V"], "S": doc["S"]}))
+    code, out, payload = run_cli(["qdiff", "check", str(flipped), "--qmax", "40"])
+    assert (code, payload["routes_agree"], payload["solve_satisfies_system"]) == (1, False, True)
+    assert "result: FAIL" in out.splitlines()
+    code, _, payload = run_cli(["qdiff", "check", str(bare), "--qmax", "40"])
+    assert (code, payload["independent_route"]) == (0, False) and "routes_agree" not in payload
+    # solve reads a file with betas too, and its components are the H(beta_k)
+    fs = prover.load_factorization(str(outdir / "system.json"))
+    code, _, payload = run_cli(["qdiff", "solve", str(outdir / "system.json"), "--qmax", "12"])
+    assert code == 0
+    assert [c["terms"] for c in payload["components"]] == [
+        [[m, n, c] for (m, n), c in eval_H(fs.profile, b, 12, 12).terms()] for b in fs.betas
+    ]
+
+
 def test_multisum_eval_matches_library(run_cli):
     code, _, payload = run_cli(
         ["multisum", "eval", fx("kr_profile.json"), "--beta", "1,3", "--qmax", "9"]
@@ -698,36 +728,36 @@ def _proof_digests(system: str, tmp_path, capsys) -> dict[str, str]:
 # one changed byte in a proof, a certificate, a drawing or a report fails here
 PROOF_DIGESTS = {
     "ex1": {
-        "cert_1.cert.json": "1530bf3d4a179a49be793aeae3aed396631ac3df3f0c75681a0f55d2368ae56d",
+        "cert_1.cert.json": "f50fc0c06443d7a0423cf50a8e48efd62fccb4d7171643c96cdbea2743d9dcc6",
         "cert_1.dot": "21d693d4faeba500567e817ccf0872b2541d609aa1a0a7be018f68972333fded",
-        "cert_2.cert.json": "a60e64f5e535378a1bed8257c84e4a9263bb2fe47ac788a242715052d01b4dd0",
+        "cert_2.cert.json": "b6cada535048922695483b1276210fc132cefe437bc8f0a1dd422fdad9a6ac43",
         "cert_2.dot": "3a0c1742c55a85507691ef3311d23a0827cd23ed380104ea1523231345c5cf74",
         "prove": "49e215b24b79b5750c511adc15423fa7e925efa3a4bf364bb35f119f15dea065",
-        "system.json": "33a3e061922ca4c429e5cf66244a98fa16744f929fe1a3360d86cb8ae70b0a01",
+        "system.json": "fc93db0e3b32ce3ff8916bec5f0aac2d82e0a0c4f8daa75ff4b9a8253f66b857",
         "verify": "25b23cfb9f891176cb7a829d6bb477ec03ca573d4bea0ecb19362ac55044f384",
     },
     "kr": {
-        "cert_1_3.cert.json": "9849f32c0dcf8574da91ef65091f3f115e01888dee7e0d659a1c57b4f38af159",
+        "cert_1_3.cert.json": "b41660497c6931f0342f19480efcf6617e5a277bdc8deb3b80ed1a751bcab52b",
         "cert_1_3.dot": "c7ae8ab68336e69d45f21d777cb7721146d6812f8609b60c2bea96298335d942",
-        "cert_2_6.cert.json": "9f63e82e13b2b90b33444b4959e0add97ee12a3b8924c9ad2117407d299ddd43",
+        "cert_2_6.cert.json": "c4b05f5b7cb5fc975f9cc888582475d223030626c4734a52826f250b5eb90ae5",
         "cert_2_6.dot": "0af16f4f63c772e44f47b925eec8cd3374cfab4ee5f85d6eac4fb0f42e9f437b",
-        "cert_3_6.cert.json": "9ab0d01b4810630be30be3e7be3dc61682a64fa3e0707a6c1ae98174c059d2ca",
+        "cert_3_6.cert.json": "9d2c9aaec577bc01b237130e24f94c3cf473de7a4162eadeddbed0edc0a981f5",
         "cert_3_6.dot": "48b5e6190ec20d2f580f9ec71cfffeb9bb90ea3fcc8586b07157d20b091201cd",
         "prove": "67e16113976b11b4ca71f519499a79ea2048e12a9c93f2abc5f27039203850b1",
-        "system.json": "0311300f185852846ee919a3f21ac94fa6cc205d11f34b0a4a27ac636582743b",
+        "system.json": "c8d4243d7197843e8f4f4409562864b3cb6e3e51848b78787b45d786de4c14fc",
         "verify": "0dd43b74dd9e2da6565e91cd43ca73180efcf9e8c1eb318405d8ab0ef53e9c16",
     },
     "ex3": {
-        "cert_1_2_4.cert.json": "bcb61d8c70bc3819c0ca4551e1377f00202f56d4d412c43be9870f1c92ec72d1",
+        "cert_1_2_4.cert.json": "64a56d598a0c981bba4503fbe48d3f34e028fdcbda616b105c82257cac9c6ff2",
         "cert_1_2_4.dot": "b525c7f2555f5a0de018ac4191301d9aae31deb6a0ad55e06d9f3b2d0e5ec1ce",
-        "cert_2_4_7.cert.json": "7738f9b7a09a37b0e6dc30c9fe989c2e102264c8a50a6986d9ec6bd7ada00895",
+        "cert_2_4_7.cert.json": "1f5b13b69abc02bc31e3d92dc3e3e83bec4c7806b8c83e56de2b87fc6cd0d29e",
         "cert_2_4_7.dot": "e79cf50ae5e82eb4d71f220653eba75a4028d6fcff7834c828f1799b4cf84ca5",
-        "cert_2_6_10.cert.json": "e2f3e0c8713e8c4cc145e43be68ac2f7d5fd1044afdd2d45e00f25c6bb220206",
+        "cert_2_6_10.cert.json": "2900c3b1410e7d6dc252d9d077ef239d0622d22d685ed58d6fca62a761a81268",
         "cert_2_6_10.dot": "3916d8d4f090cf2fc7f29a0fc49de84d3268e84aca353e6a497ee6b7cd4a7e73",
-        "cert_3_6_10.cert.json": "3eef5d1497b028fa445d8cf11646b76f40ce043ab724f4795e208a13f63a8b83",
+        "cert_3_6_10.cert.json": "032f59e4ad82f2917d0921bbbbcbdd64807b2ee61ce575f0823a173cd1ceef03",
         "cert_3_6_10.dot": "14a44b2e019993e2c7aadaabf05c5c9f6d51597c9328cd6cb9c93cb68fcd0833",
         "prove": "5b50a79b579a954ce1940985c4cf64728d546da5cd6b4dc8ee5635b0d8c1f4cb",
-        "system.json": "bf806cb9537923619962a46011e17d4f38ef9187ff83b3eeb7f714375b546c7e",
+        "system.json": "30eed2b88c173096bf8c55ba260bc4ea982aa3e7d539817c80175a08bbe78b9f",
         "verify": "251fe8cdcf150e3d6c3463fbe2bd5c3ae2dd64578fff49b6afee0b3567cd7103",
     },
 }
@@ -1332,6 +1362,20 @@ def test_export_without_out_prints_the_document_prove_wrote(fmt, name, tmp_path,
     assert main(["export", str(outdir / "cert_1_3.cert.json"), "--format", fmt]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ((outdir / name).read_text(), "")
+    # earlier versions wrote each document as json.dumps(..., sort_keys=True, indent=1):
+    # verify reads such a system.json to the same report, and export turns such a
+    # certificate into what it prints for the document prove writes now
+    system, cert = outdir / "system.json", outdir / "cert_1_3.cert.json"
+    for doc in (system, cert):
+        assert doc.read_text() == json.dumps(json.loads(doc.read_text()), sort_keys=True) + "\n"
+    assert main(["verify", str(system), "--qmax", "8"]) == 0
+    report = capsys.readouterr().out
+    for doc in (system, cert):
+        doc.write_text(json.dumps(json.loads(doc.read_text()), sort_keys=True, indent=1) + "\n")
+    assert main(["verify", str(system), "--qmax", "8"]) == 0
+    assert capsys.readouterr().out == report
+    assert main(["export", str(cert), "--format", fmt]) == 0
+    assert capsys.readouterr().out == captured.out
 
 
 @pytest.mark.parametrize("old", [b"#" * 100_000, b"#"], ids=["shrink", "grow"])

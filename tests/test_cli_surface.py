@@ -68,13 +68,13 @@ SURFACE = {
         HELP,
         ((), "subcommand", None, None, (
             ("solve", "unique power-series solution"),
-            ("check", "consistency of solve and the walk product (ideal files);"
-             " on a bare {A, weights, S} file it cannot fail"),
+            ("check", "consistency of solve with the walk product (ideal files) or H(beta_k)"
+             " (files with betas); on a bare {A, weights, S} file it cannot fail"),
         ), True, None),
     ],
     ("qdiff", "solve"): [
         HELP,
-        ((), "file", None, None, None, True, "ideal json or {A, weights, S} json"),
+        ((), "file", None, None, None, True, "ideal json, {A, weights, S} json, or system json with betas"),
         (("--qmax",), "qmax", 25, "int", None, False, "q truncation order"),
         (("--xmax",), "xmax", None, "int", None, False, "x truncation order (default: qmax)"),
     ],
