@@ -213,7 +213,11 @@ def _load_qdiff_input(path: str) -> tuple[qdiff.QDiffSystem, tuple | None]:
                         lambda x_max, q_max: qdiff.f_from_g(system, ideals.ideal_genfun_vec(ideal, x_max, q_max)))
     if "betas" in data:
         fs = prover.factorization_from_json(data)
-        return qdiff.QDiffSystem(A=fs.U, weights=fs.V, S=fs.S), (
+        try:
+            system = qdiff.QDiffSystem(A=fs.U, weights=fs.V, S=fs.S)
+        except ValueError as exc:  # its checks name A and weights, which this file calls U and V
+            raise ValueError(f"{path}: U, V and S as the system A = U, weights = V: {exc}") from None
+        return system, (
             "H(beta_k) of the system",
             lambda x_max, q_max: [multisum.eval_H(fs.profile, b, x_max, q_max) for b in fs.betas])
     return qdiff.system_from_json(data), None

@@ -27,14 +27,12 @@ divisibility conditions.  Substituting x -> x q^S simply shifts beta by
 S gamma.
 
 eval_H truncates H to x^x_max q^q_max by walking n one coordinate at a
-time and pruning on energy: the cross terms alpha_ij n_i n_j are never
-negative, so a prefix whose energy plus the smallest energy each remaining
-coordinate can add on its own exceeds q_max has no live completion.  That
-bound uses no sign of beta, so it is exact for any integer beta, and since a
-pruned summand has E(n) > q_max >= 0, a summand with negative E(n) is still
-met, in the same order, and still raises ValueError.  Reciprocal
-Pochhammers are kept as dense q-rows of ints, each step of n_r one in-place
-division by (1 - q^(A_r n_r)).
+time.  alpha >= 0, so E(n) < 0 somewhere in the window exactly when some
+beta_r < 0 has gamma_r <= x_max; such a beta is refused before the walk,
+and otherwise each step of n_r adds a nonnegative energy, so the walk
+stops at the first step past q_max.  Reciprocal Pochhammers are kept as
+dense q-rows of ints, each step of n_r one in-place division by
+(1 - q^(A_r n_r)).
 
 A batch of checks in one process (the acceptance suite, a run over many
 mutated factorizations) asks for the same H and the same identities again
@@ -123,17 +121,16 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
 
     beta may be any integer vector, but a summand whose q-exponent E(n)
     would be negative cannot live in a power series and raises ValueError.
+    Such a summand exists exactly when some beta_r < 0 has gamma_r <= x_max,
+    and the first in the walk's lexicographic order is e_r for the largest
+    such r: every n before it lives on later coordinates, each with
+    beta >= 0 or held at 0 by x_max.  That summand is named before any row
+    is built.
 
     The walk fixes n_1, n_2, ... in turn and carries the energy of the
-    prefix.  Cross terms alpha_sr n_s n_r are >= 0, so every completion of a
-    prefix has energy >= prefix energy + the sum over the remaining r of
-    lb_r = min over 0 <= k <= x_max // gamma_r of alpha_rr k(k-1)/2 + beta_r k.
-    That bound holds for any integer beta.  The k-loop stops at the first k
-    whose bound exceeds q_max: a later k could come back under it only if
-    beta_r < 0, and then the walk has already raised at n = e_r.  Every
-    pruned summand has E(n) > q_max >= 0, so the first negative summand in
-    traversal order, and the error it raises, is the same as for the full
-    enumeration.
+    prefix.  With no negative beta_r in reach, the step from k - 1 to k in
+    n_r adds alpha_rr (k - 1) + beta_r + sum_{s < r} alpha_sr n_s >= 0, so
+    the k-loop stops at the first k whose energy exceeds q_max.
 
     Each (p, beta, x_max, q_max) is walked once per process while it stays
     among the last _MEMO_SIZE distinct ones asked for; see the module
@@ -149,13 +146,11 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     """eval_H's walk, on checked arguments and a tuple beta."""
     R = p.R
     alpha, gamma, A = p.alpha, p.gamma, p.A
-    # tail[r]: lower bound on the energy that coordinates r.. can add
-    tail = [0] * (R + 1)
-    for r in range(R - 1, -1, -1):
-        a, b, top = alpha[r][r], beta[r], x_max // gamma[r]
-        # the step a k + b from k to k + 1 never shrinks: the least value is where it is first >= 0, or at top
-        k = top if a * top + b < 0 else max(0, -(b // a)) if a else 0
-        tail[r] = tail[r + 1] + a * k * (k - 1) // 2 + b * k
+    # the first negative summand in the walk's order is e_r for the last r that reaches one
+    for r in reversed(range(R)):
+        if beta[r] < 0 and gamma[r] <= x_max:
+            n = (0,) * r + (1,) + (0,) * (R - 1 - r)
+            raise ValueError(f"summand n={n} of H(beta={beta}) has negative q-exponent {beta[r]}")
     # rows[m][d]: coefficient of x^m q^d, grown to the highest x-degree a
     # summand reaches
     rows: list[list[int]] = []
@@ -163,10 +158,6 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     def walk(r: int, n: tuple[int, ...], xdeg: int, e: int, part: list[int]) -> None:
         # part: dense q-row of prod_{s < r} 1/(q^A_s; q^A_s)_{n_s}
         if r == R:
-            if e < 0:
-                raise ValueError(
-                    f"summand n={n} of H(beta={beta}) has negative q-exponent {e}"
-                )
             while len(rows) <= xdeg:
                 rows.append([0] * (q_max + 1))
             row = rows[xdeg]
@@ -175,7 +166,6 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
             return
         a, b, g, mod = alpha[r][r], beta[r], gamma[r], A[r]
         slope = b + sum(alpha[s][r] * n[s] for s in range(r))
-        rest = tail[r + 1]
         c = part[:]
         for k in range((x_max - xdeg) // g + 1):
             if k:
@@ -184,7 +174,7 @@ def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
                 for i in range(step, q_max + 1):
                     c[i] += c[i - step]
                 e += a * (k - 1) + slope
-            if e + rest > q_max:
+            if e > q_max:
                 break
             walk(r + 1, n + (k,), xdeg + k * g, e, c)
 

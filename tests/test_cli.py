@@ -1283,6 +1283,21 @@ def test_qdiff_system_without_vertices_exits_two(tmp_path, capsys):
     assert "error: A is empty" in captured.err
 
 
+@pytest.mark.parametrize("edit, fault", [
+    (lambda d: d["U"][1].__setitem__(0, 0), "first adjacency column must be all ones, got 0 in A row 2"),
+    (lambda d: d.__setitem__("S", 0), "shift must be >= 1, got 0"),
+], ids=["U_first_column", "S_zero"])
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_qdiff_names_the_fields_of_a_system_with_betas(tmp_path, capsys, command, edit, fault):
+    # the system's own checks name A and weights, which a file with betas calls U and V
+    path = _proved_kr(tmp_path, "system.json", edit)
+    capsys.readouterr()
+    code = main(["qdiff", command, path, "--qmax", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: U, V and S as the system A = U, weights = V: {fault}\n"
+
+
 def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
     # json.dumps recurses too, so the nested tree is spliced in as text
     outdir = tmp_path / "kr"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -235,11 +237,13 @@ RANK_THREE = MultisumProfile(
 @given(_eval_cases())
 @example((ZERO_DIAGONAL, (1, 1), 8, 8))
 @example((RANK_THREE, (-1, 0, 2), 6, 9))  # negative beta reaches a negative summand
+@example((RANK_THREE, (-1, 0, -2), 6, 9))  # two negative betas in reach: the last one is named
 @example((RANK_THREE, (2, -1, 1), 1, 9))  # negative beta on a coordinate x_max rules out
+@example((RANK_THREE, (-1, -1, 2), 1, 9))  # ... beside one in reach, which is named
 @example((RANK_THREE, (3, 1, -1), 6, 2))  # negative beta on a coordinate that can still grow
 @example((RANK_THREE, (1, 2, 1), 4, 0))
-# x_max far beyond every live x-degree; the least diagonal energy lies at k = 0,
-# at the top k, and at k = 1 of 0..top
+# x_max far beyond every live x-degree: the walk stops at the first k past q_max,
+# and a negative beta_r in reach is refused before any walk
 @example((MultisumProfile(((1, 0), (0, 2)), (1, 2), (1, 1)), (1, 0), 300, 8))
 @example((ZERO_DIAGONAL, (1, -1), 300, 5))
 @example((MultisumProfile(((3,),), (1,), (2,)), (-2,), 1000, 4))
@@ -253,6 +257,21 @@ def test_eval_h_matches_naive_enumeration(case):
             return str(exc)
 
     assert outcome(eval_H) == outcome(naive_eval_H)
+
+
+def test_negative_summand_is_refused_before_any_row_is_built():
+    # the summands (0, k) all have energy 0, so a walk would build a row for
+    # every x-degree up to x_max before it met n = (1, 0)
+    flat = MultisumProfile(alpha=((1, 0), (0, 0)), gamma=(1, 1), A=(1, 1))
+    tracemalloc.start()
+    try:
+        refusal = "summand n=(1, 0) of H(beta=(-1, 0)) has negative q-exponent -1"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            eval_H(flat, (-1, 0), 10**4, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_rec_children_examples(ex1_profile, kr_profile, ex3_profile):
