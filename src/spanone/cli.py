@@ -157,14 +157,10 @@ def cmd_ideal_members(args) -> int:
     ideal = ideals.load_ideal(args.file)
     series, members = ideals.enumerate_members(ideal, _order("--qmax", args.qmax))
     genfun = _series_payload(series)
-    # format_partition on part tuples, through one text per part: a part is
-    # at most its member's size, so at most q_max
-    part_text = [str(a) for a in range(args.qmax + 1)].__getitem__
-    rendered = ["+".join(map(part_text, parts)) if parts else "empty" for parts in members]
     # the members are listed once, in the JSON
     _emit(
         [f"ideal {args.file}  members of size <= {args.qmax}: {len(members)}", f"genfun = {genfun['text']}"],
-        {"command": "ideal-members", "count": len(members), "members": rendered, "genfun": genfun},
+        {"command": "ideal-members", "count": len(members), "members": members, "genfun": genfun},
     )
     return 0
 

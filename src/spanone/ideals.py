@@ -13,9 +13,9 @@ so the k-th link occupies the window of parts in (kS, (k+1)S].  Because
 S bounds the largest seed part, the windows are disjoint: each (+) is a
 plain concatenation of part lists, and the decomposition of a member back
 into links is unique: just slice by windows (contains).  enumerate_members
-builds members that way, level by level with its chains grouped by last
-seed and size, and returns them sorted by size, then part tuple.  Seeds,
-members and links are all plain part tuples (partitions.Parts).
+builds members that way, level by level, as the format_partition text of
+each member, and they come out ordered by size, then part tuple, with no
+sort.  Seeds and links are plain part tuples (partitions.Parts).
 
 The same data is a vertex-weighted digraph: vertex j carries the monomial
 x^(number of parts of pi_j) q^(size of pi_j), and j -> i is an edge when
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
+from itertools import repeat
 from math import ceil
 
 from . import jsonin
@@ -163,64 +164,61 @@ def contains(ideal: SpanOneIdeal, lam: Parts) -> tuple[Parts, ...] | None:
     return tuple(map(tuple, links))
 
 
-def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Parts]]:
+def enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[str]]:
     """All members of size <= q_max by direct chain expansion.
 
     Returns the generating function (graded like ideal_genfun_vec's sum)
-    together with the members as part tuples, sorted by size, then part
-    tuple.  This is structurally independent of the matrix-product
-    route: it assembles actual part lists chain by chain and weighs them
-    afterwards.
+    together with the members as format_partition texts, ordered by size,
+    then part tuple.  This is structurally independent of the matrix-product
+    route: it assembles actual members chain by chain and weighs them
+    afterwards, by their number of parts.
 
     A link pi_i at level L contributes phi^(LS)(pi_i), whose parts lie in
     (LS, (L+1)S] because S is at least the largest seed part, while every
     part built so far is at most LS.  The windows are disjoint, so oplus is
-    a plain concatenation: the shifted link goes in front of the parts
-    already built and the result is weakly decreasing with no sort.
+    a plain concatenation: the text of the shifted link goes in front of
+    the text already built, and the member is weakly decreasing.
 
-    The chains are grown one level at a time.  The frontier groups the
-    part tuples of every chain that reached the current level by (last
-    seed, size).  Per level each seed is shifted once; a group that no
-    nonempty link fits on any more is dropped whole, and each other group
-    grows by one list comprehension per seed it links to, whose result
-    goes into its size bucket and its group of the next level.  A chain
-    that takes the empty link passes unchanged into the next level's group
-    of pi_1.  Each size bucket is sorted at the end.
+    The chains are grown one level at a time, and each size bucket comes
+    out already in part-tuple order:
+    - members whose last link sits at a later level have larger first
+      parts, and the levels fill the buckets in turn;
+    - within a level the nonempty seeds are taken in part-tuple order;
+    - the frontier maps each size to ordered runs (last seed, chains) of
+      the chains that reached the level, so the chains of one size a link
+      fits on are taken in order, and a chain that takes the empty link
+      passes unchanged into the first run of its size, ahead of the chains
+      whose parts go above the current level;
+    - where link a is a proper prefix of link b, the rest of a member built
+      on a has parts <= LS < b's next part, so every member built on a
+      comes before every member built on b.
+    A size that no nonempty link fits on any more is dropped whole.
     """
     _check_orders(q_max, q_max)
     S = ideal.S
     linking = ideal.linking
-    buckets: list[list[Parts]] = [[] for _ in range(q_max + 1)]
-    buckets[0].append(())
-    frontier: dict[tuple[int, int], list[Parts]] = {(1, 0): [()]}
-    shift = 0
-    while frontier and shift < q_max:
-        shifted = [tuple([a + shift for a in p]) for p in ideal.pi]
-        sizes = [sum(p) + shift * len(p) for p in ideal.pi]
-        grown_frontier: dict[tuple[int, int], list[Parts]] = {}
-        for (j, size), chains in frontier.items():
-            if size + shift >= q_max:
-                continue  # even the smallest nonempty link, shift + 1, no longer fits
-            for i in linking[j - 1]:
-                link = shifted[i - 1]
-                if link:
-                    grown_size = size + sizes[i - 1]
-                    if grown_size > q_max:
-                        continue
-                    grown = [link + parts for parts in chains]
-                    buckets[grown_size] += grown
-                else:
-                    # a chain may pass through an empty window and resume higher up
-                    grown_size, grown = size, chains
-                grown_frontier.setdefault((i, grown_size), []).extend(grown)
-        frontier = grown_frontier
-        shift += S
-    coeffs: dict[tuple[int, int], int] = {}
-    members: list[Parts] = []
+    seeds = sorted((p, i) for i, p in enumerate(ideal.pi, 1) if p)
+    buckets: list[list[str]] = [[] for _ in range(q_max + 1)]
+    frontier: dict[int, list[tuple[int, list[str]]]] = {0: [(1, [""])]}
+    for shift in range(0, q_max, S):
+        # even the smallest nonempty link, shift + 1, no longer fits on the rest
+        live = {size: runs for size, runs in frontier.items() if size + shift < q_max}
+        frontier = {size: [(1, [r for _, chains in runs for r in chains])] for size, runs in live.items()}
+        for p, i in seeds:
+            link = "+".join([str(a + shift) for a in p])
+            prefix = link + "+"
+            link_size = sum(p) + shift * len(p)
+            for size, runs in live.items():
+                if size + link_size <= q_max:
+                    # the empty chain, the one chain of size 0, is followed by the bare link
+                    grown = [prefix + r for j, chains in runs if i in linking[j - 1] for r in chains] if size else [link]
+                    buckets[size + link_size] += grown
+                    frontier.setdefault(size + link_size, []).append((i, grown))
+    coeffs = {(0, 0): 1}
+    members = ["empty"]
     for size, bucket in enumerate(buckets):
-        bucket.sort()
-        for n, count in Counter(map(len, bucket)).items():
-            coeffs[(n, size)] = count
+        for pluses, count in Counter(map(str.count, bucket, repeat("+"))).items():
+            coeffs[(pluses + 1, size)] = count
         members += bucket
     return Series(coeffs, q_max, q_max), members
 

@@ -143,8 +143,9 @@ def naive_eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Seri
 def recursive_enumerate_members(ideal: SpanOneIdeal, q_max: int) -> tuple[Series, list[Parts]]:
     """Members of size <= q_max by one recursive call per chain, each member
     checked to be weakly decreasing and positive: the same generating
-    function and members as enumerate_members, down to the order of the
-    member list (by size, then part list).
+    function as enumerate_members, and part tuples whose format_partition
+    texts are its members, down to the order of the member list (by size,
+    then part list), which this oracle gets by sorting.
     """
     S = ideal.S
     seeds = [(p, sum(p), len(p)) for p in ideal.pi]

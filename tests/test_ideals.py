@@ -10,7 +10,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import spanone
 from oracles import (
@@ -148,7 +148,7 @@ def test_trivial_ideal_of_empty_partition():
     vec = ideal_genfun_vec(ideal, 6, 6)
     assert str(vec[0]) == "1"
     genfun, members = enumerate_members(ideal, 6)
-    assert members == [()]
+    assert members == ["empty"]
     assert str(genfun) == "1"
 
 
@@ -303,7 +303,7 @@ def test_contains_kr_examples(kr_ideal):
 
 def test_kr_members_small(kr_ideal):
     genfun, members = enumerate_members(kr_ideal, 3)
-    assert members == [(), (1,), (2,), (2, 1), (3,)]
+    assert members == ["empty", "1", "2", "2+1", "3"]
     assert str(genfun) == "1 + x*q + x*q^2 + x*q^3 + x^2*q^3"
 
 
@@ -314,7 +314,7 @@ def test_members_are_the_oracle_partitions_in_order(rr_ideal, kr_ideal):
         expected = [p for n in range(19) for p in partitions_of(n) if pred(p)]
         for q_max in range(19):
             _, members = enumerate_members(ideal, q_max)
-            assert members == [p for p in expected if sum(p) <= q_max], q_max
+            assert members == [format_partition(p) for p in expected if sum(p) <= q_max], q_max
 
 
 @st.composite
@@ -332,20 +332,34 @@ def small_ideals(draw) -> SpanOneIdeal:
     return SpanOneIdeal(pi=pi, linking=tuple(linking), S=S)
 
 
+def _ideal(S: int, seeds: str, linking: str) -> SpanOneIdeal:
+    """An ideal from seed literals and 1-based linking rows, as in '1 2+1' and '12 1 123'."""
+    pi = ((), *map(parse_partition, seeds.split()))
+    return SpanOneIdeal(pi=pi, linking=tuple(frozenset(map(int, row)) for row in linking.split()), S=S)
+
+
+# the edge cases of the order argument: a seed that is a proper prefix of
+# another, seeds listed out of part-tuple order, chains that must pass an
+# empty window (1 links only to the empty seed) and a seed that links to itself
+@example(_ideal(2, "2 2+1", "123 123 123"), 14)
+@example(_ideal(3, "3+1 2+2 1 3", "12345 1234 135 1 15"), 14)
+@example(_ideal(1, "1", "12 1"), 14)
+@example(_ideal(2, "2+1", "12 12"), 14)
 @given(small_ideals(), st.integers(0, 14))
 def test_level_walk_matches_recursive_expansion(ideal, q_max):
     genfun, members = enumerate_members(ideal, q_max)
     old_genfun, old_members = recursive_enumerate_members(ideal, q_max)
     assert genfun == old_genfun
-    assert members == old_members  # each of them checked by the oracle
+    assert members == [format_partition(m) for m in old_members]  # each of them checked by the oracle
     for m in members:
-        assert contains(ideal, m) is not None
+        assert contains(ideal, parse_partition(m)) is not None
 
 
 @given(small_ideals(), st.integers(0, 14))
 def test_cli_renders_member_tuples_as_format_partition(ideal, q_max):
-    _, members = enumerate_members(ideal, q_max)
+    _, members = recursive_enumerate_members(ideal, q_max)
     expected = [format_partition(m) for m in members]
+    assert enumerate_members(ideal, q_max)[1] == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ideal.json")
         with open(path, "w") as fh:
@@ -367,13 +381,14 @@ def test_contains_agrees_with_enumeration(rr_ideal, kr_ideal):
         for n in range(bound + 1):
             for p in partitions_of(n):
                 chain = contains(ideal, p)
-                assert (chain is not None) == (p in member_set), p
+                assert (chain is not None) == (format_partition(p) in member_set), p
 
 
 def test_member_chain_reconstructs_partition(rr_ideal, kr_ideal):
     for ideal in (rr_ideal, kr_ideal):
         _, members = enumerate_members(ideal, 12)
-        for p in members:
+        for m in members:
+            p = parse_partition(m)
             chain = contains(ideal, p)
             assert chain is not None
             rebuilt = ()
