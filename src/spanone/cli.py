@@ -21,7 +21,9 @@ Every report is plain text followed by a blank line and one JSON object, so
 output is both readable and machine-parsable.  Exit codes: 0 success or a
 check that came back true, 1 a check that came back false, 2 usage or input
 errors, 3 no factorization found (no certificate within the budget, or
-certificates that do not assemble into U and V; inconclusive).
+certificates that do not assemble into U and V; inconclusive), 141 (128 +
+SIGPIPE, as a shell reports a writer killed by SIGPIPE) when the reader of
+stdout closed it early.
 """
 
 from __future__ import annotations
@@ -647,9 +649,18 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         # jsonin.load, its error messages and the tree walks recurse once per level of
-        # nesting; the oracle's walk, the one other recursion, is bounded by its window
-        print(f"error: {args.file}: input is nested too deeply for the recursion limit", file=sys.stderr)
+        # nesting, and the walk of H(beta) once per coordinate of the profile; the
+        # oracle's walk, the one other recursion, is bounded by its window
+        print(f"error: {args.file}: input is nested too deeply or has too high a rank "
+              "for the recursion limit", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone, as under | head: the input was fine, so no
+        # error line; stdout points at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,6 +175,16 @@ def test_usage_errors_name_every_command(argv, err, capsys, monkeypatch):
     assert printed.startswith(err)
 
 
+@pytest.mark.parametrize("path", [(), *((name,) for name, (_, spec, *_) in cli.COMMANDS.items()
+                                        if isinstance(spec, dict))], ids=lambda path: " ".join(path) or "top")
+def test_help_at_the_top_and_at_each_group_exits_zero(path, capsys):
+    # each command's own --help is run by test_each_path_builds_one_chain_with_the_full_tree_namespace
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: spanone", *path]) + " ")
+
+
 @pytest.mark.parametrize("path", list(SAMPLE_ARGVS), ids=" ".join)
 def test_each_path_builds_one_chain_with_the_full_tree_namespace(path, capsys, monkeypatch):
     # the reader builds no parser and returns the full tree's namespace; help
@@ -276,6 +286,13 @@ def test_reader_returns_the_full_tree_namespace_or_leaves_argv_to_it(argv):
         assert _outcome(main, argv) == full
 
 
+def test_an_abbreviated_flag_prints_what_the_full_flag_prints(capsys):
+    # --qmax 12 is read from the command table, --qm 12 is left to argparse
+    runs = [(main(["verify", fx("kr_system.json"), flag, "12"]), capsys.readouterr()) for flag in ("--qmax", "--qm")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+
+
 def test_ideal_genfun_report(run_cli):
     code, out, payload = run_cli(["ideal", "genfun", fx("rr.json"), "--qmax", "10"])
     assert code == 0
@@ -297,6 +314,22 @@ def test_ideal_members_report(run_cli):
     assert (genfun, blank) == (f"genfun = {payload['genfun']['text']}", "")
     code, out, payload = run_cli(["ideal", "members", fx("kr_i1.json"), "--qmax", "40"])
     assert (code, payload["count"], len(out.splitlines())) == (0, 5461, 4)
+
+
+@pytest.mark.parametrize("ideal, oracle, qmax", [
+    ("kr_i1.json", ["kr-i1"], "30"),
+    ("rr.json", ["gap", "--d", "2", "--k", "1"], "40"),
+], ids=["kr_i1", "rr"])
+def test_members_are_as_many_as_the_oracle_counts_in_size_then_parts_order(ideal, oracle, qmax, run_cli):
+    # the level-wise member walk and the oracle's pruned walk count the same partitions,
+    # and the member walk lists them by (size, parts) without sorting them
+    code, out, members = run_cli(["ideal", "members", fx(ideal), "--qmax", qmax])
+    assert (code, len(out.splitlines())) == (0, 4)
+    code, _, counted = run_cli(["oracle", *oracle, "--qmax", qmax])
+    assert code == 0
+    assert members["count"] == sum(c for _, _, c in counted["series"]["terms"]) == len(members["members"])
+    keys = [(sum(p), p) for p in map(partitions.parse_partition, members["members"])]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize(
@@ -373,6 +406,13 @@ def test_a_partition_literal_is_plain_digits(literal, tmp_path, capsys):
         "", f"error: malformed ideal description: pi entry 2: bad partition literal {literal!r}\n")
 
 
+def test_a_seed_that_is_no_partition_is_named_by_its_entry(tmp_path, capsys):
+    path = _written(tmp_path, json.dumps({"S": 2, "pi": ["empty", "1+2"], "linking": [[1, 2], [1, 2]]}))
+    assert main(["ideal", "members", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: malformed ideal description: pi entry 2: parts must be weakly decreasing, got (1, 2)\n")
+
+
 @pytest.mark.parametrize("content", [b'{"profile": 1}\n#junk\n', b"\xff{}"], ids=["trailing-junk", "not-utf-8"])
 def test_a_file_that_is_not_json_is_named(content, tmp_path, capsys):
     path = tmp_path / "system.json"
@@ -420,6 +460,63 @@ def test_a_layer_loads_only_the_layers_it_imports():
     multisum_layers = ["spanone", "spanone.jsonin", "spanone.multisum", "spanone.series"]
     assert loaded("multisum") == f"{multisum_layers}\n"
     assert loaded("prover") == f"{sorted([*multisum_layers, 'spanone.prover'])}\n"
+
+
+def _cli_process(*argv, run=subprocess.run, **kwargs):
+    """A fresh `python -m spanone.cli` process for argv, importing the spanone these tests import."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
+    return run([sys.executable, "-m", "spanone.cli", *argv], env=env, **kwargs)
+
+
+def test_a_proved_system_written_by_one_process_is_verified_by_another(tmp_path):
+    outdir = tmp_path / "kr"
+    proved = _cli_process("prove", fx("kr_system.json"), "--qmax", "12", "--out", str(outdir),
+                          capture_output=True, text=True)
+    assert (proved.returncode, proved.stderr) == (0, "")
+    checked = _cli_process("verify", str(outdir / "system.json"), "--qmax", "12", capture_output=True, text=True)
+    assert (checked.returncode, checked.stderr) == (0, "")
+    assert "result: PASS" in checked.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["qdiff", "solve", fx("rr.json"), "--qmax", "5", "--xmax", "10000000"], 0, ""),
+    (["multisum", "eval", fx("kr_profile.json"), "--beta", "1,3", "--qmax", "5", "--xmax", "10000000"], 0, ""),
+    (["verify", fx("kr_system.json"), "--qmax", "5", "--xmax", "10000000"], 0, ""),
+    # every (0, k) has energy 0, so a walk to n = (1, 0) would build one row per x-degree first
+    (["multisum", "eval", "@", "--beta=-1,0", "--qmax", "5", "--xmax", "100000000"], 2,
+     "error: summand n=(1, 0) of H(beta=(-1, 0)) has negative q-exponent -1\n"),
+    (["ideal", "contains", fx("rr.json"), "100000000000"], 2,
+     "error: the largest part 100000000000 is in window 50,000,000,000 of at most 100,000\n"),
+], ids=["qdiff-solve", "multisum-eval", "verify", "negative-summand", "contains"])
+def test_a_huge_order_or_part_costs_what_the_live_terms_cost(argv, code, err, tmp_path):
+    # a large --xmax costs what the live x-degrees cost, and a negative summand or a part
+    # beyond contains' window bound is refused before any walk: each ends within seconds
+    path = _written(tmp_path, json.dumps({"alpha": [[1, 0], [0, 0]], "gamma": [1, 1], "A": [1, 1]}))
+    proc = _cli_process(*[path if a == "@" else a for a in argv], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly():
+    # as under | head -c 10: the 74 KB of members are more than a pipe holds, so the command
+    # is still writing when the read end closes; the input was fine, so no error line
+    with _cli_process("ideal", "members", fx("kr_i1.json"), "--qmax", "40", run=subprocess.Popen,
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["oracle", "gap", "--d", "2", "--k", "1", "--qmax", "8"], 0, "oracle gap(d=2, k=1)  qmax=8 xmax=8"),
+    (["ideal", "members", fx("rr.json"), "--qmax", "6"], 0, f"ideal {fx('rr.json')}  members of size <= 6: 11"),
+    (["qdiff", "check", fx("rr.json"), "--qmax", "30"], 0, "solve agrees with the walk-product route: True"),
+    # a beta with a leading minus is joined to its option and reaches the positivity check
+    (["multisum", "check", fx("kr_profile.json"), "--beta=-1,3"], 1, "positivity of beta (-1, 3): False"),
+], ids=["oracle-gap", "ideal-members", "qdiff-check", "multisum-check-negative-beta"])
+def test_a_report_prints_its_verdict(argv, code, line, run_cli):
+    got, out, _ = run_cli(argv)
+    assert (got, line in out.splitlines()) == (code, True)
 
 
 def test_qdiff_solve_and_check(run_cli):
@@ -494,6 +591,26 @@ def test_qdiff_check_compares_a_system_with_betas_with_its_h_vector(run_cli, tmp
     assert [c["terms"] for c in payload["components"]] == [
         [[m, n, c] for (m, n), c in eval_H(fs.profile, b, 12, 12).terms()] for b in fs.betas
     ]
+
+
+def test_a_proved_ex3_system_prints_the_verdict_of_each_check(run_cli, tmp_path):
+    outdir = tmp_path / "ex3"
+    assert run_cli(["prove", fx("ex3_system.json"), "--qmax", "40", "--out", str(outdir)])[0] == 0
+    doc = json.loads((outdir / "system.json").read_text())
+    indented, bare, flipped = tmp_path / "indented.json", tmp_path / "bare.json", tmp_path / "flipped.json"
+    # the indented layout earlier versions wrote still verifies
+    indented.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    bare.write_text(json.dumps({"A": doc["U"], "weights": doc["V"], "S": doc["S"]}))
+    doc["U"][3][1] ^= 1
+    flipped.write_text(json.dumps(doc))
+    for argv, code, line in [
+        (["verify", indented], 0, "result: PASS"),
+        (["qdiff", "check", bare], 0, "result: PASS"),
+        (["verify", flipped], 1, "result: FAIL"),
+        (["qdiff", "check", flipped], 1, "solve agrees with H(beta_k) of the system: False"),
+    ]:
+        got, out, _ = run_cli([*map(str, argv), "--qmax", "40"])
+        assert (got, line in out.splitlines()) == (code, True), argv
 
 
 def test_multisum_eval_matches_library(run_cli):
@@ -1311,7 +1428,18 @@ def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
     capsys.readouterr()
     code = main(["verify", str(sysfile), "--qmax", "12"])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {sysfile}: input is nested too deeply for the recursion limit\n"
+    assert capsys.readouterr().err == (
+        f"error: {sysfile}: input is nested too deeply or has too high a rank for the recursion limit\n")
+
+
+def test_a_profile_of_too_high_a_rank_is_refused_as_such(tmp_path, capsys):
+    # the file nests three levels, but the walk of H(beta) takes one frame per coordinate
+    rank = 3000
+    path = _written(tmp_path, json.dumps({"alpha": [[0] * rank] * rank, "gamma": [1] * rank, "A": [1] * rank}))
+    code = main(["multisum", "eval", path, "--beta", ",".join(["1"] * rank), "--qmax", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: input is nested too deeply or has too high a rank for the recursion limit\n"
 
 
 def _verify_cert_edited(tmp_path, run_cli, edit) -> tuple[int, str, dict]:
@@ -1345,6 +1473,19 @@ def test_verify_rejects_tree_with_swapped_children(tmp_path, run_cli):
     assert code == 1
     assert payload["rows"][0] is False
     assert "certificate for H(1,3) rejected" in out
+
+
+@pytest.mark.parametrize("edit, rejection", [
+    (lambda d: d["V"][1].__setitem__(1, d["V"][1][1] + 1), "its leaves are not row 1 of U and V"),
+    # the first certificate cut to a bare leaf at its root
+    (lambda d: d["certs"][0].__setitem__("tree", {"beta": [1, 3]}), "leaf (1, 3) is not a target"),
+], ids=["V-moved", "bare-leaf"])
+def test_verify_names_the_rejection_and_fails_the_rows(edit, rejection, tmp_path, run_cli):
+    code, out, payload = _verify_cert_edited(tmp_path, run_cli, edit)
+    lines = out.splitlines()
+    assert (code, payload["rows"]) == (1, [False, False, False, True, False, True, True])
+    assert lines[1] == "row 1: H(1,3) == selected combination: MISMATCH"
+    assert lines[8:10] == [f"certificate for H(1,3) rejected: {rejection}", "result: FAIL"]
 
 
 def test_verify_from_system_spec(run_cli):
@@ -1451,9 +1592,10 @@ def test_unwritable_out_is_named_by_its_flag(case, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_prove_exhaustion_exit_code(run_cli):
-    code, _, _ = run_cli(["prove", fx("kr_system.json"), "--max-expansions", "2"])
+def test_prove_exhaustion_exit_code(capsys):
+    code = main(["prove", fx("kr_system.json"), "--max-expansions", "2"])
     assert code == 3
+    assert capsys.readouterr().err == "search exhausted: no certificate for (1, 3) within 2 expansions\n"
 
 
 def test_prove_reports_a_leaf_no_column_can_take(tmp_path, capsys):
