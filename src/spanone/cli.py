@@ -649,10 +649,8 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         # jsonin.load, its error messages and the tree walks recurse once per level of
-        # nesting, and the walk of H(beta) once per coordinate of the profile; the
-        # oracle's walk, the one other recursion, is bounded by its window
-        print(f"error: {args.file}: input is nested too deeply or has too high a rank "
-              "for the recursion limit", file=sys.stderr)
+        # nesting; the oracle's walk, the one other recursion, is bounded by its window
+        print(f"error: {args.file}: input is nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader of stdout is gone, as under | head: the input was fine, so no

@@ -26,13 +26,23 @@ so a certificate's soundness needs none of check_additional's
 divisibility conditions.  Substituting x -> x q^S simply shifts beta by
 S gamma.
 
-eval_H truncates H to x^x_max q^q_max by walking n one coordinate at a
-time.  alpha >= 0, so E(n) < 0 somewhere in the window exactly when some
+eval_H truncates H to x^x_max q^q_max one coordinate at a time.  Before
+coordinate r, the rest of the sum reads a prefix (n_1, ..., n_(r-1)) only
+through its key: its x-degree, its energy, and the slopes
+beta_t + sum_(s < r) alpha_st n_s of the coordinates t >= r.  So a level of
+the walk maps each key to one dense q-row of ints, the sum of the
+reciprocal Pochhammers of the prefixes with that key, and prefixes with one
+key are added together once.  Raising n_r from k - 1 to k divides a row
+by (1 - q^(A_r k)) and adds alpha_rr (k - 1) + slope_r to the energy.
+alpha >= 0, so E(n) < 0 somewhere in the window exactly when some
 beta_r < 0 has gamma_r <= x_max; such a beta is refused before the walk,
-and otherwise each step of n_r adds a nonnegative energy, so the walk
-stops at the first step past q_max.  Reciprocal Pochhammers are kept as
-dense q-rows of ints, each step of n_r one in-place division by
-(1 - q^(A_r n_r)).
+and otherwise no step lowers the energy, so the k-loop stops at the first
+step past q_max and a row keeps only the q_max + 1 - energy orders left.
+After the last coordinate each row is added at offset energy into its
+x-row.  Memory is the states of two levels, each a row of at most
+q_max + 1 ints and a key of at most R + 2, with no stack frame per
+coordinate; with alpha = 0 the slopes never change, so a level has at most
+(x_max + 1)(q_max + 1) states whatever the rank.
 
 A batch of checks in one process (the acceptance suite, a run over many
 mutated factorizations) asks for the same H and the same identities again
@@ -122,19 +132,14 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     beta may be any integer vector, but a summand whose q-exponent E(n)
     would be negative cannot live in a power series and raises ValueError.
     Such a summand exists exactly when some beta_r < 0 has gamma_r <= x_max,
-    and the first in the walk's lexicographic order is e_r for the largest
-    such r: every n before it lives on later coordinates, each with
-    beta >= 0 or held at 0 by x_max.  That summand is named before any row
-    is built.
-
-    The walk fixes n_1, n_2, ... in turn and carries the energy of the
-    prefix.  With no negative beta_r in reach, the step from k - 1 to k in
-    n_r adds alpha_rr (k - 1) + beta_r + sum_{s < r} alpha_sr n_s >= 0, so
-    the k-loop stops at the first k whose energy exceeds q_max.
+    and the error names the lexicographically least, e_r for the largest
+    such r, before any row is built: E(e_r) = beta_r, and a summand n with
+    E(n) < 0 has n_s >= 1 at some such s <= r, so n is nonzero at or before
+    coordinate r and comes at or after e_r.
 
     Each (p, beta, x_max, q_max) is walked once per process while it stays
     among the last _MEMO_SIZE distinct ones asked for; see the module
-    docstring.
+    docstring for the walk and the memo.
     """
     _check_beta(p, beta)
     _check_orders(x_max, q_max)
@@ -144,43 +149,41 @@ def eval_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _walk_H(p: MultisumProfile, beta: Beta, x_max: int, q_max: int) -> Series:
     """eval_H's walk, on checked arguments and a tuple beta."""
-    R = p.R
     alpha, gamma, A = p.alpha, p.gamma, p.A
-    # the first negative summand in the walk's order is e_r for the last r that reaches one
-    for r in reversed(range(R)):
+    # the lexicographically least negative summand is e_r for the last r that reaches one
+    for r in reversed(range(p.R)):
         if beta[r] < 0 and gamma[r] <= x_max:
-            n = (0,) * r + (1,) + (0,) * (R - 1 - r)
+            n = (0,) * r + (1,) + (0,) * (p.R - 1 - r)
             raise ValueError(f"summand n={n} of H(beta={beta}) has negative q-exponent {beta[r]}")
-    # rows[m][d]: coefficient of x^m q^d, grown to the highest x-degree a
-    # summand reaches
-    rows: list[list[int]] = []
-
-    def walk(r: int, n: tuple[int, ...], xdeg: int, e: int, part: list[int]) -> None:
-        # part: dense q-row of prod_{s < r} 1/(q^A_s; q^A_s)_{n_s}
-        if r == R:
-            while len(rows) <= xdeg:
-                rows.append([0] * (q_max + 1))
-            row = rows[xdeg]
-            for d in range(q_max + 1 - e):
-                row[e + d] += part[d]
-            return
-        a, b, g, mod = alpha[r][r], beta[r], gamma[r], A[r]
-        slope = b + sum(alpha[s][r] * n[s] for s in range(r))
-        c = part[:]
-        for k in range((x_max - xdeg) // g + 1):
-            if k:
-                # divide by (1 - q^(A_r k)) in place
-                step = mod * k
-                for i in range(step, q_max + 1):
-                    c[i] += c[i - step]
-                e += a * (k - 1) + slope
-            if e > q_max:
-                break
-            walk(r + 1, n + (k,), xdeg + k * g, e, c)
-
-    walk(0, (), 0, 0, [1] + [0] * q_max)
-    # rows: at most x_max + 1 rows of q_max + 1 ints, built here and never mutated
-    # again, whichever callers the memo hands this series to
+    # before coordinate r: (x-degree, energy, slopes of coordinates r..R-1) -> summed
+    # q-row of prod_{s < r} 1/(q^A_s; q^A_s)_{n_s} over the prefixes with that key
+    level = {(0, 0, beta): [1] + [0] * q_max}
+    for r in range(p.R):
+        a, g, mod, later = alpha[r][r], gamma[r], A[r], alpha[r][r + 1:]
+        nxt: dict[tuple[int, int, Beta], list[int]] = {}
+        for (xdeg, e, slopes), c in level.items():
+            rest = slopes[1:]
+            for k in range((x_max - xdeg) // g + 1):
+                if k:
+                    e += a * (k - 1) + slopes[0]
+                    if e > q_max:
+                        break
+                    # a new row (stored rows are shared, never mutated), cut to the q-orders
+                    # left and divided by (1 - q^(A_r k))
+                    c = c[:q_max + 1 - e]
+                    step = mod * k
+                    for i in range(step, len(c)):
+                        c[i] += c[i - step]
+                    rest = tuple(map(add, rest, later))
+                key = (xdeg + k * g, e, rest)
+                old = nxt.get(key)
+                nxt[key] = c if old is None else list(map(add, old, c))
+        level = nxt
+    # rows[m][d]: coefficient of x^m q^d, up to the highest x-degree a summand reaches;
+    # built here and never mutated again, whichever callers the memo hands this series to
+    rows = [[0] * (q_max + 1) for _ in range(1 + max(xdeg for xdeg, _, _ in level))]
+    for (xdeg, e, _), c in level.items():
+        rows[xdeg][e:] = map(add, rows[xdeg][e:], c)
     return Series._of_rows(rows, x_max, q_max)
 
 

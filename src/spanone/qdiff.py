@@ -150,11 +150,3 @@ def system_from_json(data: dict) -> QDiffSystem:
     A = jsonin.rows(jsonin.field(data, "A", where), where + "A")
     weights = jsonin.rows(jsonin.field(data, "weights", where), where + "weights", 2)
     return QDiffSystem(A, weights, jsonin.integer(jsonin.field(data, "S", where), where + "S"))
-
-
-def system_to_json(sys: QDiffSystem) -> dict:
-    return {
-        "A": [list(row) for row in sys.A],
-        "weights": [list(w) for w in sys.weights],
-        "S": sys.S,
-    }

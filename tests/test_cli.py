@@ -423,14 +423,18 @@ def test_a_file_that_is_not_json_is_named(content, tmp_path, capsys):
     assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh process that imports the spanone these tests import."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)), **extra)
+
+
 def test_a_utf8_file_is_read_whatever_the_locale(tmp_path):
     # a fresh process under the C locale, where open() without an encoding reads ASCII
     data = json.loads(open(fx("rr.json")).read())
     data["note"] = "\u0663"
     path = tmp_path / "rr.json"
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-               PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
+    env = _fresh_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     proc = subprocess.run([sys.executable, "-m", "spanone.cli", "ideal", "genfun", str(path), "--qmax", "4"],
                           env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -441,7 +445,7 @@ def test_verify_loads_no_module_that_only_help_or_annotations_need():
     unused = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources", "argparse")
     script = ("import sys; from spanone.cli import main; code = main(sys.argv[1:]); "
               f"print(code, [m for m in {unused!r} if m in sys.modules], file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
+    env = _fresh_env()
     run = lambda *argv: subprocess.run([sys.executable, "-S", "-c", script, *argv],
                                        env=env, capture_output=True, text=True)
     proc = run("verify", fx("kr_system.json"), "--qmax", "12")
@@ -454,7 +458,7 @@ def test_verify_loads_no_module_that_only_help_or_annotations_need():
 def test_a_layer_loads_only_the_layers_it_imports():
     # a fresh process without site, so every module loaded is one the package imported
     script = "import sys, spanone.{}; print(sorted(m for m in sys.modules if m.startswith('spanone')))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
+    env = _fresh_env()
     loaded = lambda layer: subprocess.run([sys.executable, "-S", "-c", script.format(layer)],
                                           env=env, capture_output=True, text=True, check=True).stdout
     multisum_layers = ["spanone", "spanone.jsonin", "spanone.multisum", "spanone.series"]
@@ -464,8 +468,7 @@ def test_a_layer_loads_only_the_layers_it_imports():
 
 def _cli_process(*argv, run=subprocess.run, **kwargs):
     """A fresh `python -m spanone.cli` process for argv, importing the spanone these tests import."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spanone.__file__)))
-    return run([sys.executable, "-m", "spanone.cli", *argv], env=env, **kwargs)
+    return run([sys.executable, "-m", "spanone.cli", *argv], env=_fresh_env(), **kwargs)
 
 
 def test_a_proved_system_written_by_one_process_is_verified_by_another(tmp_path):
@@ -1429,17 +1432,21 @@ def test_verify_rejects_deeply_nested_tree(tmp_path, capsys):
     code = main(["verify", str(sysfile), "--qmax", "12"])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: {sysfile}: input is nested too deeply or has too high a rank for the recursion limit\n")
+        f"error: {sysfile}: input is nested too deeply for the recursion limit\n")
 
 
-def test_a_profile_of_too_high_a_rank_is_refused_as_such(tmp_path, capsys):
-    # the file nests three levels, but the walk of H(beta) takes one frame per coordinate
+def test_a_profile_of_a_rank_past_the_recursion_limit_is_evaluated(tmp_path, capsys):
+    # the walk of H(beta) takes no stack frame per coordinate, so the rank meets no recursion limit
     rank = 3000
+    assert rank > sys.getrecursionlimit()
     path = _written(tmp_path, json.dumps({"alpha": [[0] * rank] * rank, "gamma": [1] * rank, "A": [1] * rank}))
-    code = main(["multisum", "eval", path, "--beta", ",".join(["1"] * rank), "--qmax", "2"])
+    beta = ",".join(["1"] * rank)
+    code = main(["multisum", "eval", path, "--beta", beta, "--qmax", "2"])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: {path}: input is nested too deeply or has too high a rank for the recursion limit\n"
+    assert (code, captured.err) == (0, "")
+    # H(1, ..., 1) = prod_r 1/(1 - x q) to q^2: R x q and R x q^2 from one coordinate,
+    # R (R + 1) / 2 x^2 q^2 from the pairs and squares
+    assert captured.out.splitlines()[1] == f"H({beta}) = 1 + 3000*x*q + 3000*x*q^2 + 4501500*x^2*q^2"
 
 
 def _verify_cert_edited(tmp_path, run_cli, edit) -> tuple[int, str, dict]:

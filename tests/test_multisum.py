@@ -214,17 +214,24 @@ def test_memo_series_stay_immutable(kr_profile, cold_memo):
 
 @st.composite
 def _eval_cases(draw):
-    R = draw(st.integers(1, 3))
+    R = draw(st.integers(1, 4))
     alpha = [[0] * R for _ in range(R)]
+    # a coordinate without alpha entries leaves the slopes of the others alone, so prefixes
+    # that differ only on such coordinates, at equal gammas, share their keys in the walk
+    free = draw(st.sets(st.integers(0, R - 1)))
     for r in range(R):
         for s in range(r, R):
-            alpha[r][s] = alpha[s][r] = draw(st.integers(0, 3))
-    gamma = tuple(draw(st.integers(1, 2)) for _ in range(R))
+            if r not in free and s not in free:
+                alpha[r][s] = alpha[s][r] = draw(st.integers(0, 3))
+    gamma = draw(st.one_of(st.integers(1, 2).map(lambda g: (g,) * R),
+                           st.tuples(*(st.integers(1, 2) for _ in range(R)))))
     A = tuple(draw(st.integers(1, 3)) for _ in range(R))
     p = MultisumProfile(tuple(map(tuple, alpha)), gamma, A)
     beta = tuple(draw(st.integers(-2, 4)) for _ in range(R))
-    q_max = draw(st.integers(0, 10))
-    x_max = draw(st.one_of(st.just(q_max), st.integers(0, 10)))
+    # the naive sum walks the whole box gamma . n <= x_max, of size about x_max^R / R!
+    top = 10 if R < 4 else 7
+    q_max = draw(st.integers(0, top))
+    x_max = draw(st.one_of(st.just(q_max), st.integers(0, top)))
     return p, beta, x_max, q_max
 
 
@@ -232,6 +239,10 @@ ZERO_DIAGONAL = MultisumProfile(alpha=((0, 1), (1, 0)), gamma=(1, 1), A=(1, 2))
 RANK_THREE = MultisumProfile(
     alpha=((2, 1, 0), (1, 0, 2), (0, 2, 3)), gamma=(1, 2, 1), A=(1, 2, 3)
 )
+ZERO_RANK_THREE = MultisumProfile(alpha=((0, 0, 0),) * 3, gamma=(1, 1, 1), A=(1, 2, 3))
+# n = (1, 0) and (0, 1) have x-degree 1, energy 1 and slope 2 + 1 on the third coordinate:
+# two prefixes with one key, though their rows 1/(1 - q) and 1/(1 - q^3) differ
+SHARED_KEY = MultisumProfile(alpha=((1, 2, 1), (2, 0, 1), (1, 1, 2)), gamma=(1, 1, 2), A=(1, 3, 2))
 
 
 @given(_eval_cases())
@@ -242,6 +253,12 @@ RANK_THREE = MultisumProfile(
 @example((RANK_THREE, (-1, -1, 2), 1, 9))  # ... beside one in reach, which is named
 @example((RANK_THREE, (3, 1, -1), 6, 2))  # negative beta on a coordinate that can still grow
 @example((RANK_THREE, (1, 2, 1), 4, 0))
+@example((SHARED_KEY, (1, 1, 2), 8, 10))
+# ... and with alpha_13 = 0, the same two prefixes differ only in that slope, and stay apart
+@example((MultisumProfile(((1, 2, 0), (2, 0, 1), (0, 1, 2)), (1, 1, 2), (1, 3, 2)), (1, 1, 2), 8, 10))
+# all alpha zero: every prefix of one x-degree and energy shares its key
+@example((ZERO_RANK_THREE, (1, 1, 2), 6, 8))
+@example((ZERO_RANK_THREE, (0, 1, 0), 5, 6))  # zero slopes: only x_max ends the k-loops
 # x_max far beyond every live x-degree: the walk stops at the first k past q_max,
 # and a negative beta_r in reach is refused before any walk
 @example((MultisumProfile(((1, 0), (0, 2)), (1, 2), (1, 1)), (1, 0), 300, 8))

@@ -16,7 +16,6 @@ from spanone.qdiff import (
     f_from_g,
     solve,
     system_from_json,
-    system_to_json,
 )
 from spanone.series import Series, _weigh
 
@@ -226,11 +225,6 @@ def test_solution_constant_terms_are_one(kr_ideal):
     for f in solve(associated_graph(kr_ideal), 10, 10):
         assert f.coeff(0, 0) == 1
         assert all(m == 0 or n > 0 for (m, n), _ in f.terms())
-
-
-def test_json_round_trip(kr_ideal):
-    sys = associated_graph(kr_ideal)
-    assert system_from_json(system_to_json(sys)) == sys
 
 
 def test_json_rejects_malformed():
